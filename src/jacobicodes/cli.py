@@ -83,11 +83,11 @@ def _matrix_lines(name: str, rows) -> list[str]:
 
 def _make_table(args, l: int):
     spec = FieldSpec(p=args.p, l=l, alpha=args.alpha)
-    table = build_log_table(spec, budget=args.table_budget)
     t = args.generator_power % (spec.q - 1)
     if gcd(t, spec.q - 1) != 1:
         raise UsageError(f"generator power {args.generator_power} is not coprime to q - 1")
-    return spec, (table if t == 1 else table.power_view(t))
+    generator = find_primitive_element(spec) ** t
+    return spec, build_log_table(spec, generator, budget=args.table_budget)
 
 
 class UsageError(Exception):

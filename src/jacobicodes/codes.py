@@ -178,15 +178,42 @@ def build_generator_matrix(system: CongruenceSystem) -> list[list[int]]:
     ]
 
 
+def _vanishing_minors(rows, k: int, p: int) -> list[tuple[int, ...]]:
+    """All k-element subsets of rows whose k x k minor on the first k
+    columns vanishes mod p, as 1-based index tuples in lexicographic order.
+
+    Minors grow one column at a time by Laplace expansion along the new
+    column, so each smaller minor is computed once and shared by every row
+    subset that extends it.  A row subset is keyed by its bitmask, so the
+    subset without row r is mask ^ (1 << r).  Integer-exact; rank-deficient
+    rows need no special case.
+    """
+    n = len(rows)
+    bits = [1 << r for r in range(n)]
+    minors = {bit: row[0] % p for bit, row in zip(bits, rows)}
+    for col in range(1, k):
+        column = {bit: row[col] for bit, row in zip(bits, rows)}
+        grown = {}
+        for subset in combinations(bits, col + 1):
+            mask = sum(subset)
+            total, sign = 0, (-1) ** col  # cofactor sign of the top row
+            for bit in subset:
+                total += sign * column[bit] * minors[mask ^ bit]
+                sign = -sign
+            grown[mask] = total % p
+        minors = grown
+    return [
+        tuple(r + 1 for r in range(n) if mask >> r & 1)
+        for mask, minor in minors.items()
+        if not minor
+    ]
+
+
 def check_row_subsets(system: CongruenceSystem) -> list[tuple[int, ...]]:
     """All k-element row subsets of D whose square minor vanishes mod p,
     as 1-based index tuples.  Empty means every subset is independent, the
     MDS case."""
-    dependent = []
-    for rows in combinations(range(system.n), system.k):
-        if _det_mod([list(system.D[r]) for r in rows], system.p) == 0:
-            dependent.append(tuple(r + 1 for r in rows))
-    return dependent
+    return _vanishing_minors(system.D, system.k, system.p)
 
 
 @dataclass(frozen=True)
@@ -204,10 +231,9 @@ def is_mds(G: list[list[int]], p: int) -> MdsResult:
         raise ValueError("generator matrix must have k <= n")
     if _rank_mod(G, p) != k:
         raise ValueError("generator matrix is rank-deficient mod p")
-    for cols in combinations(range(n), k):
-        sub = [[G[r][c] for c in cols] for r in range(k)]
-        if _det_mod(sub, p) == 0:
-            return MdsResult(False, tuple(c + 1 for c in cols))
+    dependent = _vanishing_minors(list(zip(*G)), k, p)
+    if dependent:
+        return MdsResult(False, dependent[0])
     return MdsResult(True, None)
 
 

@@ -22,7 +22,7 @@ from math import isqrt
 
 from .cyclotomic import CycInt
 from .errors import IntegrityError
-from .fields import FieldElement, FieldSpec, subfield_residue
+from .fields import FieldElement, FieldSpec, is_prime, subfield_residue
 from .jacobi import verify_conditions
 
 __all__ = [
@@ -41,9 +41,11 @@ __all__ = [
 
 
 def _prime_power_check(q: int, p: int) -> int:
-    """alpha with q = p^alpha, or a ValueError."""
+    """alpha with q = p^alpha for a prime p, or a ValueError."""
     if q < 2 or p < 2:
         raise ValueError("q and p must be >= 2")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     alpha, t = 0, q
     while t % p == 0:
         t //= p

@@ -4,9 +4,9 @@ dependent, i.e. where the MDS construction fails.
 For l = 3 and l = 5 no such prime is known; for l = 13 the prime 79 has
 generators whose row matrix loses rank on some subset.  The scanner walks
 a prime range, builds the congruence system for one generator or for all
-of them, and records which row subsets (if any) vanish.  Records are
-deterministic for a fixed input range; only the elapsed-time field varies
-between runs.
+of them (once per Galois class t mod l of the generator gamma^t), and
+records which row subsets (if any) vanish.  Records are deterministic for
+a fixed input range; only the elapsed-time field varies between runs.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ class ScanRecord:
     one dependent subset, listed 1-based), or "skipped" (a resource budget
     stopped the cell before it was computed; such cells carry an all-zero
     generator placeholder and the planned power t).
+
+    Generators gamma^t in one Galois class t mod l share one row-subset
+    check, so elapsed_ms is paid by the first computed cell of each class
+    (that cell also pays for the prime's log table and Jacobi sum); later
+    cells of the class record only their own bookkeeping, usually 0.
     """
 
     l: int
@@ -122,15 +127,23 @@ def scan(
 ) -> list[ScanRecord]:
     """Scan primes p in [p_min, p_max] with p = 1 mod l.
 
-    For each prime, the canonical generator gamma is found once and other
-    generators are reached as powers gamma^t with gcd(t, q-1) = 1 (policy
-    "all") or just gamma itself (policy "first").  Cells that would exceed
-    ``table_budget`` log-table entries, or that start after ``deadline_s``
-    seconds of wall-clock time, are emitted with status "skipped" rather
-    than dropped.  Records come back sorted by (l, p, alpha, generator).
+    For each prime, the canonical generator gamma, its log table, the
+    Jacobi sum J and the root b = gamma^((q-1)/l) are computed once.  Other
+    generators are powers gamma^t with gcd(t, q-1) = 1 (policy "all") or
+    just gamma itself (policy "first").  The sum for gamma^t is the Galois
+    conjugate sigma_(t^-1 mod l)(J) and its root is b^t, so the congruence
+    system and its verdict depend only on the class t mod l: the row-subset
+    check runs once per class and later generators of a class reuse it.
+
+    Cells that would exceed ``table_budget`` log-table entries, or that
+    start after ``deadline_s`` seconds of wall-clock time, are emitted with
+    status "skipped" rather than dropped.  Records come back sorted by
+    (l, p, alpha, generator).  An empty range (p_min > p_max) is rejected.
     """
     if not is_prime(l) or l == 2:
         raise ValueError(f"l = {l} must be an odd prime")
+    if p_min > p_max:
+        raise ValueError(f"empty prime range: p_min = {p_min} > p_max = {p_max}")
     started = time.monotonic()
     records: list[ScanRecord] = []
 
@@ -151,6 +164,7 @@ def scan(
             continue
         spec = FieldSpec(p=p, l=l, alpha=alpha)
         table = None
+        verdicts: dict[int, tuple[tuple[int, ...], ...]] = {}
         for t in powers:
             cell_start = time.monotonic()
             if out_of_time():
@@ -160,15 +174,19 @@ def scan(
                 continue
             if table is None:
                 table = build_log_table(spec, budget=table_budget)
-            view = table if t == 1 else table.power_view(t)
-            J = jacobi_sum(view)
-            b = subfield_residue(view.generator ** ((q - 1) // l))
-            system = build_congruence_system(J.value, p, b)
-            dependent = tuple(check_row_subsets(system))
+                J = jacobi_sum(table).value
+                b = subfield_residue(table.generator ** ((q - 1) // l))
+            c = t % l
+            if c not in verdicts:
+                system = build_congruence_system(
+                    J.conjugate(pow(t, -1, l)), p, pow(b, t, p)
+                )
+                verdicts[c] = tuple(check_row_subsets(system))
+            dependent = verdicts[c]
             elapsed_ms = int((time.monotonic() - cell_start) * 1000)
             records.append(
                 ScanRecord(
-                    l, p, alpha, view.generator.coeffs, t,
+                    l, p, alpha, (table.generator ** t).coeffs, t,
                     "exception" if dependent else "mds",
                     dependent, elapsed_ms,
                 )

@@ -166,6 +166,13 @@ def test_scan_stdout(capsys):
     assert "exception: 0" in out
 
 
+def test_scan_empty_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "scan", "--l", "5", "--p-min", "100", "--p-max", "10")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
 def test_scan_out_resolves_env_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.RESULTS_DIR_ENV, str(tmp_path))
     code, out, err = run(

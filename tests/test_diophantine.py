@@ -137,6 +137,10 @@ def test_input_validation():
     with pytest.raises(ValueError):
         solve_gauss(12, 3)  # q not a power of p
     with pytest.raises(ValueError):
+        solve_gauss(91, 91)  # 91 = 7 * 13 is 1 mod 3 but not prime
+    with pytest.raises(ValueError):
+        solve_dickson(341, 341)  # 341 = 11 * 31 is 1 mod 5 but not prime
+    with pytest.raises(ValueError):
         GaussSolution(2, 1, 7, 7).validate()  # L != 1 mod 3
     with pytest.raises(ValueError):
         DicksonSolution(1, 1, 1, 1, 61, 61).validate()

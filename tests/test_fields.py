@@ -32,6 +32,9 @@ def test_is_prime_edge_cases():
     assert not is_prime(561)  # Carmichael
     assert is_prime(10**9 + 7)
     assert not is_prime(10**12 + 1)
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to every
+    # prime base up to 37
+    assert not is_prime(318665857834031151167461)
 
 
 def test_prime_factors():
@@ -139,15 +142,17 @@ def test_character_exponent_multiplicative():
 
 
 def test_power_view():
+    # a table built on gamma^t: t * log_(gamma^t)(x) = log_gamma(x) mod q - 1
     spec = FieldSpec(p=61, l=5)
     table = build_log_table(spec)
-    view = table.power_view(7)
+    view = build_log_table(spec, table.generator**7)
     assert view.generator == table.generator**7
     assert view.log(view.generator) == 1
-    x = spec.element(23)
-    assert view.log(x) * 7 % 60 == table.log(x)
+    for v in range(1, 61):
+        x = spec.element(v)
+        assert view.log(x) * 7 % 60 == table.log(x)
     with pytest.raises(ValueError):
-        table.power_view(6)  # gcd(6, 60) != 1
+        build_log_table(spec, table.generator**6)  # gcd(6, 60) != 1
 
 
 def test_budget_and_generator_validation():

@@ -5,6 +5,7 @@ Every property runs a fixed, derandomized corpus of at least 1000 cases.
 
 import cmath
 import math
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from jacobicodes import (
     CycInt,
     ScanRecord,
     abs_square,
+    build_log_table,
     character_exponent,
     conjugate,
     conjugate_solutions,
@@ -34,6 +36,7 @@ from jacobicodes import (
     syndrome,
     verify_conditions,
 )
+from jacobicodes.codes import _det_mod, _vanishing_minors
 from jacobicodes.fields import prime_factors
 
 from conftest import make_pipeline
@@ -192,7 +195,7 @@ def test_character_exponents_are_multiplicative_and_balanced(pl, data):
 @given(st.sampled_from((7, 11, 13, 17, 23, 29, 37, 43, 49, 53, 59)), st.data())
 def test_power_view_log_consistency(t, data):
     table = make_pipeline(61, 5)["table"]
-    view = table.power_view(t)
+    view = build_log_table(table.spec, table.generator**t)
     x = table.spec.element(data.draw(st.integers(min_value=1, max_value=60)))
     assert (view.log(x) * t) % 60 == table.log(x)
 
@@ -204,7 +207,7 @@ def test_jacobi_sums_of_generator_powers_stay_in_one_orbit(t):
     spec = pipe["spec"]
     base = pipe["J"].coeffs
     orbit = {base} | set(conjugate_solutions(base))
-    view = pipe["table"].power_view(t)
+    view = build_log_table(spec, pipe["table"].generator**t)
     J = jacobi_sum(view)
     assert J.coeffs in orbit
     # norm and unit congruence persist under generator change
@@ -346,3 +349,37 @@ def test_mds_verdict_matches_parity_side(p, data):
     c1, c2 = sorted(cols)
     det = code.H[0][c1] * code.H[1][c2] - code.H[0][c2] * code.H[1][c1]
     assert det % p != 0
+
+
+@st.composite
+def minor_matrix(draw):
+    """(rows, k, p): n <= 8 rows of width >= k, often rank-deficient mod p
+    through a zero column, a column combined from the others, or a small p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 61)))
+    n = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=n))
+    width = draw(st.integers(min_value=k, max_value=k + 2))
+    entry = st.integers(min_value=-2 * p, max_value=2 * p)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("random", "zero column", "dependent column")))
+    if shape == "zero column":
+        j = draw(st.integers(min_value=0, max_value=k - 1))
+        for row in rows:
+            row[j] = 0
+    elif shape == "dependent column" and k >= 2:
+        weights = draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
+        for row in rows:
+            row[k - 1] = sum(w * x for w, x in zip(weights, row))
+    return rows, k, p
+
+
+@CASES
+@given(minor_matrix())
+def test_shared_minors_match_one_elimination_per_subset(case):
+    rows, k, p = case
+    assert _vanishing_minors(rows, k, p) == [
+        tuple(r + 1 for r in subset)
+        for subset in combinations(range(len(rows)), k)
+        if _det_mod([rows[r][:k] for r in subset], p) == 0
+    ]

@@ -5,17 +5,50 @@ import io
 import json
 import math
 import os
+from itertools import combinations
 
 import pytest
 
 from jacobicodes import (
+    FieldSpec,
     ScanRecord,
+    build_congruence_system,
+    build_log_table,
+    find_primitive_element,
+    jacobi_sum,
     report,
     scan,
+    subfield_residue,
     summarize,
     write_report,
 )
+from jacobicodes.codes import _det_mod
 from jacobicodes.scanner import CSV_COLUMNS
+
+
+def per_generator_records(l, p, alpha=1):
+    """The scan's records, minus elapsed_ms, by the slow path: a fresh log
+    table, Jacobi sum and congruence system for every generator gamma^t,
+    and one elimination per row subset."""
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    gamma = find_primitive_element(spec)
+    q = spec.q
+    out = []
+    for t in range(1, q - 1):
+        if math.gcd(t, q - 1) != 1:
+            continue
+        table = build_log_table(spec, gamma**t)
+        J = jacobi_sum(table)
+        b = subfield_residue(table.generator ** ((q - 1) // l))
+        system = build_congruence_system(J.value, p, b)
+        dependent = tuple(
+            tuple(r + 1 for r in rows)
+            for rows in combinations(range(system.n), system.k)
+            if _det_mod([list(system.D[r]) for r in rows], p) == 0
+        )
+        status = "exception" if dependent else "mds"
+        out.append((l, p, alpha, table.generator.coeffs, t, status, dependent))
+    return sorted(out)
 
 
 def test_scan_order5_range():
@@ -52,6 +85,17 @@ def test_scan_order13_all_generators():
     summary = summarize(records)
     assert summary.counts == {"mds": 20, "exception": 4, "skipped": 0}
     assert len(summary.exceptions) == 4
+
+
+@pytest.mark.parametrize(
+    "l, p, alpha", [(13, 53, 1), (13, 79, 1), (5, 61, 1), (3, 97, 1), (3, 7, 2)]
+)
+def test_scan_by_class_matches_per_generator_path(l, p, alpha):
+    records = scan(l, p, p, alpha=alpha, generators="all")
+    assert [
+        (r.l, r.p, r.alpha, r.generator, r.power, r.status, r.dependent_subsets)
+        for r in records
+    ] == per_generator_records(l, p, alpha)
 
 
 def test_scan_mds_records_agree_with_code_builder():
@@ -95,6 +139,11 @@ def test_scan_rejects_bad_order():
         scan(9, 11, 100)
     with pytest.raises(ValueError):
         scan(2, 11, 100)
+
+
+def test_scan_rejects_empty_range():
+    with pytest.raises(ValueError):
+        scan(5, 100, 10)
 
 
 def test_generator_label():
