@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from importlib import resources
 from math import gcd
 
@@ -29,8 +30,9 @@ from .codes import (
     determinant_suite,
     encode,
     syndrome,
+    to_standard_form,
 )
-from .diophantine import select_solution, solve_dickson, solve_gauss
+from .diophantine import DicksonSolution, select_solution, solve_dickson, solve_gauss
 from .errors import BudgetError, IntegrityError
 from .fields import (
     DEFAULT_TABLE_BUDGET,
@@ -115,15 +117,18 @@ def _cmd_jacobi(args) -> int:
     return 0
 
 
-def _solve_and_select(args, l: int):
-    spec, table = _make_table(args, l)
-    solutions = solve_gauss(spec.q, spec.p) if l == 3 else solve_dickson(spec.q, spec.p)
-    selection = select_solution(solutions, spec, table.generator)
-    return spec, table, solutions, selection
+# Per order: the quadratic form, the solution tuple's label, the ratio.
+_FORMS = {
+    3: ("4q = L^2 + 27 M^2", "(L, M)", "(L-3M)/(L+3M)"),
+    5: ("16q = X^2 + 50U^2 + 50V^2 + 125W^2", "(X, U, V, W)", "(A-10B)/(A+10B)"),
+}
 
 
-def _cmd_gauss(args) -> int:
-    spec, table, solutions, sel = _solve_and_select(args, 3)
+def _cmd_solve(args) -> int:
+    spec, table = _make_table(args, args.l)
+    solve = solve_gauss if args.l == 3 else solve_dickson
+    solutions = solve(spec.q, spec.p)
+    sel = select_solution(solutions, spec, table.generator)
     if args.format == "json":
         print(json.dumps({
             "p": spec.p, "alpha": spec.alpha, "q": spec.q,
@@ -134,35 +139,13 @@ def _cmd_gauss(args) -> int:
             "orientation": sel.orientation.as_json(),
         }, indent=2))
     else:
-        print(f"4q = L^2 + 27 M^2 over {spec} (generator {table.generator}, b = {sel.b})")
+        form, label, ratio = _FORMS[args.l]
+        print(f"{form} over {spec} (generator {table.generator}, b = {sel.b})")
         for s in solutions:
             marker = "  <- selected" if s == sel.solution else ""
-            print(f"  (L, M) = ({s.L}, {s.M}){marker}")
+            print(f"  {label} = {astuple(s)[:-2]}{marker}")
         print(f"  a = {list(sel.a)}")
-        print(f"  ratio (L-3M)/(L+3M) mod p = {sel.orientation.ratio} "
-              f"(power: {sel.orientation.power}, negated power: {sel.orientation.negated_power})")
-    return 0
-
-
-def _cmd_dickson(args) -> int:
-    spec, table, solutions, sel = _solve_and_select(args, 5)
-    if args.format == "json":
-        print(json.dumps({
-            "p": spec.p, "alpha": spec.alpha, "q": spec.q,
-            "generator": str(table.generator), "b": sel.b,
-            "solutions": [s.as_json() for s in solutions],
-            "selected": sel.solution.as_json(),
-            "a": list(sel.a),
-            "orientation": sel.orientation.as_json(),
-        }, indent=2))
-    else:
-        print(f"16q = X^2 + 50U^2 + 50V^2 + 125W^2 over {spec} "
-              f"(generator {table.generator}, b = {sel.b})")
-        for s in solutions:
-            marker = "  <- selected" if s == sel.solution else ""
-            print(f"  (X, U, V, W) = ({s.X}, {s.U}, {s.V}, {s.W}){marker}")
-        print(f"  a = {list(sel.a)}")
-        print(f"  ratio (A-10B)/(A+10B) mod p = {sel.orientation.ratio} "
+        print(f"  ratio {ratio} mod p = {sel.orientation.ratio} "
               f"(power: {sel.orientation.power}, negated power: {sel.orientation.negated_power})")
     return 0
 
@@ -306,15 +289,14 @@ def _cmd_verify_example(args) -> int:
     system = build_congruence_system(J.value, spec.p, b)
     code = build_code(system, spec)
     check("G", [list(r) for r in code.G])
-    from .codes import _det_mod, _inv_mod  # local forensic reuse
-
-    y = [list(r[: code.k]) for r in code.G]
-    check("det_Y", _det_mod(y, spec.p))
-    check("Y_inv", _inv_mod(y, spec.p))
+    suite = determinant_suite(J.coeffs, spec.p)
+    check("det_Y", suite.d[0])  # D_1 is the minor on G's first two columns
+    y_and_i = [list(r[: code.k]) + [int(i == j) for j in range(code.k)]
+               for i, r in enumerate(code.G)]
+    check("Y_inv", [r[code.k:] for r in to_standard_form(y_and_i, spec.p)[0]])
     check("P_block", [list(r[code.k:]) for r in code.G_std])
     check("G_std", [list(r) for r in code.G_std])
     check("H", [list(r) for r in code.H])
-    suite = determinant_suite(J.coeffs, spec.p)
     check("syndrome_multipliers", list(suite.syndrome_multipliers))
     check("codeword", encode(code, data["message"]))
     for idx, row in enumerate(data["decode_rows"]):
@@ -351,12 +333,7 @@ def _cmd_verify_example(args) -> int:
 
 def _lookup(data: dict, name: str):
     if name == "dickson_solution":
-        sol = data[name]
-        return {
-            "X": sol["X"], "U": sol["U"], "V": sol["V"], "W": sol["W"],
-            "A": sol["X"] ** 2 - 125 * sol["W"] ** 2,
-            "B": 2 * sol["X"] * sol["U"] - sol["X"] * sol["V"] - 25 * sol["V"] * sol["W"],
-        }
+        return DicksonSolution(**data[name], q=data["p"], p=data["p"]).as_json()
     return data[name]
 
 
@@ -382,12 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gauss = sub.add_parser("gauss", help="order-3 quadratic-form solutions")
     _field_args(p_gauss, with_l=False)
     _format_arg(p_gauss)
-    p_gauss.set_defaults(func=_cmd_gauss)
+    p_gauss.set_defaults(func=_cmd_solve, l=3)
 
     p_dickson = sub.add_parser("dickson", help="order-5 quadratic-form solutions")
     _field_args(p_dickson, with_l=False)
     _format_arg(p_dickson)
-    p_dickson.set_defaults(func=_cmd_dickson)
+    p_dickson.set_defaults(func=_cmd_solve, l=5)
 
     p_code = sub.add_parser("code", help="build and use the MDS code")
     code_sub = p_code.add_subparsers(dest="code_command", required=True)

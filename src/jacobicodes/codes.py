@@ -66,50 +66,28 @@ def _det_mod(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
+def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form of rows mod p, with its pivot columns.
+    Each pivot is 1 and the only nonzero entry of its column."""
     m = [[c % p for c in row] for row in rows]
     nrows, ncols = len(m), len(m[0])
-    rank = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = pow(m[rank][col], -1, p)
+        m[rank] = [c * inv % p for c in m[rank]]
         for r in range(nrows):
             if r != rank and m[r][col]:
-                factor = m[r][col] * inv % p
-                for c in range(ncols):
-                    m[r][c] = (m[r][c] - factor * m[rank][c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _inv_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    n = len(rows)
-    m = [[c % p for c in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular mod p")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = pow(m[col][col], -1, p)
-        m[col] = [c * inv % p for c in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
                 factor = m[r][col]
-                m[r] = [(c - factor * d) % p for c, d in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def _matmul_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    return [
-        [sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
-        for row in a
-    ]
+                m[r] = [(c - factor * d) % p for c, d in zip(m[r], m[rank])]
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    return m, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +114,14 @@ class CongruenceSystem:
         return (self.l - 1) // 2
 
 
-def build_congruence_system(J: CycInt, p: int, b: int) -> CongruenceSystem:
+def _expand(J: CycInt, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Expand conj(J) * prod_(k=1..(l-1)/2) (t - zeta^(1/k)) into a
     polynomial in t with coefficients in Z[zeta], and read off one congruence
     per zeta-power coordinate.
 
-    Row i (for zeta^i), with C_j the coefficient of t^j:
-    sum_j C_j[i] * b^j = -C_0[i] (mod p).  The built system is checked to
-    vanish at the given b; failure raises IntegrityError, since it means b
-    does not belong to this Jacobi sum's generator.
+    Returns (D, rhs) mod p.  Row i (for zeta^i), with C_j the coefficient of
+    t^j, is sum_j C_j[i] * t^j = -C_0[i]: D holds C_1..C_((l-1)/2) and rhs
+    holds -C_0.
     """
     l = J.l
     half = (l - 1) // 2
@@ -159,14 +136,22 @@ def build_congruence_system(J: CycInt, p: int, b: int) -> CongruenceSystem:
         for i in range(l - 1)
     )
     rhs = tuple(-poly[0].coeffs[i] % p for i in range(l - 1))
+    return D, rhs
+
+
+def build_congruence_system(J: CycInt, p: int, b: int) -> CongruenceSystem:
+    """The congruence system of J (see _expand), checked to vanish at the
+    given b; failure raises IntegrityError, since it means b does not belong
+    to this Jacobi sum's generator."""
+    D, rhs = _expand(J, p)
     b %= p
-    powers = [pow(b, j, p) for j in range(1, half + 1)]
-    for i in range(l - 1):
-        if sum(c * t for c, t in zip(D[i], powers)) % p != rhs[i]:
+    powers = [pow(b, j, p) for j in range(1, len(D[0]) + 1)]
+    for i, (row, r) in enumerate(zip(D, rhs)):
+        if sum(c * t for c, t in zip(row, powers)) % p != r:
             raise IntegrityError(
                 f"congruence row {i + 1} does not vanish at b = {b} mod {p}"
             )
-    return CongruenceSystem(l, p, b, D, rhs)
+    return CongruenceSystem(J.l, p, b, D, rhs)
 
 
 def build_generator_matrix(system: CongruenceSystem) -> list[list[int]]:
@@ -229,7 +214,7 @@ def is_mds(G: list[list[int]], p: int) -> MdsResult:
     k, n = len(G), len(G[0])
     if k > n:
         raise ValueError("generator matrix must have k <= n")
-    if _rank_mod(G, p) != k:
+    if len(_rref(G, p)[1]) != k:
         raise ValueError("generator matrix is rank-deficient mod p")
     dependent = _vanishing_minors(list(zip(*G)), k, p)
     if dependent:
@@ -283,16 +268,10 @@ def determinant_suite(a, p: int) -> DeterminantSuite:
     fails.
     """
     a1, a2, a3, a4 = a
-    col_b = (a1 - a2 + a3, a3 - a4, a1, a1 - a2 + a3 - a4)
-    col_b2 = (a4, a3, a2, a1)
-    rhs = (a4 - a3, a4 - a2, a4 - a1, a4)
+    D, rhs = _expand(CycInt(5, a), p)  # row i: (coefficient of b, of b^2)
     pairs = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
-    d_vals = tuple(
-        _det2(col_b[i], col_b2[i], col_b[j], col_b2[j]) % p for i, j in pairs
-    )
-    n_vals = tuple(
-        _det2(rhs[i], col_b2[i], rhs[j], col_b2[j]) % p for i, j in pairs
-    )
+    d_vals = tuple(_det2(*D[i], *D[j]) % p for i, j in pairs)
+    n_vals = tuple(_det2(rhs[i], D[i][1], rhs[j], D[j][1]) % p for i, j in pairs)
     if any(v == 0 for v in d_vals) or any(v == 0 for v in n_vals):
         raise IntegrityError(f"vanishing subsystem determinant mod {p} for a = {a}")
     b = n_vals[0] * pow(d_vals[0], -1, p) % p
@@ -323,12 +302,13 @@ def to_standard_form(
     G: list[list[int]], p: int
 ) -> tuple[list[list[int]], list[list[int]]]:
     """(G_std, H): G_std = Y^(-1) G = [I_k | P] where Y is the leading
-    k x k block, and H = [-P^T | I_(n-k)].  Raises ValueError when Y is
-    singular mod p."""
+    k x k block, and H = [-P^T | I_(n-k)].  G_std is the reduced row echelon
+    form of G, which is [I_k | Y^(-1) Z] exactly when Y is invertible.
+    Raises ValueError when Y is singular mod p."""
     k, n = len(G), len(G[0])
-    y = [row[:k] for row in G]
-    y_inv = _inv_mod(y, p)
-    g_std = _matmul_mod(y_inv, G, p)
+    g_std, pivots = _rref(G, p)
+    if pivots != list(range(k)):
+        raise ValueError("leading k x k block is singular mod p")
     h = [
         [-g_std[i][k + r] % p for i in range(k)]
         + [int(c == r) for c in range(n - k)]

@@ -17,7 +17,7 @@ from math import gcd
 
 from .cyclotomic import CycInt, divisible_by_int
 from .errors import IntegrityError
-from .fields import FieldElement, FieldSpec, LogTable, is_prime
+from .fields import FieldElement, FieldSpec, LogTable
 
 __all__ = [
     "JacobiSum",
@@ -183,14 +183,7 @@ def verify_conditions(
 
 def conjugate_solutions(a) -> list[tuple[int, ...]]:
     """The l - 1 Galois-conjugate coefficient vectors of a = (a_1, ...,
-    a_(l-1)): the i-th is (a_(i*1 mod l), ..., a_(i*(l-1) mod l)).  The
-    first entry is a itself."""
-    a = tuple(a)
-    l = len(a) + 1
-    if l < 3 or not is_prime(l):
-        raise ValueError(f"vector length {len(a)} is not (odd prime - 1)")
-    full = (None,) + a  # index 0 never hit: i*j mod l != 0 for unit i
-    return [
-        tuple(full[i * j % l] for j in range(1, l))
-        for i in range(1, l)
-    ]
+    a_(l-1)): the i-th is (a_(i*1 mod l), ..., a_(i*(l-1) mod l)), the
+    image of a under zeta -> zeta^(1/i).  The first entry is a itself."""
+    x = CycInt(len(a) + 1, a)
+    return [x.conjugate(pow(i, -1, x.l)).coeffs for i in range(1, x.l)]

@@ -1,4 +1,5 @@
-"""Shared fixtures: cached pipelines so tests do not rebuild log tables."""
+"""Shared fixtures: cached pipelines so tests do not rebuild log tables, and
+a record of which properties ran in this session for the acceptance gate."""
 
 from functools import lru_cache
 
@@ -60,3 +61,30 @@ def p7():
 @pytest.fixture(scope="session")
 def p11():
     return make_pipeline(11, 5)
+
+
+# Outcome ("passed", "failed", "skipped") of each test_properties.py test run
+# in this session, by test name.
+PROPERTY_OUTCOMES = pytest.StashKey[dict]()
+
+
+class _PropertyRecorder:
+    def __init__(self, outcomes: dict):
+        self.outcomes = outcomes
+
+    def pytest_runtest_logreport(self, report):
+        path, _, name = report.nodeid.rpartition("::")
+        if path.endswith("test_properties.py") and (
+            report.when == "call" or report.failed
+        ):
+            self.outcomes[name] = report.outcome
+
+
+def pytest_configure(config):
+    config.stash[PROPERTY_OUTCOMES] = {}
+    config.pluginmanager.register(_PropertyRecorder(config.stash[PROPERTY_OUTCOMES]))
+
+
+def pytest_collection_modifyitems(items):
+    # criterion 9 reads the outcomes of the properties that ran before it
+    items.sort(key=lambda item: item.name == "test_criterion_9_property_suites")

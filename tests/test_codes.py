@@ -7,6 +7,7 @@ import pytest
 
 from jacobicodes import (
     CongruenceSystem,
+    CycInt,
     FieldSpec,
     IntegrityError,
     build_code,
@@ -25,6 +26,7 @@ from jacobicodes import (
     syndrome,
     to_standard_form,
 )
+from jacobicodes.codes import _expand
 
 from conftest import make_pipeline, primes_1_mod
 
@@ -55,21 +57,25 @@ def test_congruence_system_61(p61):
 
 
 def test_congruence_system_matches_coefficient_formulas():
-    # order 5: D = [[a1-a2+a3, a4], [a3-a4, a3], [a1, a2], [a1-a2+a3-a4, a1]]
-    for p in primes_1_mod(5, 11, 250):
+    # order 5: D = [[a1-a2+a3, a4], [a3-a4, a3], [a1, a2], [a1-a2+a3-a4, a1]],
+    # on all four conjugates of J at every p = 1 mod 5 below 1000
+    for p in primes_1_mod(5, 11, 1000):
         pipe = make_pipeline(p, 5)
-        a1, a2, a3, a4 = pipe["J"].coeffs
-        want_d = (
-            (a1 - a2 + a3, a4),
-            (a3 - a4, a3),
-            (a1, a2),
-            (a1 - a2 + a3 - a4, a1),
-        )
-        want_rhs = (a4 - a3, a4 - a2, a4 - a1, a4)
-        assert pipe["system"].D == tuple(
-            tuple(c % p for c in row) for row in want_d
-        )
-        assert pipe["system"].rhs == tuple(c % p for c in want_rhs)
+        system = pipe["system"]
+        assert (system.D, system.rhs) == _expand(pipe["J"].value, p)
+        for a in conjugate_solutions(pipe["J"].coeffs):
+            a1, a2, a3, a4 = a
+            want_d = (
+                (a1 - a2 + a3, a4),
+                (a3 - a4, a3),
+                (a1, a2),
+                (a1 - a2 + a3 - a4, a1),
+            )
+            want_rhs = (a4 - a3, a4 - a2, a4 - a1, a4)
+            assert _expand(CycInt(5, a), p) == (
+                tuple(tuple(c % p for c in row) for row in want_d),
+                tuple(c % p for c in want_rhs),
+            ), (p, a)
     # order 3: rows a2*t = -a1 and a1*t = a2 - a1
     for p in primes_1_mod(3, 7, 250):
         pipe = make_pipeline(p, 3)

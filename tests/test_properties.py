@@ -1,12 +1,14 @@
 """Randomized invariant checks.
 
-Every property runs a fixed, derandomized corpus of at least 1000 cases.
+Every property runs a fixed corpus of 1000 derandomized cases, or the whole
+domain when it is smaller.
 """
 
 import cmath
 import math
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacobicodes import (
@@ -34,6 +36,7 @@ from jacobicodes import (
     solve_gauss,
     subfield_residue,
     syndrome,
+    to_standard_form,
     verify_conditions,
 )
 from jacobicodes.codes import _det_mod, _vanishing_minors
@@ -383,3 +386,25 @@ def test_shared_minors_match_one_elimination_per_subset(case):
         for subset in combinations(range(len(rows)), k)
         if _det_mod([rows[r][:k] for r in subset], p) == 0
     ]
+
+
+@CASES
+@given(minor_matrix())
+def test_standard_form_matches_inverse_of_leading_block(case):
+    # the k x n matrix G whose columns are the drawn rows: its leading block
+    # Y is singular whenever the first k rows are dependent mod p
+    rows, k, p = case
+    G = [[row[j] for row in rows] for j in range(k)]
+    Y = [row[:k] for row in G]
+    if _det_mod(Y, p) == 0:
+        with pytest.raises(ValueError):
+            to_standard_form(G, p)
+        return
+    g_std, _ = to_standard_form(G, p)
+    assert [row[:k] for row in g_std] == [
+        [int(i == j) for j in range(k)] for i in range(k)
+    ]
+    assert all(
+        (sum(Y[i][t] * g_std[t][j] for t in range(k)) - G[i][j]) % p == 0
+        for i in range(k) for j in range(len(rows))
+    )
