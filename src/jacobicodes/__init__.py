@@ -55,7 +55,7 @@ from .diophantine import (
     solve_dickson,
     solve_gauss,
 )
-from .errors import BudgetError, IntegrityError, JacobiCodesError
+from .errors import BudgetError, InputError, IntegrityError, JacobiCodesError
 from .fields import (
     DEFAULT_TABLE_BUDGET,
     FieldElement,
@@ -92,6 +92,7 @@ __all__ = [
     "FieldElement",
     "FieldSpec",
     "GaussSolution",
+    "InputError",
     "IntegrityError",
     "JacobiCodesError",
     "JacobiSum",

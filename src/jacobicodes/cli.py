@@ -10,8 +10,8 @@ Subcommands:
   scan            sweep a prime range for dependent row subsets
   verify-example  re-derive the F_61 worked example and compare every value
 
-Exit codes: 0 success, 1 assertion or integrity failure, 2 usage error,
-3 resource budget exceeded.
+Exit codes: 0 success, 1 assertion, integrity or other internal failure,
+2 usage error (bad input), 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .codes import (
     to_standard_form,
 )
 from .diophantine import DicksonSolution, select_solution, solve_dickson, solve_gauss
-from .errors import BudgetError, IntegrityError
+from .errors import BudgetError, InputError, IntegrityError
 from .fields import (
     DEFAULT_TABLE_BUDGET,
     FieldSpec,
@@ -87,13 +87,9 @@ def _make_table(args, l: int):
     spec = FieldSpec(p=args.p, l=l, alpha=args.alpha)
     t = args.generator_power % (spec.q - 1)
     if gcd(t, spec.q - 1) != 1:
-        raise UsageError(f"generator power {args.generator_power} is not coprime to q - 1")
+        raise InputError(f"generator power {args.generator_power} is not coprime to q - 1")
     generator = find_primitive_element(spec) ** t
     return spec, build_log_table(spec, generator, budget=args.table_budget)
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +157,7 @@ def _build_pipeline(args, l: int):
 
 def _cmd_code_build(args) -> int:
     if args.l not in (3, 5):
-        raise UsageError("code build supports --l 3 or --l 5")
+        raise InputError("code build supports --l 3 or --l 5")
     spec, table, J, system, code = _build_pipeline(args, args.l)
     multipliers = None
     if args.l == 5:
@@ -198,11 +194,11 @@ def _cmd_code_build(args) -> int:
 
 def _cmd_code_encode(args) -> int:
     if args.l not in (3, 5):
-        raise UsageError("code encode supports --l 3 or --l 5")
+        raise InputError("code encode supports --l 3 or --l 5")
     spec, table, J, system, code = _build_pipeline(args, args.l)
     message = args.message
     if len(message) != code.k:
-        raise UsageError(f"message must have {code.k} entries for l = {args.l}")
+        raise InputError(f"message must have {code.k} entries for l = {args.l}")
     word = encode(code, message)
     if args.format == "json":
         print(json.dumps({"message": message, "codeword": word}, indent=2))
@@ -213,11 +209,11 @@ def _cmd_code_encode(args) -> int:
 
 def _cmd_code_decode(args) -> int:
     if args.l != 5:
-        raise UsageError("only the l = 5 code has d >= 3; decoding needs --l 5")
+        raise InputError("only the l = 5 code has d >= 3; decoding needs --l 5")
     spec, table, J, system, code = _build_pipeline(args, args.l)
     word = args.word
     if len(word) != code.n:
-        raise UsageError(f"received word must have {code.n} entries")
+        raise InputError(f"received word must have {code.n} entries")
     s = syndrome(code, word)
     result = decode_single_error(code, word)
     if args.format == "json":
@@ -415,12 +411,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except BudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .cyclotomic import CycInt
-from .errors import IntegrityError
+from .errors import InputError, IntegrityError
 from .fields import FieldElement, FieldSpec, is_prime, subfield_residue
 from .jacobi import verify_conditions
 
@@ -41,17 +41,17 @@ __all__ = [
 
 
 def _prime_power_check(q: int, p: int) -> int:
-    """alpha with q = p^alpha for a prime p, or a ValueError."""
+    """alpha with q = p^alpha for a prime p, or an InputError."""
     if q < 2 or p < 2:
-        raise ValueError("q and p must be >= 2")
+        raise InputError("q and p must be >= 2")
     if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+        raise InputError(f"p = {p} is not prime")
     alpha, t = 0, q
     while t % p == 0:
         t //= p
         alpha += 1
     if t != 1 or alpha == 0:
-        raise ValueError(f"q = {q} is not a power of p = {p}")
+        raise InputError(f"q = {q} is not a power of p = {p}")
     return alpha
 
 
@@ -128,7 +128,7 @@ def solve_gauss(q: int, p: int | None = None) -> list[GaussSolution]:
         p = q
     _prime_power_check(q, p)
     if p % 3 != 1:
-        raise ValueError(f"p = {p} is not 1 mod 3")
+        raise InputError(f"p = {p} is not 1 mod 3")
     found = []
     for m in range(isqrt(4 * q // 27) + 1):
         rem = 4 * q - 27 * m * m
@@ -163,7 +163,7 @@ def solve_dickson(
         p = q
     _prime_power_check(q, p)
     if p % 5 != 1:
-        raise ValueError(f"p = {p} is not 1 mod 5")
+        raise InputError(f"p = {p} is not 1 mod 5")
     target = 16 * q
     uv_max = isqrt(target // 50)
     found = set()

@@ -18,3 +18,10 @@ class IntegrityError(JacobiCodesError):
 
 class BudgetError(JacobiCodesError):
     """A configured resource limit (table size, deadline) was exceeded."""
+
+
+class InputError(JacobiCodesError, ValueError):
+    """An argument outside the domain a public function accepts: a composite
+    p, a character order that does not divide p - 1, an empty prime range,
+    an exponent out of range.  A ValueError, so callers that catch
+    ValueError keep working; the CLI reports it as a usage error."""

@@ -1,11 +1,16 @@
 """Arithmetic in F_p and F_{p^alpha}, discrete-log tables, and
 multiplicative characters of odd prime order.
 
-Elements are coefficient tuples over the prime subfield.  Extension fields
-reduce modulo a monic irreducible polynomial that is chosen
-deterministically (lexicographically least, coefficients compared
-low-degree first), so generators and log tables are reproducible from one
-run to the next.
+Elements are coefficient tuples (c_0, ..., c_(alpha-1)) over the prime
+subfield.  Extension fields reduce modulo a monic irreducible polynomial
+that is chosen deterministically (lexicographically least, coefficients
+compared low-degree first), so generators and log tables are reproducible
+from one run to the next.
+
+Each element also has one integer code, c_0 + c_1 p + ... +
+c_(alpha-1) p^(alpha-1), which for alpha = 1 is the residue itself.  A
+log table is a flat list indexed by that code, so the Jacobi sum can loop
+over integers 1..q-1 instead of element objects.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import BudgetError
+from .errors import BudgetError, InputError
 
 DEFAULT_TABLE_BUDGET = 10_000_000
 
@@ -144,6 +149,17 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
+    """Whether the polynomial has a root in F_p, i.e. a linear factor."""
+    for v in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * v + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
 def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Irreducibility of a monic polynomial over F_p.
 
@@ -157,10 +173,7 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     if deg == 1:
         return True
     if deg <= 3:
-        return all(
-            sum(c * pow(v, i, p) for i, c in enumerate(coeffs)) % p != 0
-            for v in range(p)
-        )
+        return not _has_root(coeffs, p)
     modulus = tuple(c % p for c in coeffs)
     x = [0, 1]
     frob = _poly_powmod(x, p**deg, modulus, p)
@@ -178,11 +191,15 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 def find_irreducible_poly(p: int, degree: int) -> tuple[int, ...]:
     """The lexicographically least monic irreducible polynomial of the given
-    degree over F_p, coefficients compared low-degree first."""
+    degree over F_p, coefficients compared low-degree first.  From degree 4
+    on, candidates with a linear factor are dropped by a root search before
+    the Frobenius test (degrees 2 and 3 are tested by that search alone)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     for tail in itertools.product(range(p), repeat=degree):
         cand = tuple(tail) + (1,)
+        if degree >= 4 and _has_root(cand, p):
+            continue
         if poly_is_irreducible(cand, p):
             return cand
     raise AssertionError("unreachable: irreducible polynomials exist for every degree")
@@ -210,16 +227,16 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+            raise InputError(f"p = {self.p} is not prime")
         if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
+            raise InputError("alpha must be >= 1")
         if self.l == 2 or not is_prime(self.l):
-            raise ValueError(f"l = {self.l} is not an odd prime")
+            raise InputError(f"l = {self.l} is not an odd prime")
         if (self.p - 1) % self.l != 0:
-            raise ValueError(f"l = {self.l} does not divide p - 1 = {self.p - 1}")
+            raise InputError(f"l = {self.l} does not divide p - 1 = {self.p - 1}")
         if self.alpha == 1:
             if self.modulus is not None:
-                raise ValueError("modulus is meaningless for alpha = 1")
+                raise InputError("modulus is meaningless for alpha = 1")
         else:
             if self.modulus is None:
                 object.__setattr__(
@@ -228,9 +245,9 @@ class FieldSpec:
             else:
                 mod = tuple(c % self.p for c in self.modulus)
                 if len(mod) != self.alpha + 1 or mod[-1] != 1:
-                    raise ValueError("modulus must be monic of degree alpha")
+                    raise InputError("modulus must be monic of degree alpha")
                 if not poly_is_irreducible(mod, self.p):
-                    raise ValueError("modulus is reducible over F_p")
+                    raise InputError("modulus is reducible over F_p")
                 object.__setattr__(self, "modulus", mod)
         object.__setattr__(self, "q", self.p**self.alpha)
 
@@ -244,7 +261,7 @@ class FieldSpec:
         else:
             seq = list(value)
             if len(seq) > self.alpha:
-                raise ValueError(f"coefficient sequence longer than alpha = {self.alpha}")
+                raise InputError(f"coefficient sequence longer than alpha = {self.alpha}")
             seq += [0] * (self.alpha - len(seq))
             coeffs = tuple(c % self.p for c in seq)
         return FieldElement(self, coeffs)
@@ -412,25 +429,36 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
+def _code(coeffs, p: int) -> int:
+    """The integer code c_0 + c_1 p + ... + c_(alpha-1) p^(alpha-1) of the
+    element with these coefficients; the residue itself for alpha = 1."""
+    code = 0
+    for c in reversed(coeffs):
+        code = code * p + c
+    return code
+
+
 class LogTable:
-    """Discrete logarithms to a fixed generator, materialized as one dict."""
+    """Discrete logarithms to a fixed generator, as one flat list indexed by
+    element code: logs[code] is the log of the element with that code, and
+    slot 0 (the zero element) is unused."""
 
-    __slots__ = ("spec", "generator", "_index")
+    __slots__ = ("spec", "generator", "logs")
 
-    def __init__(self, spec: FieldSpec, generator: FieldElement, index):
+    def __init__(self, spec: FieldSpec, generator: FieldElement, logs: list[int]):
         self.spec = spec
         self.generator = generator
-        self._index = index
+        self.logs = logs
 
     def log(self, x: FieldElement) -> int:
         if not isinstance(x, FieldElement) or x.spec != self.spec:
             raise ValueError("element does not belong to this table's field")
         if not x:
             raise ValueError("0 has no discrete logarithm")
-        return self._index[x.coeffs]
+        return self.logs[_code(x.coeffs, self.spec.p)]
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self.logs) - 1
 
 
 def build_log_table(
@@ -439,7 +467,8 @@ def build_log_table(
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> LogTable:
     """Tabulate log_generator(x) for every nonzero x by successive
-    multiplication.  Raises BudgetError if the table would exceed budget
+    multiplication, on residues for alpha = 1 and on coefficient lists
+    otherwise.  Raises BudgetError if the table would exceed budget
     entries; raises ValueError if the element provided is not a generator."""
     if generator is None:
         generator = find_primitive_element(spec)
@@ -448,14 +477,26 @@ def build_log_table(
     n = spec.q - 1
     if n > budget:
         raise BudgetError(f"log table needs {n} entries, budget is {budget}")
-    index: dict[tuple[int, ...], int] = {}
-    x = spec.one
-    for m in range(n):
-        index[x.coeffs] = m
-        x = x * generator
-    if len(index) != n or x != spec.one:
+    p = spec.p
+    logs = [0] * (n + 1)
+    if spec.alpha == 1:
+        g = generator.coeffs[0]
+        x = 1
+        for m in range(n):
+            logs[x] = m
+            x = x * g % p
+    else:
+        g = list(generator.coeffs)
+        power = [1] + [0] * (spec.alpha - 1)
+        for m in range(n):
+            logs[_code(power, p)] = m
+            power = _poly_mulmod(power, g, spec.modulus, p)
+        x = _code(power, p)
+    # x = g^n is 1 unless g = 0; g has order n unless an earlier power was 1,
+    # which would have left a later exponent in logs[1]
+    if x != 1 or logs[1] != 0:
         raise ValueError(f"{generator} does not generate the multiplicative group")
-    return LogTable(spec, generator, index)
+    return LogTable(spec, generator, logs)
 
 
 def character_exponent(table: LogTable, v: FieldElement, l: int | None = None) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import CycInt, divisible_by_int
-from .errors import IntegrityError
+from .errors import InputError, IntegrityError
 from .fields import FieldElement, FieldSpec, LogTable
 
 __all__ = [
@@ -47,23 +47,28 @@ class JacobiSum:
 def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     """J(i, j) for the character sending the table's generator to zeta_l.
 
-    Runs one pass over F_q minus {0, -1}, histogramming the character
-    exponent of chi^i(v) * chi^j(v + 1).  When gcd(i, l), gcd(j, l) and
-    gcd(i + j, l) are all 1 the result is checked against the norm identity
-    J * conj(J) = q, which any correct sum must satisfy.
+    Runs one pass over the element codes 1..q-1 of F_q minus {0, -1},
+    histogramming the character exponent of chi^i(v) * chi^j(v + 1).  When
+    gcd(i, l), gcd(j, l) and gcd(i + j, l) are all 1 the result is checked
+    against the norm identity J * conj(J) = q, which any correct sum must
+    satisfy.
     """
     spec = table.spec
-    l = spec.l
+    l, p = spec.l, spec.p
     if not (1 <= i <= l - 1 and 1 <= j <= l - 1):
-        raise ValueError(f"character exponents must lie in [1, {l - 1}]")
+        raise InputError(f"character exponents must lie in [1, {l - 1}]")
     hist = [0] * l
-    one = spec.one
-    minus_one = spec.minus_one
-    log = table.log
-    for v in spec.elements():
-        if not v or v == minus_one:
-            continue
-        hist[(i * log(v) + j * log(v + one)) % l] += 1
+    logs = table.logs
+    for v in range(1, spec.q):
+        # adding 1 raises the lowest base-p digit of the code, p - 1 wrapping
+        # to 0; v = p - 1 is the code of -1, where v + 1 = 0
+        if v % p == p - 1:
+            if v == p - 1:
+                continue
+            w = v - (p - 1)
+        else:
+            w = v + 1
+        hist[(i * logs[v] + j * logs[w]) % l] += 1
     value = CycInt.from_raw(l, hist)
     if gcd(i, l) == gcd(j, l) == gcd(i + j, l) == 1:
         norm = (value * value.conjugate(-1)).as_rational_int()

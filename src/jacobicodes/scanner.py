@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .codes import build_congruence_system, check_row_subsets
+from .errors import InputError
 from .fields import (
     DEFAULT_TABLE_BUDGET,
     FieldSpec,
@@ -113,7 +114,7 @@ def _generator_powers(q: int, policy: str) -> list[int]:
         return [1]
     if policy == "all":
         return [t for t in range(1, q - 1) if gcd(t, q - 1) == 1]
-    raise ValueError(f"unknown generator policy {policy!r}")
+    raise InputError(f"unknown generator policy {policy!r}")
 
 
 def scan(
@@ -141,9 +142,9 @@ def scan(
     (l, p, alpha, generator).  An empty range (p_min > p_max) is rejected.
     """
     if not is_prime(l) or l == 2:
-        raise ValueError(f"l = {l} must be an odd prime")
+        raise InputError(f"l = {l} must be an odd prime")
     if p_min > p_max:
-        raise ValueError(f"empty prime range: p_min = {p_min} > p_max = {p_max}")
+        raise InputError(f"empty prime range: p_min = {p_min} > p_max = {p_max}")
     started = time.monotonic()
     records: list[ScanRecord] = []
 
@@ -244,7 +245,7 @@ def report(records, fmt: str = "text") -> str:
         for status in ("mds", "exception", "skipped"):
             lines.append(f"{status}: {summary.counts.get(status, 0)}")
         return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise InputError(f"unknown report format {fmt!r}")
 
 
 def write_report(text: str, path: str) -> None:

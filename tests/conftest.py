@@ -1,11 +1,14 @@
-"""Shared fixtures: cached pipelines so tests do not rebuild log tables, and
-a record of which properties ran in this session for the acceptance gate."""
+"""Shared fixtures: cached pipelines so tests do not rebuild log tables, the
+element-object log table and Jacobi sum that the integer path replaced, kept
+as oracles, and a record of which properties ran in this session for the
+acceptance gate."""
 
 from functools import lru_cache
 
 import pytest
 
 from jacobicodes import (
+    CycInt,
     FieldSpec,
     build_code,
     build_congruence_system,
@@ -42,6 +45,29 @@ def make_pipeline(p: int, l: int, alpha: int = 1):
         "system": system,
         "code": code,
     }
+
+
+def dict_log_oracle(spec: FieldSpec, generator) -> dict:
+    """log_generator(x) for every nonzero x, keyed by x's coefficient tuple
+    and filled by successive FieldElement multiplication."""
+    index = {}
+    x = spec.one
+    for m in range(spec.q - 1):
+        index[x.coeffs] = m
+        x = x * generator
+    return index
+
+
+def elements_jacobi_oracle(spec: FieldSpec, index: dict, i: int, j: int) -> CycInt:
+    """J(i, j) histogrammed over spec.elements(), the logs of v and v + 1
+    read from a dict_log_oracle index."""
+    l = spec.l
+    hist = [0] * l
+    for v in spec.elements():
+        if not v or v == spec.minus_one:
+            continue
+        hist[(i * index[v.coeffs] + j * index[(v + spec.one).coeffs]) % l] += 1
+    return CycInt.from_raw(l, hist)
 
 
 def primes_1_mod(l: int, lo: int, hi: int) -> list[int]:

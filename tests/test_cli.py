@@ -5,7 +5,16 @@ import json
 import pytest
 
 import jacobicodes.cli as cli
-from jacobicodes import IntegrityError
+from jacobicodes import (
+    FieldSpec,
+    InputError,
+    IntegrityError,
+    build_log_table,
+    jacobi_sum,
+    scan,
+    solve_dickson,
+    solve_gauss,
+)
 from jacobicodes.cli import main
 
 
@@ -211,3 +220,37 @@ def test_integrity_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "jacobi", "--p", "61", "--l", "5")
     assert code == 1
     assert "integrity failure" in err
+
+
+def test_input_errors_at_library_boundaries():
+    assert issubclass(InputError, ValueError)
+    table = build_log_table(FieldSpec(p=61, l=5))
+    bad_inputs = (
+        lambda: FieldSpec(p=62, l=5),
+        lambda: FieldSpec(p=61, l=7),
+        lambda: solve_gauss(91, 91),
+        lambda: solve_dickson(341, 341),
+        lambda: scan(5, 100, 10),
+        lambda: scan(4, 2, 100),
+        lambda: jacobi_sum(table, 5, 1),
+    )
+    for call in bad_inputs:
+        with pytest.raises(InputError):
+            call()
+
+
+def test_exponent_out_of_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "jacobi", "--p", "61", "--l", "5", "--i", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: character exponents must lie in [1, 4]\n"
+
+
+def test_internal_value_error_exit_code(capsys, monkeypatch):
+    def singular(rows, p):
+        raise ValueError("leading k x k block is singular mod p")
+
+    monkeypatch.setattr(cli, "to_standard_form", singular)
+    code, out, err = run(capsys, "verify-example")
+    assert code == 1
+    assert err == "internal error: leading k x k block is singular mod p\n"

@@ -1,6 +1,8 @@
 """Finite fields: primality, irreducible moduli, canonical generators,
 log tables."""
 
+import itertools
+
 import pytest
 
 from jacobicodes import (
@@ -60,6 +62,24 @@ def test_find_irreducible_poly_is_lex_least():
     before = [(c0, c1, 1) for c1 in range(7) for c0 in range(7)]
     for cand in before[: before.index((1, 0, 1))]:
         assert not poly_is_irreducible(cand, 7)
+
+
+def _unfiltered_search(p: int, degree: int) -> tuple[int, ...]:
+    # the lexicographic search with every candidate sent to the full test
+    for tail in itertools.product(range(p), repeat=degree):
+        if poly_is_irreducible(tail + (1,), p):
+            return tail + (1,)
+
+
+def test_modulus_search_matches_unfiltered_search():
+    checked = 0
+    for p in (n for n in range(2, 142) if is_prime(n)):
+        for degree in range(2, 7):
+            if p**degree > 2 * 10**4:
+                break
+            assert find_irreducible_poly(p, degree) == _unfiltered_search(p, degree), (p, degree)
+            checked += 1
+    assert checked == 55
 
 
 def test_field_spec_validation():
@@ -153,6 +173,35 @@ def test_power_view():
         assert view.log(x) * 7 % 60 == table.log(x)
     with pytest.raises(ValueError):
         build_log_table(spec, table.generator**6)  # gcd(6, 60) != 1
+
+
+def test_log_table_length_and_range():
+    for p, l, alpha in ((61, 5, 1), (7, 3, 2), (13, 3, 3), (7, 3, 4)):
+        spec = FieldSpec(p=p, l=l, alpha=alpha)
+        table = build_log_table(spec)
+        assert len(table) == spec.q - 1
+        assert sorted(table.logs[1:]) == list(range(spec.q - 1))
+
+
+def test_log_table_rejects_non_generators():
+    for p, l, alpha in ((61, 5, 1), (7, 3, 2), (7, 3, 4)):
+        spec = FieldSpec(p=p, l=l, alpha=alpha)
+        gamma = find_primitive_element(spec)
+        for x in (spec.zero, spec.one, gamma**2, gamma**l):
+            with pytest.raises(ValueError, match="does not generate"):
+                build_log_table(spec, x)
+
+
+def test_log_rejects_foreign_elements():
+    table = build_log_table(FieldSpec(p=61, l=5))
+    for x in (FieldSpec(p=61, l=3).element(2), FieldSpec(p=11, l=5).element(2), 2):
+        with pytest.raises(ValueError, match="does not belong"):
+            table.log(x)
+    ext = build_log_table(FieldSpec(p=7, l=3, alpha=2))
+    with pytest.raises(ValueError, match="does not belong"):
+        ext.log(FieldSpec(p=7, l=3, alpha=2, modulus=(3, 1, 1)).element([1, 1]))
+    with pytest.raises(ValueError, match="0 has no"):
+        ext.log(ext.spec.zero)
 
 
 def test_budget_and_generator_validation():

@@ -6,6 +6,7 @@ domain when it is smaller.
 
 import cmath
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacobicodes import (
     CycInt,
+    FieldSpec,
     ScanRecord,
     abs_square,
     build_log_table,
@@ -25,6 +27,7 @@ from jacobicodes import (
     divide_by_one_minus_zeta,
     divisible_by_lambda_power,
     encode,
+    find_primitive_element,
     gauss_to_a,
     a_to_dickson,
     a_to_gauss,
@@ -42,7 +45,7 @@ from jacobicodes import (
 from jacobicodes.codes import _det_mod, _vanishing_minors
 from jacobicodes.fields import prime_factors
 
-from conftest import make_pipeline
+from conftest import dict_log_oracle, elements_jacobi_oracle, make_pipeline
 
 CASES = settings(max_examples=1000, derandomize=True, deadline=None)
 
@@ -220,6 +223,44 @@ def test_jacobi_sums_of_generator_powers_stay_in_one_orbit(t):
     b = subfield_residue(view.generator**12)
     passing = [a for a in orbit if verify_conditions(a, spec, b).all_ok]
     assert passing == [J.coeffs]
+
+
+# Prime fields and alpha = 2, 3, 4 extensions, (p, l, alpha) with l | p - 1.
+ORACLE_FIELDS = (
+    (7, 3, 1), (31, 5, 1), (61, 5, 1), (97, 3, 1),
+    (7, 3, 2), (11, 5, 2), (13, 3, 2),
+    (7, 3, 3), (13, 3, 3),
+    (7, 3, 4),
+)
+
+
+@lru_cache(maxsize=None)
+def object_path(p: int, l: int, alpha: int, t: int):
+    """A log table on gamma^t, with the element-object log dict and every
+    J(i, j) that the integer path must reproduce."""
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    generator = find_primitive_element(spec) ** t
+    index = dict_log_oracle(spec, generator)
+    sums = {
+        (i, j): elements_jacobi_oracle(spec, index, i, j)
+        for i in range(1, l) for j in range(1, l)
+    }
+    return build_log_table(spec, generator), index, sums
+
+
+@CASES
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+def test_integer_path_matches_object_path(field, data):
+    p, l, alpha = field
+    q = p**alpha
+    t = data.draw(st.sampled_from([t for t in (1, 7, 11, 13) if math.gcd(t, q - 1) == 1]))
+    table, index, sums = object_path(p, l, alpha, t)
+    assert len(table) == q - 1
+    code = data.draw(st.integers(min_value=1, max_value=q - 1))
+    x = table.spec.element([code // p**k % p for k in range(alpha)])
+    assert table.log(x) == index[x.coeffs]
+    for (i, j), want in sums.items():
+        assert jacobi_sum(table, i, j).value == want, (field, t, i, j)
 
 
 @CASES
