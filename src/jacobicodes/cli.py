@@ -47,19 +47,22 @@ from .scanner import RESULTS_DIR_ENV, report, scan, write_report
 import os
 
 
-def _field_args(parser: argparse.ArgumentParser, with_l: bool = True) -> None:
+def _field_args(parser: argparse.ArgumentParser, solver: bool = False) -> None:
+    """The field options; gauss and dickson (solver) fix l and build no
+    log table, so they take neither --l nor --table-budget."""
     parser.add_argument("--p", type=int, required=True, help="prime characteristic")
     parser.add_argument("--alpha", type=int, default=1, help="extension degree (default 1)")
-    if with_l:
+    if not solver:
         parser.add_argument("--l", type=int, required=True, help="odd prime character order")
     parser.add_argument(
         "--generator-power", type=int, default=1, metavar="T",
         help="use gamma^T instead of the canonical generator gamma",
     )
-    parser.add_argument(
-        "--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
-        help="maximum discrete-log table size",
-    )
+    if not solver:
+        parser.add_argument(
+            "--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
+            help="maximum discrete-log table size",
+        )
 
 
 def _format_arg(parser: argparse.ArgumentParser) -> None:
@@ -83,12 +86,16 @@ def _matrix_lines(name: str, rows) -> list[str]:
     return out
 
 
-def _make_table(args, l: int):
+def _generator(args, l: int):
     spec = FieldSpec(p=args.p, l=l, alpha=args.alpha)
     t = args.generator_power % (spec.q - 1)
     if gcd(t, spec.q - 1) != 1:
         raise InputError(f"generator power {args.generator_power} is not coprime to q - 1")
-    generator = find_primitive_element(spec) ** t
+    return spec, find_primitive_element(spec) ** t
+
+
+def _make_table(args, l: int):
+    spec, generator = _generator(args, l)
     return spec, build_log_table(spec, generator, budget=args.table_budget)
 
 
@@ -121,14 +128,14 @@ _FORMS = {
 
 
 def _cmd_solve(args) -> int:
-    spec, table = _make_table(args, args.l)
+    spec, generator = _generator(args, args.l)
     solve = solve_gauss if args.l == 3 else solve_dickson
     solutions = solve(spec.q, spec.p)
-    sel = select_solution(solutions, spec, table.generator)
+    sel = select_solution(solutions, spec, generator)
     if args.format == "json":
         print(json.dumps({
             "p": spec.p, "alpha": spec.alpha, "q": spec.q,
-            "generator": str(table.generator), "b": sel.b,
+            "generator": str(generator), "b": sel.b,
             "solutions": [s.as_json() for s in solutions],
             "selected": sel.solution.as_json(),
             "a": list(sel.a),
@@ -136,7 +143,7 @@ def _cmd_solve(args) -> int:
         }, indent=2))
     else:
         form, label, ratio = _FORMS[args.l]
-        print(f"{form} over {spec} (generator {table.generator}, b = {sel.b})")
+        print(f"{form} over {spec} (generator {generator}, b = {sel.b})")
         for s in solutions:
             marker = "  <- selected" if s == sel.solution else ""
             print(f"  {label} = {astuple(s)[:-2]}{marker}")
@@ -264,8 +271,9 @@ def _cmd_verify_example(args) -> int:
     )
     failures = []
 
-    def check(name: str, got) -> None:
-        expected = _lookup(data, name)
+    def check(name: str, got, expected=None) -> None:
+        if expected is None:
+            expected = _lookup(data, name)
         if got == expected:
             print(f"ok       {name} = {got}")
         else:
@@ -297,29 +305,16 @@ def _cmd_verify_example(args) -> int:
     check("codeword", encode(code, data["message"]))
     for idx, row in enumerate(data["decode_rows"]):
         received = row["received"]
-        s = syndrome(code, received)
-        result = decode_single_error(code, received)
         prefix = f"decode_rows[{idx}]"
-        if s == row["syndrome"]:
-            print(f"ok       {prefix}.syndrome = {s}")
-        else:
-            failures.append(f"{prefix}.syndrome")
-            print(f"MISMATCH {prefix}.syndrome: expected {row['syndrome']}, got {s}")
+        check(f"{prefix}.syndrome", syndrome(code, received), row["syndrome"])
+        result = decode_single_error(code, received)
         if result is None:
             failures.append(f"{prefix}.decodable")
             print(f"MISMATCH {prefix}: expected decodable, got beyond radius")
             continue
         codeword, error = result
-        if error == row["error"]:
-            print(f"ok       {prefix}.error = {error}")
-        else:
-            failures.append(f"{prefix}.error")
-            print(f"MISMATCH {prefix}.error: expected {row['error']}, got {error}")
-        if codeword == data["codeword"]:
-            print(f"ok       {prefix}.codeword = {codeword}")
-        else:
-            failures.append(f"{prefix}.codeword")
-            print(f"MISMATCH {prefix}.codeword: expected {data['codeword']}, got {codeword}")
+        check(f"{prefix}.error", error, row["error"])
+        check(f"{prefix}.codeword", codeword, data["codeword"])
     if failures:
         print(f"{len(failures)} mismatches: {', '.join(failures)}")
         return 1
@@ -353,12 +348,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_jacobi.set_defaults(func=_cmd_jacobi)
 
     p_gauss = sub.add_parser("gauss", help="order-3 quadratic-form solutions")
-    _field_args(p_gauss, with_l=False)
+    _field_args(p_gauss, solver=True)
     _format_arg(p_gauss)
     p_gauss.set_defaults(func=_cmd_solve, l=3)
 
     p_dickson = sub.add_parser("dickson", help="order-5 quadratic-form solutions")
-    _field_args(p_dickson, with_l=False)
+    _field_args(p_dickson, solver=True)
     _format_arg(p_dickson)
     p_dickson.set_defaults(func=_cmd_solve, l=5)
 

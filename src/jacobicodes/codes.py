@@ -19,6 +19,7 @@ from itertools import combinations, product
 import random
 
 from .cyclotomic import CycInt
+from .diophantine import a_to_dickson
 from .errors import IntegrityError
 from .fields import FieldSpec
 
@@ -267,7 +268,6 @@ def determinant_suite(a, p: int) -> DeterminantSuite:
     if any determinant vanishes mod p or any of the certifying identities
     fails.
     """
-    a1, a2, a3, a4 = a
     D, rhs = _expand(CycInt(5, a), p)  # row i: (coefficient of b, of b^2)
     pairs = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
     d_vals = tuple(_det2(*D[i], *D[j]) % p for i, j in pairs)
@@ -280,15 +280,12 @@ def determinant_suite(a, p: int) -> DeterminantSuite:
             raise IntegrityError(f"pair {i + 1} disagrees with b = {b} mod {p}")
     if d_vals[2] != n_vals[1] or n_vals[4] != d_vals[1] or d_vals[5] != n_vals[0]:
         raise IntegrityError("cross identities D3 = N2, N5 = D2, D6 = N1 failed")
-    x = -(a1 + a2 + a3 + a4)
-    nums = (a1 + 2 * a2 - 2 * a3 - a4, 2 * a1 - a2 + a3 - 2 * a4, a1 - a2 - a3 + a4)
-    if any(nm % 5 for nm in nums):
-        raise IntegrityError("vector is not a valid order-5 solution image")
-    u, v, w = (nm // 5 for nm in nums)
-    big_a = x * x - 125 * w * w
-    big_b = 2 * x * u - x * v - 25 * v * w
+    try:
+        sol = a_to_dickson(a, p, p)
+    except ValueError:
+        raise IntegrityError("vector is not a valid order-5 solution image") from None
     lhs = 16 * n_vals[0] % p
-    rhs_ab = 2 * pow(5, -1, p) * (big_a - 10 * big_b) % p
+    rhs_ab = 2 * pow(5, -1, p) * (sol.A - 10 * sol.B) % p
     if lhs != rhs_ab:
         raise IntegrityError("identity 16 N_1 = (2/5)(A - 10B) mod p failed")
     return DeterminantSuite(p, b, d_vals, n_vals)
@@ -427,41 +424,31 @@ def min_distance(
     samples: int = 1000,
     rng: random.Random | None = None,
 ) -> int:
-    """Minimum nonzero codeword weight.
+    """Minimum nonzero codeword weight, computed over the prime field.
 
-    Exhaustive over all q^k messages when that count is at most
-    max_exhaustive; otherwise the minimum over ``samples`` random codeword
-    pairs (equivalently, random nonzero codeword weights), which is an
+    G has entries in F_p, so the code over F_q has the same minimum
+    distance as the code over F_p: over a basis w of F_q/F_p, a word over
+    F_q is sum w_i c_i with each c_i a codeword over F_p, and its support
+    contains the support of every c_i.  Exhaustive over all p^k integer
+    messages when that count is at most max_exhaustive; otherwise the
+    minimum over ``samples`` random nonzero integer messages, which is an
     upper bound and a spot check rather than a proof.
     """
-    spec = code.field
-    size = (spec.q if spec else code.p) ** code.k
+    p, k = code.p, code.k
     best = code.n + 1
 
     def weight(message) -> int:
         return sum(1 for c in encode(code, message) if c)
 
-    if size <= max_exhaustive:
-        space = (
-            product(range(code.p), repeat=code.k)
-            if spec is None
-            else product(*[list(spec.elements()) for _ in range(code.k)])
-        )
-        for message in space:
-            if not any(message):
-                continue
-            best = min(best, weight(list(message)))
+    if p**k <= max_exhaustive:
+        for message in product(range(p), repeat=k):
+            if any(message):
+                best = min(best, weight(message))
     else:
         rng = rng or random.Random(0)
         for _ in range(samples):
             while True:
-                if spec is None:
-                    message = [rng.randrange(code.p) for _ in range(code.k)]
-                else:
-                    message = [
-                        spec.element([rng.randrange(code.p) for _ in range(spec.alpha)])
-                        for _ in range(code.k)
-                    ]
+                message = [rng.randrange(p) for _ in range(k)]
                 if any(message):
                     break
             best = min(best, weight(message))

@@ -279,9 +279,13 @@ class FieldSpec:
         return self.element(self.p - 1)
 
     def elements(self):
-        """All q elements, in lexicographic order of coefficient tuples."""
-        for coeffs in itertools.product(range(self.p), repeat=self.alpha):
-            yield FieldElement(self, coeffs)
+        """All q elements, lazily, in lexicographic order of coefficient
+        tuples: the n-th is n written in base p, c_0 its leading digit."""
+        p, alpha = self.p, self.alpha
+        for n in range(self.q):
+            yield FieldElement(
+                self, tuple(n // p ** (alpha - 1 - i) % p for i in range(alpha))
+            )
 
     def __str__(self) -> str:
         return f"F_{self.q}" if self.alpha > 1 else f"F_{self.p}"
@@ -373,14 +377,9 @@ class FieldElement:
         spec = self.spec
         if spec.alpha == 1:
             return FieldElement(spec, (pow(self.coeffs[0], e, spec.p),))
-        result = spec.one
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return FieldElement(
+            spec, tuple(_poly_powmod(list(self.coeffs), e, spec.modulus, spec.p))
+        )
 
     def __bool__(self) -> bool:
         return any(self.coeffs)

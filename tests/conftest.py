@@ -1,9 +1,10 @@
 """Shared fixtures: cached pipelines so tests do not rebuild log tables, the
-element-object log table and Jacobi sum that the integer path replaced, kept
-as oracles, and a record of which properties ran in this session for the
-acceptance gate."""
+element-object paths that the integer and prime-field paths replaced (log
+table, Jacobi sum, power loop, minimum distance), kept as oracles, and a
+record of which properties ran in this pytest run for the acceptance gate."""
 
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -68,6 +69,37 @@ def elements_jacobi_oracle(spec: FieldSpec, index: dict, i: int, j: int) -> CycI
             continue
         hist[(i * index[v.coeffs] + j * index[(v + spec.one).coeffs]) % l] += 1
     return CycInt.from_raw(l, hist)
+
+
+def pow_loop_oracle(x, e: int):
+    """x ** e by square-and-multiply on FieldElement products, inverting
+    through x ** (q - 2) for negative e."""
+    if e < 0:
+        if not x:
+            raise ZeroDivisionError("0 has no inverse")
+        x, e = pow_loop_oracle(x, x.spec.q - 2), -e
+    result = x.spec.one
+    acc = x
+    while e:
+        if e & 1:
+            result = result * acc
+        acc = acc * acc
+        e >>= 1
+    return result
+
+
+def fq_min_distance_oracle(code) -> int:
+    """Minimum nonzero codeword weight over all q^k messages of F_q,
+    each codeword symbol a sum of FieldElement products m * g."""
+    spec = code.field
+    columns = [[spec.element(g) for g in col] for col in zip(*code.G_std)]
+    best = code.n + 1
+    for message in product(list(spec.elements()), repeat=code.k):
+        if any(message):
+            word = [sum((m * g for m, g in zip(message, col)), spec.zero)
+                    for col in columns]
+            best = min(best, sum(1 for c in word if c))
+    return best
 
 
 def primes_1_mod(l: int, lo: int, hi: int) -> list[int]:

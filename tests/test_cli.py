@@ -168,6 +168,21 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_solvers_build_no_log_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gauss and dickson need only the generator")
+
+    monkeypatch.setattr(cli, "build_log_table", refuse)
+    for argv in (("gauss", "--p", "1000003"), ("dickson", "--p", "61")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert "<- selected" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["gauss", "--p", "7", "--table-budget", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --table-budget 10" in capsys.readouterr().err
+
+
 def test_scan_stdout(capsys):
     code, out, _ = run(capsys, "scan", "--l", "5", "--p-min", "11", "--p-max", "45")
     assert code == 0

@@ -26,9 +26,10 @@ from jacobicodes import (
     syndrome,
     to_standard_form,
 )
+import jacobicodes.codes as codes_module
 from jacobicodes.codes import _expand
 
-from conftest import make_pipeline, primes_1_mod
+from conftest import fq_min_distance_oracle, make_pipeline, primes_1_mod
 
 
 def det_mod(rows, p):
@@ -185,6 +186,13 @@ def test_min_distance_exhaustive_matches_naive(p61):
     assert min_distance(code) == 3
 
 
+def test_min_distance_over_prime_field_matches_extension_field():
+    for p, l, alpha in ((7, 3, 2), (13, 3, 2), (31, 3, 2), (7, 3, 3), (11, 5, 2)):
+        code = make_pipeline(p, l, alpha)["code"]
+        assert code.q == p**alpha
+        assert min_distance(code) == fq_min_distance_oracle(code) == code.d
+
+
 def test_min_distance_sampled_path(p61):
     code = p61["code"]
     sampled = min_distance(code, max_exhaustive=1, samples=500)
@@ -218,6 +226,15 @@ def test_determinant_suite_on_conjugates():
 def test_determinant_suite_rejects_noise():
     with pytest.raises(IntegrityError):
         determinant_suite((1, 1, 1, 1), 61)
+
+
+def test_determinant_suite_rejects_vector_without_dickson_image(p61, monkeypatch):
+    def no_image(a, q, p):
+        raise ValueError("vector does not map to an integer solution")
+
+    monkeypatch.setattr(codes_module, "a_to_dickson", no_image)
+    with pytest.raises(IntegrityError, match="not a valid order-5 solution image"):
+        determinant_suite(p61["J"].coeffs, 61)
 
 
 def test_determinant_identities_structurally():
@@ -327,4 +344,4 @@ def test_extension_field_code_round_trip():
     codeword, error = decode_single_error(code, corrupted)
     assert codeword == word
     assert error[2] == spec.element([5, 1])
-    assert min_distance(code) == 3  # exhaustive over 121^2 messages
+    assert min_distance(code) == 3  # exhaustive over 11^2 messages

@@ -106,6 +106,28 @@ def test_extension_field_structure():
     gen = find_primitive_element(spec)
     assert gen.coeffs == (1, 2)
     assert multiplicative_order(gen) == 48
+    # the walk is the lexicographic order of coefficient tuples
+    for p, l, alpha in ((7, 3, 1), (7, 3, 2), (7, 3, 3), (11, 5, 3), (7, 3, 4)):
+        spec = FieldSpec(p=p, l=l, alpha=alpha)
+        assert [x.coeffs for x in spec.elements()] == list(
+            itertools.product(range(p), repeat=alpha)
+        )
+
+
+def test_primitive_element_search_walks_only_the_elements_it_tries(monkeypatch):
+    walk = FieldSpec.elements
+    yielded = []
+
+    def spy(self):
+        for x in walk(self):
+            yielded.append(x)
+            assert len(yielded) <= 23, "walked past the first generator, 22"
+            yield x
+
+    monkeypatch.setattr(FieldSpec, "elements", spy)
+    spec = FieldSpec(p=9999991, l=3)
+    assert find_primitive_element(spec) == spec.element(22)
+    assert [x.coeffs for x in yielded] == [(c,) for c in range(23)]
 
 
 def test_canonical_generators():

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jacobicodes import (
     CycInt,
@@ -45,7 +45,12 @@ from jacobicodes import (
 from jacobicodes.codes import _det_mod, _vanishing_minors
 from jacobicodes.fields import prime_factors
 
-from conftest import dict_log_oracle, elements_jacobi_oracle, make_pipeline
+from conftest import (
+    dict_log_oracle,
+    elements_jacobi_oracle,
+    make_pipeline,
+    pow_loop_oracle,
+)
 
 CASES = settings(max_examples=1000, derandomize=True, deadline=None)
 
@@ -261,6 +266,48 @@ def test_integer_path_matches_object_path(field, data):
     assert table.log(x) == index[x.coeffs]
     for (i, j), want in sums.items():
         assert jacobi_sum(table, i, j).value == want, (field, t, i, j)
+
+
+# Extension fields whose element arithmetic the scalar and power paths use.
+ELEMENT_FIELDS = tuple(
+    FieldSpec(p=p, l=l, alpha=alpha) for p, l, alpha in ((7, 3, 2), (11, 5, 3), (7, 3, 4))
+)
+
+
+@st.composite
+def field_element(draw):
+    spec = draw(st.sampled_from(ELEMENT_FIELDS))
+    coeffs = st.integers(min_value=0, max_value=spec.p - 1)
+    return spec.element(draw(st.lists(coeffs, min_size=spec.alpha, max_size=spec.alpha)))
+
+
+@CASES
+@given(field_element(), st.integers(min_value=-10**6, max_value=10**6))
+def test_integer_scalars_act_as_prime_subfield_elements(x, c):
+    want = x * x.spec.element(c)
+    assert x * c == want
+    assert c * x == want
+
+
+@st.composite
+def element_and_exponent(draw):
+    x = draw(field_element())
+    q = x.spec.q
+    return x, draw(st.integers(min_value=-2 * q, max_value=2 * q))
+
+
+@CASES
+@given(element_and_exponent())
+@example((ELEMENT_FIELDS[2].zero, 0))
+@example((ELEMENT_FIELDS[1].zero, 2662))
+@example((ELEMENT_FIELDS[0].element([3, 5]), 0))
+def test_power_matches_square_and_multiply_loop(case):
+    x, e = case
+    if not x and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            x**e
+        return
+    assert x**e == pow_loop_oracle(x, e)
 
 
 @CASES
