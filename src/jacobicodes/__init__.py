@@ -5,11 +5,15 @@ The pipeline, end to end:
 
 1. ``fields`` builds F_q = F_{p^alpha} with a canonical generator and a
    discrete-log table.
-2. ``jacobi`` histograms the table into a Jacobi sum, a cyclotomic integer
-   in Z[zeta_l], and checks the six arithmetic conditions that pin it down.
+2. ``jacobi`` computes the Jacobi sum, a cyclotomic integer in Z[zeta_l],
+   and checks the six arithmetic conditions that pin it down.  For l = 3
+   and 5 it comes from the prime above p (Euclid in ``cyclotomic``,
+   Stickelberger's theorem, the Hasse-Davenport lift) with no pass over
+   F_q; otherwise the log table is histogrammed.
 3. ``diophantine`` solves the quadratic-form systems (order 3 and 5) whose
-   integer solutions are exactly the conjugates of the Jacobi sum, then
-   selects the one belonging to the chosen generator.
+   integer solutions are exactly the conjugates of the Jacobi sum (order 5
+   reads them off those conjugates), then selects the one belonging to the
+   chosen generator.
 4. ``codes`` turns the solution into a linear congruence system mod p and
    from it an MDS code with single-error correction for order 5.
 5. ``scanner`` sweeps prime ranges looking for generator matrices whose

@@ -5,6 +5,10 @@ the relation 1 + zeta + ... + zeta^(l-1) = 0 lets any raw coefficient vector
 (c_0, ..., c_(l-1)) be normalized by subtracting c_0 from each entry, which
 fixes the representation uniquely.  Rational integers n appear as the
 constant vector (-n, ..., -n).
+
+Euclid's algorithm runs on the norm N(y) = y * prod_(k=2..l-1) sigma_k(y):
+x / y is x * prod_(k>=2) sigma_k(y) / N(y) with each coefficient rounded to
+the nearest integer, in integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -218,3 +222,43 @@ def divisible_by_int(x: CycInt, m: int) -> bool:
     if m == 0:
         raise ValueError("divisibility by 0 is not defined")
     return all(c % m == 0 for c in x.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Euclid's algorithm in Z[zeta_l].
+
+
+def _cofactor(y: CycInt) -> CycInt:
+    """prod_(k=2..l-1) sigma_k(y), so that y times it is the norm N(y)."""
+    out = y.conjugate(2)
+    for k in range(3, y.l):
+        out = out * y.conjugate(k)
+    return out
+
+
+def _norm(y: CycInt) -> int:
+    """The norm N(y) = y * prod_(k=2..l-1) sigma_k(y), positive unless y = 0."""
+    return (y * _cofactor(y)).as_rational_int()
+
+
+def _div_round(x: CycInt, y: CycInt) -> CycInt:
+    """x / y rounded: each coefficient c of x * prod_(k>=2) sigma_k(y) goes
+    to (2c + N) // (2N), the integer nearest c / N(y)."""
+    cof = _cofactor(y)
+    n = (y * cof).as_rational_int()
+    return CycInt(x.l, ((2 * c + n) // (2 * n) for c in (x * cof).coeffs))
+
+
+def _gcd(x: CycInt, y: CycInt) -> CycInt | None:
+    """A gcd of x and y by Euclid's algorithm with rounded quotients, or
+    None when a step stalls: a remainder whose norm is not below the
+    divisor's.  Rounding is not proved to be a Euclidean step, so a stall
+    is a possible outcome, not an error."""
+    n_y = _norm(y)
+    while y:
+        r = x - _div_round(x, y) * y
+        n_r = _norm(r)
+        if n_r >= n_y:
+            return None
+        x, y, n_y = y, r, n_r
+    return x

@@ -7,7 +7,10 @@ dividing L; L is unique and M is determined up to sign.
 Order 5 (Dickson system): 16q = X^2 + 50 U^2 + 50 V^2 + 125 W^2 with
 X W = V^2 - 4 U V - U^2, X = 1 mod 5, and p not dividing X^2 - 125 W^2.
 The final non-divisibility cuts the solution set down to exactly four
-members, one per Galois conjugate of the Jacobi sum.
+members, one per Galois conjugate of the Jacobi sum.  ``solve_dickson``
+reads them off those conjugates: J(1, 1) comes from the prime above p
+(``jacobi._stickelberger``), with no search.  The (U, V) enumeration stays
+for ``apply_rejection=False`` and for the rare stalled Euclid step.
 
 Both systems translate to and from the cyclotomic coefficient vector
 (a_1, ..., a_(l-1)) by fixed unimodular-over-Z[1/2l] linear maps; the
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .cyclotomic import CycInt
-from .errors import InputError, IntegrityError
+from .errors import InputError, IntegrityError, _cell
 from .fields import FieldElement, FieldSpec, is_prime, subfield_residue
-from .jacobi import verify_conditions
+from .jacobi import _failed_conditions, _stickelberger, verify_conditions
 
 __all__ = [
     "GaussSolution",
@@ -152,18 +155,56 @@ def solve_dickson(
 ) -> list[DicksonSolution]:
     """All (X, U, V, W) solving the order-5 system, in lexicographic order.
 
-    Enumerates (U, V) inside the bound 50(U^2 + V^2) <= 16q and solves the
-    remaining pair of equations X^2 + 125 W^2 = T, X W = R in closed form:
-    X^2 is a root of Y^2 - T Y + 125 R^2.  With ``apply_rejection`` the
-    p-non-divisibility filter is applied and the count is asserted to be
-    exactly 4 (one per Galois conjugate); without it, all solutions of the
-    first three equations are returned.
+    With ``apply_rejection`` the p-non-divisibility filter applies and the
+    four solutions are ``a_to_dickson`` of the four conjugates sigma_k(J),
+    k = 1..4, of J = J(1, 1) for the root b = x^((p-1)/5) of the least x
+    with b != 1, each validated and the four checked distinct.  When
+    Euclid's algorithm stalls for b, b^2, b^3 and b^4 alike, and without
+    ``apply_rejection`` (all solutions of the first three equations, the
+    imprimitive ones included), the (U, V) plane is enumerated instead.
     """
     if p is None:
         p = q
-    _prime_power_check(q, p)
+    alpha = _prime_power_check(q, p)
     if p % 5 != 1:
         raise InputError(f"p = {p} is not 1 mod 5")
+    if not apply_rejection:
+        return _enumerate_dickson(q, p)
+    x = 2
+    while pow(x, (p - 1) // 5, p) == 1:
+        x += 1
+    b = pow(x, (p - 1) // 5, p)
+    for k in range(1, 5):
+        J = _stickelberger(5, p, alpha, pow(b, k, p), 1)
+        if J is not None:
+            break
+    cell = _cell(5, p, alpha)
+    try:
+        if J is None:
+            sols = [s for s in _enumerate_dickson(q, p) if s.A % p != 0]
+        else:
+            sols = sorted(
+                (a_to_dickson(J.conjugate(k).coeffs, q, p) for k in range(1, 5)),
+                key=lambda s: (s.X, s.U, s.V, s.W),
+            )
+        for sol in sols:
+            sol.validate()
+    except ValueError as exc:
+        raise IntegrityError(f"{cell}: {exc}") from None
+    if len(set(sols)) != 4:
+        raise IntegrityError(
+            f"{cell}: expected exactly 4 distinct solutions for q = {q}, found {len(set(sols))}"
+        )
+    return sols
+
+
+def _enumerate_dickson(q: int, p: int) -> list[DicksonSolution]:
+    """Every solution of the first three equations, in lexicographic order.
+
+    Enumerates (U, V) inside the bound 50(U^2 + V^2) <= 16q and solves the
+    remaining pair of equations X^2 + 125 W^2 = T, X W = R in closed form:
+    X^2 is a root of Y^2 - T Y + 125 R^2.
+    """
     target = 16 * q
     uv_max = isqrt(target // 50)
     found = set()
@@ -192,20 +233,7 @@ def solve_dickson(
                 w = r // x
                 if x * x + 125 * w * w == t and x * w == r:
                     found.add((x, u, v, w))
-    sols = [
-        DicksonSolution(x, u, v, w, q, p)
-        for (x, u, v, w) in sorted(found)
-    ]
-    if not apply_rejection:
-        return sols
-    sols = [s for s in sols if s.A % p != 0]
-    if len(sols) != 4:
-        raise IntegrityError(
-            f"expected exactly 4 solutions for q = {q}, found {len(sols)}"
-        )
-    for sol in sols:
-        sol.validate()
-    return sols
+    return [DicksonSolution(x, u, v, w, q, p) for (x, u, v, w) in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +320,9 @@ class SelectionResult:
     orientation: OrientationReport
 
 
-def _orientation(num: int, den: int, b: int, l: int, p: int) -> OrientationReport:
+def _orientation(num: int, den: int, b: int, l: int, p: int, cell: str) -> OrientationReport:
     if den % p == 0:
-        raise IntegrityError("ratio denominator vanishes mod p")
+        raise IntegrityError(f"{cell}: ratio denominator vanishes mod p")
     ratio = num * pow(den, -1, p) % p
     power = next((e for e in range(l) if pow(b, e, p) == ratio), None)
     negated = next((e for e in range(l) if -pow(b, e, p) % p == ratio), None)
@@ -321,24 +349,27 @@ def select_solution(
     if l != expected_l:
         raise ValueError(f"field has l = {l}, solutions are for l = {expected_l}")
     b = subfield_residue(gamma ** ((spec.q - 1) // l))
+    cell = _cell(l, p, spec.alpha, gamma)
     passing = []
     for sol in solutions:
         a = gauss_to_a(sol) if l == 3 else dickson_to_a(sol)
         report = verify_conditions(CycInt(l, a), spec, b)
-        if not (report.i and report.ii and report.iii and report.iv and report.v):
+        failed = [c for c in _failed_conditions(report) if c != "vi"]
+        if failed:
             raise IntegrityError(
-                f"candidate {a} fails a generator-independent condition"
+                f"{cell}: candidate {a} fails generator-independent condition(s) "
+                f"{', '.join(failed)}"
             )
         if report.vi:
             passing.append((sol, a))
     if len(passing) != 1:
         raise IntegrityError(
-            f"expected exactly one solution to pass the selection condition, "
-            f"got {len(passing)} of {len(solutions)}"
+            f"{cell}: expected exactly one solution to pass the selection condition "
+            f"(vi) at b = {b}, got {len(passing)} of {len(solutions)}"
         )
     sol, a = passing[0]
     if l == 3:
-        orientation = _orientation(sol.L - 3 * sol.M, sol.L + 3 * sol.M, b, l, p)
+        orientation = _orientation(sol.L - 3 * sol.M, sol.L + 3 * sol.M, b, l, p, cell)
     else:
-        orientation = _orientation(sol.A - 10 * sol.B, sol.A + 10 * sol.B, b, l, p)
+        orientation = _orientation(sol.A - 10 * sol.B, sol.A + 10 * sol.B, b, l, p, cell)
     return SelectionResult(sol, tuple(a), b, orientation)

@@ -25,3 +25,10 @@ class InputError(JacobiCodesError, ValueError):
     p, a character order that does not divide p - 1, an empty prime range,
     an exponent out of range.  A ValueError, so callers that catch
     ValueError keep working; the CLI reports it as a usage error."""
+
+
+def _cell(l: int, p: int, alpha: int, generator=None) -> str:
+    """The (l, p, alpha[, generator]) cell an IntegrityError belongs to, as
+    the prefix of its message."""
+    cell = f"l = {l}, p = {p}, alpha = {alpha}"
+    return cell if generator is None else f"{cell}, generator {generator}"

@@ -1,5 +1,5 @@
-"""Jacobi sums over F_q by direct character summation, together with the
-arithmetic conditions that characterize them inside Z[zeta_l].
+"""Jacobi sums over F_q, together with the arithmetic conditions that
+characterize them inside Z[zeta_l].
 
 For a multiplicative character chi of odd prime order l (chi(generator) =
 zeta_l), the sum J(i, j) = sum over v != 0, -1 of chi^i(v) * chi^j(v + 1)
@@ -8,6 +8,18 @@ a quadratic norm identity, equality of all cyclic coefficient convolutions,
 two linear congruences mod l, a non-divisibility constraint, and one
 generator-dependent divisibility by p -- cut the Galois orbit of J(1, n)
 down to the single sum attached to a specific generator.
+
+For l = 3 and 5 the sum needs no pass over F_q.  With b the root
+gamma^((q-1)/l) in F_p, Euclid's algorithm gives pi = gcd(p, zeta - b),
+a prime above p.  Stickelberger's theorem makes J_p(1, n) a unit times
+prod over k in S(n) of sigma_(1/k)(pi), S(n) = condition_index_set(l, n),
+and the unit is the one +-zeta^e with J = -1 mod (1 - zeta)^2.  The
+Hasse-Davenport lifting theorem gives J_q = -(-J_p)^alpha, and J(i, j) is
+sigma_i(J(1, j/i)).  The six conditions certify the result.  Other l, the
+pair i + j = 0 mod l, and a stalled Euclid step fall back to histogramming
+the log table (Ireland and Rosen, A Classical Introduction to Modern
+Number Theory, ch. 11 and 14; Berndt, Evans and Williams, Gauss and
+Jacobi Sums).
 """
 
 from __future__ import annotations
@@ -15,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import CycInt, divisible_by_int
-from .errors import InputError, IntegrityError
-from .fields import FieldElement, FieldSpec, LogTable
+from .cyclotomic import CycInt, _gcd, divisible_by_int
+from .errors import InputError, IntegrityError, _cell
+from .fields import FieldElement, FieldSpec, LogTable, subfield_residue
 
 __all__ = [
     "JacobiSum",
@@ -47,16 +59,49 @@ class JacobiSum:
 def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     """J(i, j) for the character sending the table's generator to zeta_l.
 
-    Runs one pass over the element codes 1..q-1 of F_q minus {0, -1},
-    histogramming the character exponent of chi^i(v) * chi^j(v + 1).  When
+    For l in {3, 5} and i + j != 0 mod l, J(1, j/i) comes from the prime
+    above p by Stickelberger's theorem and the Hasse-Davenport lift, with
+    no log lookup and no pass over F_q, and is certified by
+    ``verify_conditions``.  Otherwise, or when Euclid's algorithm stalls,
+    one pass over the element codes 1..q-1 of F_q minus {0, -1}
+    histograms the character exponent of chi^i(v) * chi^j(v + 1).  When
     gcd(i, l), gcd(j, l) and gcd(i + j, l) are all 1 the result is checked
     against the norm identity J * conj(J) = q, which any correct sum must
-    satisfy.
+    satisfy.  A failed check raises IntegrityError naming the cell.
     """
     spec = table.spec
     l, p = spec.l, spec.p
     if not (1 <= i <= l - 1 and 1 <= j <= l - 1):
         raise InputError(f"character exponents must lie in [1, {l - 1}]")
+    cell = _cell(l, p, spec.alpha, table.generator)
+    value = None
+    if l in (3, 5) and (i + j) % l:
+        b = subfield_residue(table.generator ** ((spec.q - 1) // l))
+        n = j * pow(i, -1, l) % l
+        base = _stickelberger(l, p, spec.alpha, b, n)
+        if base is not None:
+            failed = _failed_conditions(verify_conditions(base, spec, b, n))
+            if failed:
+                raise IntegrityError(
+                    f"{cell}: J(1, {n}) from the prime above p fails condition(s) "
+                    f"{', '.join(failed)} at b = {b}"
+                )
+            value = base.conjugate(i)
+    if value is None:
+        value = _histogram(table, i, j)
+    if gcd(i, l) == gcd(j, l) == gcd(i + j, l) == 1:
+        norm = (value * value.conjugate(-1)).as_rational_int()
+        if norm != spec.q:
+            raise IntegrityError(
+                f"{cell}: norm check failed: J(i,j) * conj = {norm}, expected q = {spec.q}"
+            )
+    return JacobiSum(value, spec, table.generator, (i, j))
+
+
+def _histogram(table: LogTable, i: int, j: int) -> CycInt:
+    """J(i, j) by one pass over the element codes 1..q-1 of F_q."""
+    spec = table.spec
+    l, p = spec.l, spec.p
     hist = [0] * l
     logs = table.logs
     for v in range(1, spec.q):
@@ -69,14 +114,40 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
         else:
             w = v + 1
         hist[(i * logs[v] + j * logs[w]) % l] += 1
-    value = CycInt.from_raw(l, hist)
-    if gcd(i, l) == gcd(j, l) == gcd(i + j, l) == 1:
-        norm = (value * value.conjugate(-1)).as_rational_int()
-        if norm != spec.q:
-            raise IntegrityError(
-                f"norm check failed: J(i,j) * conj = {norm}, expected q = {spec.q}"
-            )
-    return JacobiSum(value, spec, table.generator, (i, j))
+    return CycInt.from_raw(l, hist)
+
+
+def _unit_residues(a: tuple[int, ...], l: int) -> tuple[int, int]:
+    """The residues of conditions (iii) and (iv): 1 + sum(a_i) and
+    sum(i * a_i) mod l.  Both vanish iff a = -1 mod (1 - zeta)^2."""
+    return (1 + sum(a)) % l, sum(k * c for k, c in enumerate(a, start=1)) % l
+
+
+def _stickelberger(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
+    """J(1, n) over F_(p^alpha) for the character with root b in F_p, or
+    None when Euclid's algorithm stalls on gcd(p, zeta - b).
+
+    J_p(1, n) is +-zeta^e * prod over k in S(n) of sigma_(1/k)(pi), the unit
+    chosen by conditions (iii) and (iv); J_q = -(-J_p)^alpha.  A product no
+    unit fixes is returned unfixed, for the caller's check to reject.
+    """
+    pi = _gcd(CycInt.from_int(l, p), CycInt.zeta(l) - b)
+    if pi is None:
+        return None
+    product = CycInt.from_int(l, 1)
+    for k in condition_index_set(l, n):
+        product = product * pi.conjugate(pow(k, -1, l))
+    units = (CycInt.zeta(l, e) * s for s in (1, -1) for e in range(l))
+    value = next(
+        (v for v in (u * product for u in units) if _unit_residues(v.coeffs, l) == (0, 0)),
+        product,
+    )
+    if alpha > 1:
+        lifted = CycInt.from_int(l, 1)
+        for _ in range(alpha):
+            lifted = lifted * -value
+        value = -lifted
+    return value
 
 
 def condition_index_set(l: int, n: int) -> list[int]:
@@ -116,6 +187,11 @@ class ConditionReport:
         }
 
 
+def _failed_conditions(report: ConditionReport) -> list[str]:
+    """The names of the conditions, (i) to (vi), that the report fails."""
+    return [c for c in ("i", "ii", "iii", "iv", "v", "vi") if not getattr(report, c)]
+
+
 def _cyclic_convolutions(a: tuple[int, ...], l: int) -> list[int]:
     # full holds (a_0, ..., a_(l-1)) with a_0 = 0; indices taken mod l
     full = (0,) + a
@@ -144,13 +220,16 @@ def verify_conditions(
     l = spec.l
     p = spec.p
     if not isinstance(candidate, CycInt):
-        candidate = CycInt(l, tuple(candidate))
+        candidate = tuple(candidate)
+        if len(candidate) != l - 1:
+            raise InputError(f"candidate has order {len(candidate) + 1}, field expects {l}")
+        candidate = CycInt(l, candidate)
     if candidate.l != l:
-        raise ValueError(f"candidate has order {candidate.l}, field expects {l}")
+        raise InputError(f"candidate has order {candidate.l}, field expects {l}")
     if not 1 <= n <= l - 2:
-        raise ValueError(f"n must lie in [1, {l - 2}]")
+        raise InputError(f"n must lie in [1, {l - 2}]")
     if pow(b, l, p) != 1 % p:
-        raise ValueError(f"b = {b} is not an l-th root of unity mod {p}")
+        raise InputError(f"b = {b} is not an l-th root of unity mod {p}")
     a = candidate.coeffs
     diagnostics: dict = {}
 
@@ -160,11 +239,10 @@ def verify_conditions(
     if not cond_ii:
         diagnostics["unequal_convolutions"] = convs
 
-    residue_iii = (1 + sum(a)) % l
+    residue_iii, residue_iv = _unit_residues(a, l)
     cond_iii = residue_iii == 0
     diagnostics["iii_residue"] = residue_iii
 
-    residue_iv = sum(i * c for i, c in enumerate(a, start=1)) % l
     cond_iv = residue_iv == 0
     diagnostics["iv_residue"] = residue_iv
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import jacobicodes.cli as cli
+import jacobicodes.diophantine as diophantine
 from jacobicodes import (
     FieldSpec,
     InputError,
@@ -181,6 +182,26 @@ def test_solvers_build_no_log_table(capsys, monkeypatch):
         main(["gauss", "--p", "7", "--table-budget", "10"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --table-budget 10" in capsys.readouterr().err
+
+
+DICKSON_9999991 = """\
+16q = X^2 + 50U^2 + 50V^2 + 125W^2 over F_9999991 (generator 22, b = 1695067)
+  (X, U, V, W) = (-7759, -913, 872, -401)
+  (X, U, V, W) = (-7759, -872, -913, 401)  <- selected
+  (X, U, V, W) = (-7759, 872, 913, 401)
+  (X, U, V, W) = (-7759, 913, -872, -401)
+  a = [1092, 1023, 1854, 3790]
+  ratio (A-10B)/(A+10B) mod p = 1695067 (power: 1, negated power: None)
+"""
+
+
+def test_dickson_reads_solutions_off_jacobi_conjugates(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dickson needs neither a log table nor the (U, V) search")
+
+    monkeypatch.setattr(cli, "build_log_table", refuse)
+    monkeypatch.setattr(diophantine, "_enumerate_dickson", refuse)
+    assert run(capsys, "dickson", "--p", "9999991") == (0, DICKSON_9999991, "")
 
 
 def test_scan_stdout(capsys):

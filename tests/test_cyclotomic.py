@@ -14,6 +14,7 @@ from jacobicodes import (
     divisible_by_lambda_power,
     residue_mod_lambda,
 )
+from jacobicodes.cyclotomic import _div_round, _gcd, _norm
 
 
 def as_complex(x: CycInt) -> complex:
@@ -127,3 +128,34 @@ def test_str_and_repr_smoke():
     assert "ζ" in str(x)
     assert "CycInt" in repr(x)
     assert str(CycInt.zero(3)) == "0"
+
+
+def test_norm_is_the_product_of_all_conjugates():
+    for x in (CycInt(3, (2, -1)), CycInt(5, (0, -6, 3, 2)), CycInt(7, (1, 0, -2, 0, 3, 1))):
+        want = 1
+        for k in range(1, x.l):
+            want *= as_complex(x.conjugate(k))
+        assert abs(_norm(x) - want) < 1e-6
+    assert _norm(CycInt(5, (0, -6, 3, 2))) == 61**2
+    assert _norm(CycInt.zero(5)) == 0
+
+
+def test_rounded_quotient_is_nearest_coefficientwise():
+    x, y = CycInt(5, (40, -17, 3, 9)), CycInt(5, (2, 1, 0, -1))
+    n = _norm(y)
+    exact = (x * y.conjugate(2) * y.conjugate(3) * y.conjugate(4)).coeffs
+    quo = _div_round(x, y)
+    assert all(abs(2 * (c - n * d)) <= n for c, d in zip(exact, quo.coeffs))
+    assert _div_round(x * y, y) == x  # exact quotients are found exactly
+
+
+def test_gcd_is_the_prime_above_p():
+    # gcd(p, zeta - b) generates the prime (p, zeta - b) of norm p, so it
+    # divides both p and zeta - b exactly
+    for l, p in ((3, 7), (3, 1000003), (5, 61), (5, 100151), (7, 29), (11, 23)):
+        b = pow(2, (p - 1) // l, p)
+        assert b != 1
+        pi = _gcd(CycInt.from_int(l, p), CycInt.zeta(l) - b)
+        assert _norm(pi) == p
+        for x in (CycInt.from_int(l, p), CycInt.zeta(l) - b):
+            assert _div_round(x, pi) * pi == x

@@ -116,6 +116,16 @@ def test_solution_counts():
         assert len(solve_dickson(p)) == 4
 
 
+def test_conjugates_of_j_are_the_primitive_solutions():
+    # the four solutions read off J's conjugates are exactly the enumerated
+    # solutions that p-non-divisibility keeps
+    fields = [(p, p) for p in primes_1_mod(5, 11, 3000)]
+    fields += [(p * p, p) for p in primes_1_mod(5, 11, 62)]
+    for q, p in fields:
+        raw = solve_dickson(q, p, apply_rejection=False)
+        assert solve_dickson(q, p) == [s for s in raw if s.A % p], (q, p)
+
+
 def test_square_field_rejection_count():
     # 9 raw solutions at q = 121; the p-divisibility filter keeps 4
     raw = solve_dickson(121, 11, apply_rejection=False)

@@ -232,9 +232,9 @@ def test_jacobi_sums_of_generator_powers_stay_in_one_orbit(t):
 
 # Prime fields and alpha = 2, 3, 4 extensions, (p, l, alpha) with l | p - 1.
 ORACLE_FIELDS = (
-    (7, 3, 1), (31, 5, 1), (61, 5, 1), (97, 3, 1),
+    (7, 3, 1), (31, 5, 1), (61, 5, 1), (97, 3, 1), (1021, 5, 1),
     (7, 3, 2), (11, 5, 2), (13, 3, 2),
-    (7, 3, 3), (13, 3, 3),
+    (7, 3, 3), (13, 3, 3), (11, 5, 3),
     (7, 3, 4),
 )
 
@@ -242,7 +242,8 @@ ORACLE_FIELDS = (
 @lru_cache(maxsize=None)
 def object_path(p: int, l: int, alpha: int, t: int):
     """A log table on gamma^t, with the element-object log dict and every
-    J(i, j) that the integer path must reproduce."""
+    J(i, j) that jacobi_sum must reproduce: from the prime above p when
+    i + j != 0 mod l, from the integer histogram otherwise."""
     spec = FieldSpec(p=p, l=l, alpha=alpha)
     generator = find_primitive_element(spec) ** t
     index = dict_log_oracle(spec, generator)
