@@ -11,9 +11,9 @@ The pipeline, end to end:
    Stickelberger's theorem, the Hasse-Davenport lift) with no pass over
    F_q; otherwise the log table is histogrammed.
 3. ``diophantine`` solves the quadratic-form systems (order 3 and 5) whose
-   integer solutions are exactly the conjugates of the Jacobi sum (order 5
-   reads them off those conjugates), then selects the one belonging to the
-   chosen generator.
+   integer solutions are exactly the conjugates of the Jacobi sum, reading
+   them off those conjugates, then selects the one belonging to the chosen
+   generator.
 4. ``codes`` turns the solution into a linear congruence system mod p and
    from it an MDS code with single-error correction for order 5.
 5. ``scanner`` sweeps prime ranges looking for generator matrices whose

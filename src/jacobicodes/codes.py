@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 import random
 
@@ -211,13 +212,14 @@ class MdsResult:
 def is_mds(G: list[list[int]], p: int) -> MdsResult:
     """Whether every k columns of the k x n matrix G are independent mod p.
     Returns the first dependent column subset (1-based) as witness when not.
-    Rank-deficient G is rejected outright."""
+    Rank-deficient G is rejected outright: rank G < k exactly when every
+    k x k minor vanishes."""
     k, n = len(G), len(G[0])
     if k > n:
         raise ValueError("generator matrix must have k <= n")
-    if len(_rref(G, p)[1]) != k:
-        raise ValueError("generator matrix is rank-deficient mod p")
     dependent = _vanishing_minors(list(zip(*G)), k, p)
+    if len(dependent) == comb(n, k):
+        raise ValueError("generator matrix is rank-deficient mod p")
     if dependent:
         return MdsResult(False, dependent[0])
     return MdsResult(True, None)

@@ -36,6 +36,15 @@ class CycInt:
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _new(cls, l: int, coeffs: tuple[int, ...]) -> CycInt:
+        """An instance with no checks, for results of arithmetic on valid
+        operands: l is already an odd prime and coeffs a tuple of l - 1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("CycInt is immutable")
 
@@ -82,7 +91,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.l, (a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycInt._new(self.l, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -90,7 +99,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.l, (a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycInt._new(self.l, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -99,11 +108,11 @@ class CycInt:
         return o - self
 
     def __neg__(self):
-        return CycInt(self.l, (-a for a in self.coeffs))
+        return CycInt._new(self.l, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.l, (other * a for a in self.coeffs))
+            return CycInt._new(self.l, tuple(other * a for a in self.coeffs))
         if not isinstance(other, CycInt):
             return NotImplemented
         if other.l != self.l:
@@ -114,7 +123,8 @@ class CycInt:
             if a:
                 for j, b in enumerate(other.coeffs, start=1):
                     raw[(i + j) % l] += a * b
-        return CycInt.from_raw(l, raw)
+        c0 = raw[0]
+        return CycInt._new(l, tuple(c - c0 for c in raw[1:]))
 
     __rmul__ = __mul__
 
@@ -128,7 +138,7 @@ class CycInt:
         out = [0] * (l - 1)
         for j, c in enumerate(self.coeffs, start=1):
             out[i * j % l - 1] = c
-        return CycInt(l, out)
+        return CycInt._new(l, tuple(out))
 
     # -- structure queries ----------------------------------------------------
 

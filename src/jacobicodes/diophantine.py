@@ -7,10 +7,12 @@ dividing L; L is unique and M is determined up to sign.
 Order 5 (Dickson system): 16q = X^2 + 50 U^2 + 50 V^2 + 125 W^2 with
 X W = V^2 - 4 U V - U^2, X = 1 mod 5, and p not dividing X^2 - 125 W^2.
 The final non-divisibility cuts the solution set down to exactly four
-members, one per Galois conjugate of the Jacobi sum.  ``solve_dickson``
-reads them off those conjugates: J(1, 1) comes from the prime above p
-(``jacobi._stickelberger``), with no search.  The (U, V) enumeration stays
-for ``apply_rejection=False`` and for the rare stalled Euclid step.
+members, one per Galois conjugate of the Jacobi sum.
+
+Both solvers read their solutions off those conjugates, with no search:
+J(1, 1) comes from the prime above p (``jacobi._prime_sum``).  The (U, V)
+enumeration stays for ``apply_rejection=False`` and for the rare order-5
+field where Euclid's algorithm stalls at every root.
 
 Both systems translate to and from the cyclotomic coefficient vector
 (a_1, ..., a_(l-1)) by fixed unimodular-over-Z[1/2l] linear maps; the
@@ -26,7 +28,7 @@ from math import isqrt
 from .cyclotomic import CycInt
 from .errors import InputError, IntegrityError, _cell
 from .fields import FieldElement, FieldSpec, is_prime, subfield_residue
-from .jacobi import _failed_conditions, _stickelberger, verify_conditions
+from .jacobi import _failed_conditions, _prime_sum, conjugate_solutions, verify_conditions
 
 __all__ = [
     "GaussSolution",
@@ -124,30 +126,14 @@ class DicksonSolution:
 def solve_gauss(q: int, p: int | None = None) -> list[GaussSolution]:
     """All (L, M) with 4q = L^2 + 27 M^2, L = 1 mod 3, p not dividing L.
 
-    The positive-M solution is listed first.  For q = p^alpha with p = 1
-    mod 3 there are exactly two, (L, M) and (L, -M) for a unique L.
+    For q = p^alpha with p = 1 mod 3 there are exactly two, (L, M) and
+    (L, -M) for a unique L: ``a_to_gauss`` of J = J(1, 1) and of its
+    conjugate (see ``solve_dickson``), listed positive M first.  Euclid's
+    algorithm cannot stall in Z[zeta_3], where rounding leaves a remainder
+    of at most 3/4 the divisor's norm, so there is no fallback: a stall
+    raises IntegrityError.
     """
-    if p is None:
-        p = q
-    _prime_power_check(q, p)
-    if p % 3 != 1:
-        raise InputError(f"p = {p} is not 1 mod 3")
-    found = []
-    for m in range(isqrt(4 * q // 27) + 1):
-        rem = 4 * q - 27 * m * m
-        root = isqrt(rem)
-        if root * root != rem:
-            continue
-        for L in (root, -root) if root else (0,):
-            if L % 3 == 1 and L % p != 0:
-                if m == 0:
-                    found.append(GaussSolution(L, 0, q, p))
-                else:
-                    found.append(GaussSolution(L, m, q, p))
-                    found.append(GaussSolution(L, -m, q, p))
-    for sol in found:
-        sol.validate()
-    return found
+    return _solve(3, q, q if p is None else p)
 
 
 def solve_dickson(
@@ -163,39 +149,40 @@ def solve_dickson(
     ``apply_rejection`` (all solutions of the first three equations, the
     imprimitive ones included), the (U, V) plane is enumerated instead.
     """
-    if p is None:
-        p = q
+    return _solve(5, q, q if p is None else p, apply_rejection)
+
+
+def _solve(l: int, q: int, p: int, apply_rejection: bool = True) -> list:
+    """The body of ``solve_gauss`` (l = 3) and ``solve_dickson`` (l = 5):
+    the l - 1 solutions read off the conjugates of J(1, 1) from the prime
+    above p (``jacobi._prime_sum``)."""
     alpha = _prime_power_check(q, p)
-    if p % 5 != 1:
-        raise InputError(f"p = {p} is not 1 mod 5")
+    if p % l != 1:
+        raise InputError(f"p = {p} is not 1 mod {l}")
     if not apply_rejection:
         return _enumerate_dickson(q, p)
     x = 2
-    while pow(x, (p - 1) // 5, p) == 1:
+    while pow(x, (p - 1) // l, p) == 1:
         x += 1
-    b = pow(x, (p - 1) // 5, p)
-    for k in range(1, 5):
-        J = _stickelberger(5, p, alpha, pow(b, k, p), 1)
-        if J is not None:
-            break
-    cell = _cell(5, p, alpha)
+    J = _prime_sum(l, p, alpha, pow(x, (p - 1) // l, p), 1)
+    cell = _cell(l, p, alpha)
     try:
-        if J is None:
+        if J is not None:
+            to_solution = a_to_gauss if l == 3 else a_to_dickson
+            sols = [to_solution(a, q, p) for a in conjugate_solutions(J.coeffs)]
+        elif l == 5:
             sols = [s for s in _enumerate_dickson(q, p) if s.A % p != 0]
         else:
-            sols = sorted(
-                (a_to_dickson(J.conjugate(k).coeffs, q, p) for k in range(1, 5)),
-                key=lambda s: (s.X, s.U, s.V, s.W),
-            )
+            raise IntegrityError(f"{cell}: Euclid's algorithm stalled at every root")
         for sol in sols:
             sol.validate()
     except ValueError as exc:
         raise IntegrityError(f"{cell}: {exc}") from None
-    if len(set(sols)) != 4:
+    if len(set(sols)) != l - 1:
         raise IntegrityError(
-            f"{cell}: expected exactly 4 distinct solutions for q = {q}, found {len(set(sols))}"
+            f"{cell}: expected exactly {l - 1} distinct solutions for q = {q}, found {len(set(sols))}"
         )
-    return sols
+    return sorted(sols, key=lambda s: -s.M if l == 3 else (s.X, s.U, s.V, s.W))
 
 
 def _enumerate_dickson(q: int, p: int) -> list[DicksonSolution]:

@@ -15,11 +15,12 @@ a prime above p.  Stickelberger's theorem makes J_p(1, n) a unit times
 prod over k in S(n) of sigma_(1/k)(pi), S(n) = condition_index_set(l, n),
 and the unit is the one +-zeta^e with J = -1 mod (1 - zeta)^2.  The
 Hasse-Davenport lifting theorem gives J_q = -(-J_p)^alpha, and J(i, j) is
-sigma_i(J(1, j/i)).  The six conditions certify the result.  Other l, the
-pair i + j = 0 mod l, and a stalled Euclid step fall back to histogramming
-the log table (Ireland and Rosen, A Classical Introduction to Modern
-Number Theory, ch. 11 and 14; Berndt, Evans and Williams, Gauss and
-Jacobi Sums).
+sigma_i(J(1, j/i)).  A stalled Euclid step at b is retried at b^2, ...,
+b^(l-1), whose sums are conjugates of the one for b.  The six conditions
+certify the result.  J(i, -i) = -chi^i(-1) = -1 for every odd l.  Other
+l, and the rare field where every root stalls, histogram the log table
+(Ireland and Rosen, A Classical Introduction to Modern Number Theory,
+ch. 11 and 14; Berndt, Evans and Williams, Gauss and Jacobi Sums).
 """
 
 from __future__ import annotations
@@ -59,15 +60,17 @@ class JacobiSum:
 def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     """J(i, j) for the character sending the table's generator to zeta_l.
 
-    For l in {3, 5} and i + j != 0 mod l, J(1, j/i) comes from the prime
-    above p by Stickelberger's theorem and the Hasse-Davenport lift, with
-    no log lookup and no pass over F_q, and is certified by
-    ``verify_conditions``.  Otherwise, or when Euclid's algorithm stalls,
-    one pass over the element codes 1..q-1 of F_q minus {0, -1}
-    histograms the character exponent of chi^i(v) * chi^j(v + 1).  When
-    gcd(i, l), gcd(j, l) and gcd(i + j, l) are all 1 the result is checked
-    against the norm identity J * conj(J) = q, which any correct sum must
-    satisfy.  A failed check raises IntegrityError naming the cell.
+    For i + j = 0 mod l it is -1.  Otherwise, for l in {3, 5}, J(1, j/i)
+    comes from the prime above p by Stickelberger's theorem and the
+    Hasse-Davenport lift, with no log lookup and no pass over F_q, and is
+    certified by ``verify_conditions`` at the root b of the table's
+    generator.  For other l, or when Euclid's algorithm stalls at b, b^2,
+    ..., b^(l-1) alike, one pass over the element codes 1..q-1 of F_q
+    minus {0, -1} histograms the character exponent of chi^i(v) *
+    chi^j(v + 1).  When gcd(i, l), gcd(j, l) and gcd(i + j, l) are all 1
+    the result is checked against the norm identity J * conj(J) = q, which
+    any correct sum must satisfy.  A failed check raises IntegrityError
+    naming the cell.
     """
     spec = table.spec
     l, p = spec.l, spec.p
@@ -75,10 +78,12 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
         raise InputError(f"character exponents must lie in [1, {l - 1}]")
     cell = _cell(l, p, spec.alpha, table.generator)
     value = None
-    if l in (3, 5) and (i + j) % l:
+    if (i + j) % l == 0:
+        value = CycInt.from_int(l, -1)
+    elif l in (3, 5):
         b = subfield_residue(table.generator ** ((spec.q - 1) // l))
         n = j * pow(i, -1, l) % l
-        base = _stickelberger(l, p, spec.alpha, b, n)
+        base = _prime_sum(l, p, spec.alpha, b, n)
         if base is not None:
             failed = _failed_conditions(verify_conditions(base, spec, b, n))
             if failed:
@@ -121,6 +126,21 @@ def _unit_residues(a: tuple[int, ...], l: int) -> tuple[int, int]:
     """The residues of conditions (iii) and (iv): 1 + sum(a_i) and
     sum(i * a_i) mod l.  Both vanish iff a = -1 mod (1 - zeta)^2."""
     return (1 + sum(a)) % l, sum(k * c for k, c in enumerate(a, start=1)) % l
+
+
+def _prime_sum(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
+    """J(1, n) over F_(p^alpha) for the character with root b in F_p, from
+    the prime above p at the first of b, b^2, ..., b^(l-1) whose Euclid run
+    does not stall, or None when every one stalls.
+
+    The root b^k belongs to chi^(1/k), so its sum is sigma_(1/k) of the sum
+    for b, and sigma_k of it is the sum for b.
+    """
+    for k in range(1, l):
+        value = _stickelberger(l, p, alpha, pow(b, k, p), n)
+        if value is not None:
+            return value.conjugate(k)
+    return None
 
 
 def _stickelberger(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:

@@ -91,11 +91,12 @@ def test_frozen_dickson_solutions():
 
 
 def test_gauss_matches_oracle():
-    for p in primes_1_mod(3, 7, 200):
-        assert sorted((s.L, s.M) for s in solve_gauss(p)) == gauss_oracle(p, p)
-    for p in (7, 13):
-        q = p * p
-        assert sorted((s.L, s.M) for s in solve_gauss(q, p)) == gauss_oracle(q, p)
+    # the solutions read off J's conjugates, positive M first
+    fields = [(p, p) for p in primes_1_mod(3, 7, 2000)]
+    fields += [(p**alpha, p) for p in primes_1_mod(3, 7, 32) for alpha in (2, 3, 4)]
+    for q, p in fields:
+        got = [(s.L, s.M) for s in solve_gauss(q, p)]
+        assert got == sorted(gauss_oracle(q, p), key=lambda s: -s[1]), (q, p)
 
 
 def test_dickson_matches_oracle():

@@ -1,6 +1,7 @@
 """Jacobi sums against an independent complex-arithmetic oracle, plus the
-six selection conditions, the prime-above-p path against the histogram it
-bypasses, and the cell named by every IntegrityError."""
+six selection conditions, the prime-above-p path (with its retry over the
+roots b^k) against the histogram it bypasses, and the cell named by every
+IntegrityError."""
 
 import cmath
 from dataclasses import replace
@@ -24,6 +25,7 @@ from jacobicodes import (
     jacobi_sum,
     select_solution,
     solve_dickson,
+    solve_gauss,
     subfield_residue,
     verify_conditions,
 )
@@ -194,7 +196,7 @@ def test_stalled_euclid_falls_back_to_the_histogram(monkeypatch):
     # the canonical root of F_96451 is one of the 12 roots b of the primes
     # p = 1 mod 5 below 2 * 10^5 where rounded division stalls on
     # gcd(p, zeta - b); past the stall the remainders cycle, so the
-    # division count is capped
+    # division count of this one gcd is capped
     p = 96451
     spec = FieldSpec(p=p, l=5)
     table = build_log_table(spec)
@@ -207,8 +209,9 @@ def test_stalled_euclid_falls_back_to_the_histogram(monkeypatch):
         return div_round_real(x, y)
 
     div_round_real = cyclotomic._div_round
-    monkeypatch.setattr(cyclotomic, "_div_round", div_round)
-    assert _gcd(CycInt.from_int(5, p), CycInt.zeta(5) - b) is None
+    with monkeypatch.context() as m:
+        m.setattr(cyclotomic, "_div_round", div_round)
+        assert _gcd(CycInt.from_int(5, p), CycInt.zeta(5) - b) is None
     assert len(steps) == 7
     for i, j in ((1, 1), (2, 4), (3, 1)):
         assert jacobi_sum(table, i, j).value == _histogram(table, i, j)
@@ -256,12 +259,41 @@ def test_later_roots_stand_in_for_a_stalled_one(monkeypatch):
     assert calls == [CycInt.zeta(5) - 9, CycInt.zeta(5) - 20]
 
 
+def test_a_stalled_root_needs_no_histogram(monkeypatch):
+    # F_96451's canonical root stalls (see above); b^2 stands in for it
+    table = build_log_table(FieldSpec(p=96451, l=5))
+    pairs = ((1, 1), (1, 2), (2, 4), (3, 1), (4, 4))
+    want = {(i, j): _histogram(table, i, j) for i, j in pairs}
+    monkeypatch.setattr(jacobi, "_histogram", refuse)
+    for i, j in pairs:
+        assert jacobi_sum(table, i, j).value == want[i, j]
+
+
+def test_gauss_has_no_fallback_for_a_stall(monkeypatch):
+    monkeypatch.setattr(jacobi, "_gcd", lambda x, y: None)
+    with pytest.raises(IntegrityError, match=r"^l = 3, p = 7, alpha = 1: "):
+        solve_gauss(7)
+
+
+@pytest.mark.parametrize(
+    "p,l,alpha",
+    [(7, 3, 1), (61, 5, 1), (7, 3, 2), (11, 5, 2), (29, 7, 1), (53, 13, 1), (7, 3, 4)],
+)
+def test_opposite_exponents_give_minus_one(p, l, alpha):
+    # J(i, -i) = -chi^i(-1) = -1 for odd l, since v / (v + 1) runs over
+    # F_q minus {0, 1}
+    table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
+    for i in range(1, l):
+        assert jacobi_sum(table, i, l - i).value == _histogram(table, i, l - i)
+        assert jacobi_sum(table, i, l - i).value == CycInt.from_int(l, -1)
+
+
 @pytest.mark.parametrize("p,alpha", [(100151, 1), (11, 4)])
 def test_jacobi_sum_reads_no_log(p, alpha):
     spec = FieldSpec(p=p, l=5, alpha=alpha)
     table = build_log_table(spec)
     blind = LogTable(spec, table.generator, RefusingLogs(table.logs))
-    for i, j in ((1, 1), (1, 2), (3, 4)):
+    for i, j in ((1, 1), (1, 2), (3, 4), (1, 4)):
         assert jacobi_sum(blind, i, j).value == _histogram(table, i, j)
 
 
@@ -290,22 +322,22 @@ def test_integrity_errors_name_their_cell(monkeypatch):
     with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: expected exactly one solution"):
         select_solution(solve_dickson(61), spec, gamma)
 
-    monkeypatch.setattr(diophantine, "_stickelberger", lambda *args: CycInt(5, (1, 0, 0, 0)))
+    monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: CycInt(5, (1, 0, 0, 0)))
     with pytest.raises(IntegrityError, match=rf"^{cell}: vector does not map to an integer solution"):
         solve_dickson(61)
 
     # -J maps to integer solutions of the two equations, with X = -1 mod 5
     J = make_pipeline(61, 5)["J"].value
-    monkeypatch.setattr(diophantine, "_stickelberger", lambda *args: -J)
+    monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: -J)
     with pytest.raises(IntegrityError, match=rf"^{cell}: invalid Dickson solution: X != 1 mod 5$"):
         solve_dickson(61)
 
-    monkeypatch.setattr(diophantine, "_stickelberger", lambda *args: J)
+    monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: J)
     monkeypatch.setattr(diophantine, "a_to_dickson", lambda a, q, p: DicksonSolution(1, -4, 1, 1, q, p))
     with pytest.raises(IntegrityError, match=rf"^{cell}: expected exactly 4 distinct solutions .* found 1"):
         solve_dickson(61)
 
-    monkeypatch.setattr(diophantine, "_stickelberger", lambda *args: None)
+    monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: None)
     monkeypatch.setattr(diophantine, "_enumerate_dickson", lambda q, p: [])
     with pytest.raises(IntegrityError, match=rf"^{cell}: expected exactly 4 distinct solutions .* found 0"):
         solve_dickson(61)

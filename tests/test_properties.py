@@ -43,6 +43,7 @@ from jacobicodes import (
     verify_conditions,
 )
 from jacobicodes.codes import _det_mod, _vanishing_minors
+from jacobicodes.cyclotomic import _div_round, _norm
 from jacobicodes.fields import prime_factors
 
 from conftest import (
@@ -133,6 +134,20 @@ def test_conjugation_is_a_ring_automorphism(pair, i, j):
     assert conjugate(x * y, i) == conjugate(x, i) * conjugate(y, i)
     assert conjugate(x + y, i) == conjugate(x, i) + conjugate(y, i)
     assert abs_square(conjugate(x, i)) == abs_square(x)
+
+
+def nonzero_cyc3():
+    coeff = st.integers(min_value=-10**6, max_value=10**6)
+    return st.tuples(coeff, coeff).filter(any).map(lambda c: CycInt(3, c))
+
+
+@CASES
+@given(nonzero_cyc3(), nonzero_cyc3())
+@example(CycInt(3, (1, -1)), CycInt.from_int(3, 2))  # both coefficients tie
+def test_rounded_division_is_euclidean_for_order_3(x, y):
+    # the rounding error s zeta + t zeta^2, |s|, |t| <= 1/2, has norm
+    # s^2 - st + t^2 <= 3/4, so Euclid's algorithm cannot stall for l = 3
+    assert 4 * _norm(x - _div_round(x, y) * y) <= 3 * _norm(y)
 
 
 @CASES
