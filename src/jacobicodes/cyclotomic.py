@@ -246,29 +246,36 @@ def _cofactor(y: CycInt) -> CycInt:
     return out
 
 
+def _cofactor_norm(y: CycInt) -> tuple[CycInt, int]:
+    """The cofactor of y and the norm N(y) it gives, positive unless y = 0."""
+    cof = _cofactor(y)
+    return cof, (y * cof).as_rational_int()
+
+
 def _norm(y: CycInt) -> int:
     """The norm N(y) = y * prod_(k=2..l-1) sigma_k(y), positive unless y = 0."""
-    return (y * _cofactor(y)).as_rational_int()
+    return _cofactor_norm(y)[1]
 
 
-def _div_round(x: CycInt, y: CycInt) -> CycInt:
+def _div_round(x: CycInt, y: CycInt, known: tuple[CycInt, int] | None = None) -> CycInt:
     """x / y rounded: each coefficient c of x * prod_(k>=2) sigma_k(y) goes
-    to (2c + N) // (2N), the integer nearest c / N(y)."""
-    cof = _cofactor(y)
-    n = (y * cof).as_rational_int()
-    return CycInt(x.l, ((2 * c + n) // (2 * n) for c in (x * cof).coeffs))
+    to (2c + N) // (2N), the integer nearest c / N(y).  known, y's
+    ``_cofactor_norm`` when the caller has it, saves computing it again."""
+    cof, n = known or _cofactor_norm(y)
+    return CycInt._new(x.l, tuple((2 * c + n) // (2 * n) for c in (x * cof).coeffs))
 
 
 def _gcd(x: CycInt, y: CycInt) -> CycInt | None:
     """A gcd of x and y by Euclid's algorithm with rounded quotients, or
     None when a step stalls: a remainder whose norm is not below the
     divisor's.  Rounding is not proved to be a Euclidean step, so a stall
-    is a possible outcome, not an error."""
-    n_y = _norm(y)
+    is a possible outcome, not an error.  Each divisor's cofactor and norm
+    are computed once, when it is the remainder."""
+    known = _cofactor_norm(y)
     while y:
-        r = x - _div_round(x, y) * y
-        n_r = _norm(r)
-        if n_r >= n_y:
+        r = x - _div_round(x, y, known) * y
+        known_r = _cofactor_norm(r)
+        if known_r[1] >= known[1]:
             return None
-        x, y, n_y = y, r, n_r
+        x, y, known = y, r, known_r
     return x

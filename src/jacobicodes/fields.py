@@ -11,6 +11,12 @@ Each element also has one integer code, c_0 + c_1 p + ... +
 c_(alpha-1) p^(alpha-1), which for alpha = 1 is the residue itself.  A
 log table is a flat list indexed by that code, so the Jacobi sum can loop
 over integers 1..q-1 instead of element objects.
+
+For alpha > 1 the table is built one F_p*-line at a time.  With
+N = (q-1)/(p-1) and c = gamma^N, the norm of gamma, in F_p*,
+gamma^(m + N k) = c^k gamma^m: walking the N line representatives gamma^m
+by the matrix of multiplication by gamma gives every element, and the
+digits of c^k gamma^m are rotations of the powers of c in F_p.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, mul
 
 from .errors import BudgetError, InputError
 
@@ -137,6 +144,44 @@ def _poly_powmod(base: list[int], e: int, modulus: tuple[int, ...], p: int) -> l
         acc = _poly_mulmod(acc, acc, modulus, p)
         e >>= 1
     return result
+
+
+def _mul_matrix(g, modulus: tuple[int, ...], p: int) -> list[list[int]]:
+    """The rows of the matrix of y -> g y on coefficient vectors: entry
+    (i, j) is the coefficient of x^i in g x^j mod the monic modulus."""
+    cols, col = [], list(g)
+    for _ in range(len(modulus) - 1):
+        cols.append(col)
+        top = col[-1]
+        col = [(a - top * f) % p for a, f in zip([0] + col[:-1], modulus)]
+    return [list(row) for row in zip(*cols)]
+
+
+def _matvec(rows: list[list[int]], v: list[int], p: int) -> list[int]:
+    """The matrix with these rows times the vector v, mod p: one
+    multiplication in F_q when the rows come from _mul_matrix."""
+    return [sum(map(mul, row, v)) % p for row in rows]
+
+
+def _det(rows: list[list[int]], p: int) -> int:
+    """The determinant mod p, by Gaussian elimination.  For the matrix of
+    multiplication by g it is the norm g^((q-1)/(p-1)) of g to F_p."""
+    a = list(rows)
+    det = 1
+    for i in range(len(a)):
+        pivot = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            det = -det
+        det = det * a[i][i] % p
+        inv = pow(a[i][i], -1, p)
+        for r in range(i + 1, len(a)):
+            f = a[r][i] * inv % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[i])]
+    return det % p
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -416,14 +461,27 @@ def multiplicative_order(x: FieldElement) -> int:
 
 def find_primitive_element(spec: FieldSpec) -> FieldElement:
     """The least element, in lexicographic order of coefficient tuples,
-    generating the multiplicative group."""
-    n = spec.q - 1
+    generating the multiplicative group.
+
+    With c the norm x^((q-1)/(p-1)) of x, x^((q-1)/r) = c^((p-1)/r) for
+    each prime r | p - 1, so those primes are tested in F_p; only the primes
+    of (q-1)/(p-1) alone take a power in F_q.  For alpha > 1 the elements of
+    F_p, whose order divides p - 1, are skipped."""
+    p, n = spec.p, spec.q - 1
     factors = _cached_prime_factors(n)
+    below = [r for r in factors if (p - 1) % r == 0]
+    above = [r for r in factors if (p - 1) % r]
     one = spec.one
     for x in spec.elements():
-        if not x:
+        if not x or (spec.alpha > 1 and not any(x.coeffs[1:])):
             continue
-        if all(x ** (n // r) != one for r in factors):
+        if spec.alpha == 1:
+            c = x.coeffs[0]
+        else:
+            c = _det(_mul_matrix(x.coeffs, spec.modulus, p), p)
+        if all(pow(c, (p - 1) // r, p) != 1 for r in below) and all(
+            x ** (n // r) != one for r in above
+        ):
             return x
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
@@ -465,10 +523,11 @@ def build_log_table(
     generator: FieldElement | None = None,
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> LogTable:
-    """Tabulate log_generator(x) for every nonzero x by successive
-    multiplication, on residues for alpha = 1 and on coefficient lists
-    otherwise.  Raises BudgetError if the table would exceed budget
-    entries; raises ValueError if the element provided is not a generator."""
+    """Tabulate log_generator(x) for every nonzero x: by successive
+    multiplication of residues for alpha = 1, one F_p*-line at a time
+    otherwise (see ``_fill_lines``).  Raises BudgetError if the table would
+    exceed budget entries; raises ValueError if the element provided is not
+    a generator."""
     if generator is None:
         generator = find_primitive_element(spec)
     if generator.spec != spec:
@@ -484,18 +543,53 @@ def build_log_table(
         for m in range(n):
             logs[x] = m
             x = x * g % p
+        # x = g^n is 1 unless g = 0
+        generates = x == 1
     else:
-        g = list(generator.coeffs)
-        power = [1] + [0] * (spec.alpha - 1)
-        for m in range(n):
-            logs[_code(power, p)] = m
-            power = _poly_mulmod(power, g, spec.modulus, p)
-        x = _code(power, p)
-    # x = g^n is 1 unless g = 0; g has order n unless an earlier power was 1,
-    # which would have left a later exponent in logs[1]
-    if x != 1 or logs[1] != 0:
+        generates = _fill_lines(logs, generator.coeffs, spec.modulus, p)
+    # g has order n unless an earlier power was 1, which left a later
+    # exponent in logs[1]; for alpha > 1, unless some g^m with 0 < m < N lies
+    # in F_p*, whose line then holds 1
+    if not generates or logs[1] != 0:
         raise ValueError(f"{generator} does not generate the multiplicative group")
     return LogTable(spec, generator, logs)
+
+
+def _fill_lines(logs: list[int], g, modulus: tuple[int, ...], p: int) -> bool:
+    """Fill logs[code(g^e)] = e for 0 <= e < q - 1, alpha > 1, or return
+    False, with logs untouched, when the norm c = g^N of g, N = (q-1)/(p-1),
+    does not generate F_p*.
+
+    g^(m + N k) = c^k g^m, so the N walked powers y = g^m fix every entry:
+    digit i of c^k y is powc[(plog[y_i] + k) % (p - 1)], with powc[k] = c^k
+    and plog its inverse, a slice of powc doubled.  The p - 1 codes of a line
+    are a sum of such slices, one per nonzero digit.  Whether g generates
+    F_q* also needs every g^m, 0 < m < N, outside F_p; the caller reads that
+    off logs[1].
+    """
+    n, alpha = len(logs) - 1, len(modulus) - 1
+    N = n // (p - 1)
+    rows = _mul_matrix(g, modulus, p)
+    c = _det(rows, p)
+    powc = [1] * (p - 1)
+    for k in range(1, p - 1):
+        powc[k] = powc[k - 1] * c % p
+    if sorted(powc) != list(range(1, p)):
+        return False
+    plog = [0] * p
+    for k, v in enumerate(powc):
+        plog[v] = k
+    scaled = [[p**i * v for v in powc] * 2 for i in range(alpha)]
+    y = [1] + [0] * (alpha - 1)
+    for m in range(N):
+        codes = None
+        for ring, d in zip(scaled, y):
+            if d:
+                part = ring[plog[d]:plog[d] + p - 1]
+                codes = part if codes is None else map(add, codes, part)
+        any(map(logs.__setitem__, codes, range(m, n, N)))
+        y = _matvec(rows, y, p)
+    return True
 
 
 def character_exponent(table: LogTable, v: FieldElement, l: int | None = None) -> int:

@@ -157,10 +157,15 @@ def _stickelberger(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
     product = CycInt.from_int(l, 1)
     for k in condition_index_set(l, n):
         product = product * pi.conjugate(pow(k, -1, l))
-    units = (CycInt.zeta(l, e) * s for s in (1, -1) for e in range(l))
-    value = next(
-        (v for v in (u * product for u in units) if _unit_residues(v.coeffs, l) == (0, 0)),
-        product,
+    # +-zeta^e * product: the raw coefficients (0, a_1, ..., a_(l-1))
+    # rotated by e, renormalised to a zero constant term, and signed
+    raw = (0,) + product.coeffs
+    units = (
+        tuple(s * (raw[(k - e) % l] - raw[-e % l]) for k in range(1, l))
+        for s in (1, -1) for e in range(l)
+    )
+    value = CycInt._new(
+        l, next((a for a in units if _unit_residues(a, l) == (0, 0)), product.coeffs)
     )
     if alpha > 1:
         lifted = CycInt.from_int(l, 1)

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+import jacobicodes.fields as fields
 from jacobicodes import (
     BudgetError,
     FieldSpec,
@@ -17,6 +18,12 @@ from jacobicodes import (
     subfield_residue,
 )
 from jacobicodes.fields import multiplicative_order, prime_factors
+
+from conftest import dict_log_oracle
+
+# F_61 and extension fields of 2 to 5 digits, with N = (q-1)/(p-1) lines
+LINE_FIELDS = ((61, 5, 1), (7, 3, 2), (31, 3, 2), (13, 3, 3), (11, 5, 3), (7, 3, 4),
+               (7, 3, 5), (11, 5, 4))
 
 
 def test_is_prime_small():
@@ -212,6 +219,56 @@ def test_log_table_rejects_non_generators():
         for x in (spec.zero, spec.one, gamma**2, gamma**l):
             with pytest.raises(ValueError, match="does not generate"):
                 build_log_table(spec, x)
+
+
+@pytest.mark.parametrize("p, l, alpha", LINE_FIELDS)
+def test_log_table_matches_successive_multiplication(p, l, alpha):
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    gamma = find_primitive_element(spec)
+    want = [0] * spec.q
+    for coeffs, m in dict_log_oracle(spec, gamma).items():
+        want[sum(c * p**i for i, c in enumerate(coeffs))] = m
+    assert build_log_table(spec, gamma).logs == want
+
+
+def test_log_table_rejects_generators_of_the_norm_alone():
+    # in F_(11^3), N = 133 = 7 * 19: gamma^7 and gamma^19 have order 190 and
+    # 70, yet their norms c^7 and c^19 generate F_11*, as does the norm 8 of
+    # 2 in F_11*; only a power gamma^m in F_11 with 0 < m < N gives them away
+    spec = FieldSpec(p=11, l=5, alpha=3)
+    gamma = find_primitive_element(spec)
+    for x in (spec.zero, spec.one, spec.element(2), gamma**7, gamma**19):
+        if x and x != spec.one:
+            assert multiplicative_order(x ** 133) == 10
+        with pytest.raises(ValueError, match="does not generate"):
+            build_log_table(spec, x)
+
+
+@pytest.mark.parametrize("p, l, alpha", [f for f in LINE_FIELDS if f[2] > 1])
+def test_log_table_multiplies_once_per_line(monkeypatch, p, l, alpha):
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    gamma = find_primitive_element(spec)
+    lines = (spec.q - 1) // (p - 1)
+    steps = []
+
+    def spy(real):
+        def step(*args):
+            steps.append(real.__name__)
+            assert len(steps) <= lines + alpha, "multiplied past one step per line"
+            return real(*args)
+        return step
+
+    for name in ("_matvec", "_poly_mulmod"):
+        monkeypatch.setattr(fields, name, spy(getattr(fields, name)))
+    assert len(build_log_table(spec, gamma)) == spec.q - 1
+    assert len(steps) >= lines - 1
+
+
+def test_primitive_element_is_the_least_generator():
+    for p, l, alpha in LINE_FIELDS[1:] + ((13, 3, 2), (7, 3, 3), (19, 3, 2), (31, 5, 2)):
+        spec = FieldSpec(p=p, l=l, alpha=alpha)
+        least = next(x for x in spec.elements() if x and multiplicative_order(x) == spec.q - 1)
+        assert find_primitive_element(spec) == least
 
 
 def test_log_rejects_foreign_elements():

@@ -192,21 +192,23 @@ def refuse(*args, **kwargs):
     raise AssertionError("the table-free path ran an O(q) fallback")
 
 
-def test_stalled_euclid_falls_back_to_the_histogram(monkeypatch):
+def test_a_later_root_stands_in_for_the_stalled_root_of_f_96451(monkeypatch):
     # the canonical root of F_96451 is one of the 12 roots b of the primes
     # p = 1 mod 5 below 2 * 10^5 where rounded division stalls on
     # gcd(p, zeta - b); past the stall the remainders cycle, so the
-    # division count of this one gcd is capped
+    # division count of this one gcd is capped.  The sums and the Dickson
+    # solutions then come from a later root b^k, and must agree with the
+    # histogram and the unfiltered solutions.
     p = 96451
     spec = FieldSpec(p=p, l=5)
     table = build_log_table(spec)
     b = subfield_residue(table.generator ** ((p - 1) // 5))
     steps = []
 
-    def div_round(x, y):
+    def div_round(x, y, *known):
         steps.append(y)
         assert len(steps) < 50, "Euclid's algorithm did not stop"
-        return div_round_real(x, y)
+        return div_round_real(x, y, *known)
 
     div_round_real = cyclotomic._div_round
     with monkeypatch.context() as m:
