@@ -4,7 +4,7 @@ and the MDS error-correcting codes built from them.
 The pipeline, end to end:
 
 1. ``fields`` builds F_q = F_{p^alpha} with a canonical generator and a
-   discrete-log table.
+   discrete-log table, walked on its first lookup.
 2. ``jacobi`` computes the Jacobi sum, a cyclotomic integer in Z[zeta_l],
    and checks the six arithmetic conditions that pin it down.  For l = 3
    and 5 it comes from the prime above p (Euclid in ``cyclotomic``,

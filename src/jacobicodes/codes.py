@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 import random
 
 from .cyclotomic import CycInt
 from .diophantine import a_to_dickson
-from .errors import IntegrityError
+from .errors import InputError, IntegrityError, _cell
 from .fields import FieldSpec
 
 __all__ = [
@@ -151,7 +152,7 @@ def build_congruence_system(J: CycInt, p: int, b: int) -> CongruenceSystem:
     for i, (row, r) in enumerate(zip(D, rhs)):
         if sum(c * t for c, t in zip(row, powers)) % p != r:
             raise IntegrityError(
-                f"congruence row {i + 1} does not vanish at b = {b} mod {p}"
+                f"{_cell(J.l, p)}: congruence row {i + 1} does not vanish at b = {b} mod {p}"
             )
     return CongruenceSystem(J.l, p, b, D, rhs)
 
@@ -216,7 +217,7 @@ def is_mds(G: list[list[int]], p: int) -> MdsResult:
     k x k minor vanishes."""
     k, n = len(G), len(G[0])
     if k > n:
-        raise ValueError("generator matrix must have k <= n")
+        raise InputError("generator matrix must have k <= n")
     dependent = _vanishing_minors(list(zip(*G)), k, p)
     if len(dependent) == comb(n, k):
         raise ValueError("generator matrix is rank-deficient mod p")
@@ -270,26 +271,27 @@ def determinant_suite(a, p: int) -> DeterminantSuite:
     if any determinant vanishes mod p or any of the certifying identities
     fails.
     """
+    cell = _cell(5, p)
     D, rhs = _expand(CycInt(5, a), p)  # row i: (coefficient of b, of b^2)
     pairs = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
     d_vals = tuple(_det2(*D[i], *D[j]) % p for i, j in pairs)
     n_vals = tuple(_det2(rhs[i], D[i][1], rhs[j], D[j][1]) % p for i, j in pairs)
     if any(v == 0 for v in d_vals) or any(v == 0 for v in n_vals):
-        raise IntegrityError(f"vanishing subsystem determinant mod {p} for a = {a}")
+        raise IntegrityError(f"{cell}: vanishing subsystem determinant mod {p} for a = {a}")
     b = n_vals[0] * pow(d_vals[0], -1, p) % p
     for i in range(6):
         if d_vals[i] * b % p != n_vals[i]:
-            raise IntegrityError(f"pair {i + 1} disagrees with b = {b} mod {p}")
+            raise IntegrityError(f"{cell}: pair {i + 1} disagrees with b = {b} mod {p}")
     if d_vals[2] != n_vals[1] or n_vals[4] != d_vals[1] or d_vals[5] != n_vals[0]:
-        raise IntegrityError("cross identities D3 = N2, N5 = D2, D6 = N1 failed")
+        raise IntegrityError(f"{cell}: cross identities D3 = N2, N5 = D2, D6 = N1 failed")
     try:
         sol = a_to_dickson(a, p, p)
     except ValueError:
-        raise IntegrityError("vector is not a valid order-5 solution image") from None
+        raise IntegrityError(f"{cell}: vector is not a valid order-5 solution image") from None
     lhs = 16 * n_vals[0] % p
     rhs_ab = 2 * pow(5, -1, p) * (sol.A - 10 * sol.B) % p
     if lhs != rhs_ab:
-        raise IntegrityError("identity 16 N_1 = (2/5)(A - 10B) mod p failed")
+        raise IntegrityError(f"{cell}: identity 16 N_1 = (2/5)(A - 10B) mod p failed")
     return DeterminantSuite(p, b, d_vals, n_vals)
 
 
@@ -313,10 +315,6 @@ def to_standard_form(
         + [int(c == r) for c in range(n - k)]
         for r in range(n - k)
     ]
-    for row in g_std:
-        for hrow in h:
-            if sum(x * y_ for x, y_ in zip(row, hrow)) % p:
-                raise IntegrityError("G_std * H^T != 0 mod p")
     return g_std, h
 
 
@@ -343,16 +341,20 @@ class LinearCode:
 def build_code(system: CongruenceSystem, field: FieldSpec | None = None) -> LinearCode:
     """The [l-1, (l-1)/2] code generated by D transposed.  Requires the MDS
     property; a dependent column subset raises IntegrityError carrying the
-    witness, which is exactly a conjectured-exceptional (p, generator) pair."""
+    witness, which is exactly a conjectured-exceptional (p, generator) pair.
+    G_std * H^T = 0 is checked mod p."""
     if field is not None and (field.p != system.p or field.l != system.l):
-        raise ValueError("field does not match the congruence system")
+        raise InputError("field does not match the congruence system")
+    cell = _cell(system.l, system.p, None if field is None else field.alpha)
     g = build_generator_matrix(system)
     result = is_mds(g, system.p)
     if not result.ok:
         raise IntegrityError(
-            f"dependent column subset {result.witness}: code is not MDS"
+            f"{cell}: dependent column subset {result.witness}: code is not MDS"
         )
     g_std, h = to_standard_form(g, system.p)
+    if any(sum(map(mul, row, hrow)) % system.p for row in g_std for hrow in h):
+        raise IntegrityError(f"{cell}: G_std * H^T != 0 mod p")
     n, k = system.n, system.k
     return LinearCode(
         n=n, k=k, d=n - k + 1, p=system.p,
@@ -372,7 +374,7 @@ def encode(code: LinearCode, message) -> list:
     subfield) or FieldElements of the code's extension field."""
     message = list(message)
     if len(message) != code.k:
-        raise ValueError(f"message length must be {code.k}")
+        raise InputError(f"message length must be {code.k}")
     return [
         _canon(sum(m * g for m, g in zip(message, col)), code.p)
         for col in zip(*code.G_std)
@@ -382,7 +384,7 @@ def encode(code: LinearCode, message) -> list:
 def syndrome(code: LinearCode, word) -> list:
     word = list(word)
     if len(word) != code.n:
-        raise ValueError(f"word length must be {code.n}")
+        raise InputError(f"word length must be {code.n}")
     return [
         _canon(sum(w * h for w, h in zip(word, hrow)), code.p)
         for hrow in code.H
@@ -398,7 +400,7 @@ def decode_single_error(code: LinearCode, word) -> tuple[list, list] | None:
     so the matching position is unique.  Requires d >= 3.
     """
     if code.d < 3:
-        raise ValueError(f"code has d = {code.d} < 3 and cannot correct errors")
+        raise InputError(f"code has d = {code.d} < 3 and cannot correct errors")
     word = list(word)
     s = syndrome(code, word)
     zero = _canon(0, code.p) if isinstance(word[0], int) else word[0] - word[0]

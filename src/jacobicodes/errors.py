@@ -27,8 +27,11 @@ class InputError(JacobiCodesError, ValueError):
     ValueError keep working; the CLI reports it as a usage error."""
 
 
-def _cell(l: int, p: int, alpha: int, generator=None) -> str:
-    """The (l, p, alpha[, generator]) cell an IntegrityError belongs to, as
-    the prefix of its message."""
-    cell = f"l = {l}, p = {p}, alpha = {alpha}"
+def _cell(l: int, p: int, alpha: int | None = None, generator=None) -> str:
+    """The (l, p[, alpha[, generator]]) cell an IntegrityError belongs to, as
+    the prefix of its message; alpha is left out where the caller works mod
+    p alone."""
+    cell = f"l = {l}, p = {p}"
+    if alpha is not None:
+        cell += f", alpha = {alpha}"
     return cell if generator is None else f"{cell}, generator {generator}"

@@ -10,7 +10,8 @@ from one run to the next.
 Each element also has one integer code, c_0 + c_1 p + ... +
 c_(alpha-1) p^(alpha-1), which for alpha = 1 is the residue itself.  A
 log table is a flat list indexed by that code, so the Jacobi sum can loop
-over integers 1..q-1 instead of element objects.
+over integers 1..q-1 instead of element objects.  It is walked on its
+first lookup: a caller that needs only the generator pays nothing O(q).
 
 For alpha > 1 the table is built one F_p*-line at a time.  With
 N = (q-1)/(p-1) and c = gamma^N, the norm of gamma, in F_p*,
@@ -459,29 +460,33 @@ def multiplicative_order(x: FieldElement) -> int:
     return order
 
 
-def find_primitive_element(spec: FieldSpec) -> FieldElement:
-    """The least element, in lexicographic order of coefficient tuples,
-    generating the multiplicative group.
+def _generates(x: FieldElement) -> bool:
+    """Whether x generates the multiplicative group: x^((q-1)/r) != 1 for
+    every prime r | q - 1.
 
     With c the norm x^((q-1)/(p-1)) of x, x^((q-1)/r) = c^((p-1)/r) for
     each prime r | p - 1, so those primes are tested in F_p; only the primes
-    of (q-1)/(p-1) alone take a power in F_q.  For alpha > 1 the elements of
-    F_p, whose order divides p - 1, are skipped."""
+    of (q-1)/(p-1) alone take a power in F_q."""
+    if not x:
+        return False
+    spec = x.spec
     p, n = spec.p, spec.q - 1
-    factors = _cached_prime_factors(n)
-    below = [r for r in factors if (p - 1) % r == 0]
-    above = [r for r in factors if (p - 1) % r]
-    one = spec.one
+    if spec.alpha == 1:
+        c = x.coeffs[0]
+    else:
+        c = _det(_mul_matrix(x.coeffs, spec.modulus, p), p)
+    factors, one = _cached_prime_factors(n), spec.one
+    return all(pow(c, (p - 1) // r, p) != 1 for r in factors if (p - 1) % r == 0) and all(
+        x ** (n // r) != one for r in factors if (p - 1) % r
+    )
+
+
+def find_primitive_element(spec: FieldSpec) -> FieldElement:
+    """The least element, in lexicographic order of coefficient tuples,
+    generating the multiplicative group (see ``_generates``).  For
+    alpha > 1 the elements of F_p, whose order divides p - 1, are skipped."""
     for x in spec.elements():
-        if not x or (spec.alpha > 1 and not any(x.coeffs[1:])):
-            continue
-        if spec.alpha == 1:
-            c = x.coeffs[0]
-        else:
-            c = _det(_mul_matrix(x.coeffs, spec.modulus, p), p)
-        if all(pow(c, (p - 1) // r, p) != 1 for r in below) and all(
-            x ** (n // r) != one for r in above
-        ):
+        if (spec.alpha == 1 or any(x.coeffs[1:])) and _generates(x):
             return x
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
@@ -498,14 +503,25 @@ def _code(coeffs, p: int) -> int:
 class LogTable:
     """Discrete logarithms to a fixed generator, as one flat list indexed by
     element code: logs[code] is the log of the element with that code, and
-    slot 0 (the zero element) is unused."""
+    slot 0 (the zero element) is unused.
 
-    __slots__ = ("spec", "generator", "logs")
+    A table made with logs = None walks the powers of its generator on the
+    first read of ``logs`` (by ``log``, ``character_exponent`` or the Jacobi
+    histogram) and keeps the list; until then it holds no O(q) data.  The
+    generator must generate F_q*, as ``build_log_table`` checks."""
 
-    def __init__(self, spec: FieldSpec, generator: FieldElement, logs: list[int]):
+    __slots__ = ("spec", "generator", "_logs")
+
+    def __init__(self, spec: FieldSpec, generator: FieldElement, logs: list[int] | None):
         self.spec = spec
         self.generator = generator
-        self.logs = logs
+        self._logs = logs
+
+    @property
+    def logs(self) -> list[int]:
+        if self._logs is None:
+            self._logs = _walk(self.spec, self.generator)
+        return self._logs
 
     def log(self, x: FieldElement) -> int:
         if not isinstance(x, FieldElement) or x.spec != self.spec:
@@ -515,7 +531,7 @@ class LogTable:
         return self.logs[_code(x.coeffs, self.spec.p)]
 
     def __len__(self) -> int:
-        return len(self.logs) - 1
+        return self.spec.q - 1
 
 
 def build_log_table(
@@ -523,49 +539,49 @@ def build_log_table(
     generator: FieldElement | None = None,
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> LogTable:
-    """Tabulate log_generator(x) for every nonzero x: by successive
-    multiplication of residues for alpha = 1, one F_p*-line at a time
-    otherwise (see ``_fill_lines``).  Raises BudgetError if the table would
-    exceed budget entries; raises ValueError if the element provided is not
-    a generator."""
+    """The log table of generator, the canonical one by default, walked on
+    its first lookup (see ``LogTable``).  Raises BudgetError if the table
+    would exceed budget entries, and InputError if the element provided
+    belongs to another field or does not generate F_q*; the generator is
+    tested on the prime factors of q - 1 (see ``_generates``), so none of
+    this walks the field."""
     if generator is None:
         generator = find_primitive_element(spec)
     if generator.spec != spec:
-        raise ValueError("generator belongs to a different field")
-    n = spec.q - 1
-    if n > budget:
-        raise BudgetError(f"log table needs {n} entries, budget is {budget}")
+        raise InputError("generator belongs to a different field")
+    if spec.q - 1 > budget:
+        raise BudgetError(f"log table needs {spec.q - 1} entries, budget is {budget}")
+    if not _generates(generator):
+        raise InputError(f"{generator} does not generate the multiplicative group")
+    return LogTable(spec, generator, None)
+
+
+def _walk(spec: FieldSpec, generator: FieldElement) -> list[int]:
+    """logs[code(g^e)] = e for 0 <= e < q - 1: by successive multiplication
+    of residues for alpha = 1, one F_p*-line at a time otherwise (see
+    ``_fill_lines``).  g must generate F_q*."""
     p = spec.p
-    logs = [0] * (n + 1)
+    logs = [0] * spec.q
     if spec.alpha == 1:
         g = generator.coeffs[0]
         x = 1
-        for m in range(n):
+        for m in range(p - 1):
             logs[x] = m
             x = x * g % p
-        # x = g^n is 1 unless g = 0
-        generates = x == 1
     else:
-        generates = _fill_lines(logs, generator.coeffs, spec.modulus, p)
-    # g has order n unless an earlier power was 1, which left a later
-    # exponent in logs[1]; for alpha > 1, unless some g^m with 0 < m < N lies
-    # in F_p*, whose line then holds 1
-    if not generates or logs[1] != 0:
-        raise ValueError(f"{generator} does not generate the multiplicative group")
-    return LogTable(spec, generator, logs)
+        _fill_lines(logs, generator.coeffs, spec.modulus, p)
+    return logs
 
 
-def _fill_lines(logs: list[int], g, modulus: tuple[int, ...], p: int) -> bool:
-    """Fill logs[code(g^e)] = e for 0 <= e < q - 1, alpha > 1, or return
-    False, with logs untouched, when the norm c = g^N of g, N = (q-1)/(p-1),
-    does not generate F_p*.
+def _fill_lines(logs: list[int], g, modulus: tuple[int, ...], p: int) -> None:
+    """Fill logs[code(g^e)] = e for 0 <= e < q - 1, alpha > 1, g a
+    generator of F_q*.
 
+    With N = (q-1)/(p-1) and c = g^N the norm of g, which generates F_p*,
     g^(m + N k) = c^k g^m, so the N walked powers y = g^m fix every entry:
     digit i of c^k y is powc[(plog[y_i] + k) % (p - 1)], with powc[k] = c^k
     and plog its inverse, a slice of powc doubled.  The p - 1 codes of a line
-    are a sum of such slices, one per nonzero digit.  Whether g generates
-    F_q* also needs every g^m, 0 < m < N, outside F_p; the caller reads that
-    off logs[1].
+    are a sum of such slices, one per nonzero digit.
     """
     n, alpha = len(logs) - 1, len(modulus) - 1
     N = n // (p - 1)
@@ -574,8 +590,6 @@ def _fill_lines(logs: list[int], g, modulus: tuple[int, ...], p: int) -> bool:
     powc = [1] * (p - 1)
     for k in range(1, p - 1):
         powc[k] = powc[k - 1] * c % p
-    if sorted(powc) != list(range(1, p)):
-        return False
     plog = [0] * p
     for k, v in enumerate(powc):
         plog[v] = k
@@ -589,7 +603,6 @@ def _fill_lines(logs: list[int], g, modulus: tuple[int, ...], p: int) -> bool:
                 codes = part if codes is None else map(add, codes, part)
         any(map(logs.__setitem__, codes, range(m, n, N)))
         y = _matvec(rows, y, p)
-    return True
 
 
 def character_exponent(table: LogTable, v: FieldElement, l: int | None = None) -> int:

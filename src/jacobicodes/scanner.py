@@ -128,8 +128,9 @@ def scan(
 ) -> list[ScanRecord]:
     """Scan primes p in [p_min, p_max] with p = 1 mod l.
 
-    For each prime, the canonical generator gamma, its log table, the
-    Jacobi sum J and the root b = gamma^((q-1)/l) are computed once.  Other
+    For each prime, the canonical generator gamma, its log table (walked
+    only where J needs the histogram, see ``jacobi_sum``), the Jacobi sum J
+    and the root b = gamma^((q-1)/l) are computed once.  Other
     generators are powers gamma^t with gcd(t, q-1) = 1 (policy "all") or
     just gamma itself (policy "first").  The sum for gamma^t is the Galois
     conjugate sigma_(t^-1 mod l)(J) and its root is b^t, so the congruence

@@ -6,6 +6,7 @@ import pytest
 
 import jacobicodes.cli as cli
 import jacobicodes.diophantine as diophantine
+import jacobicodes.fields as fields
 from jacobicodes import (
     FieldSpec,
     InputError,
@@ -290,3 +291,38 @@ def test_internal_value_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-example")
     assert code == 1
     assert err == "internal error: leading k x k block is singular mod p\n"
+
+
+CODE_BUILD_1000151 = """\
+[4, 2, 3] code over F_1000151 (generator 11, b = 771729)
+D =
+( 1000124      685 )
+(  999005   999690 )
+(     107   999824 )
+(  999439      107 )
+G =
+( 1000124   999005      107   999439 )
+(     685   999690   999824      107 )
+G_std =
+(      1       0  771730  681216 )
+(      0       1  495857  814792 )
+H =
+( 228421  504294       1       0 )
+( 318935  185359       0       1 )
+(A1, A2, A3, A4) = (228421, 318935, 504294, 185359)
+"""
+
+JACOBI_9999991 = """\
+J(1,1) over F_9999991 with generator 22:
+  1092ζ + 1023ζ² + 1854ζ³ + 3790ζ⁴
+  coefficients: [1092, 1023, 1854, 3790]
+"""
+
+
+def test_l5_commands_never_walk_the_log_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("J for l = 5 needs only the table's generator")
+
+    monkeypatch.setattr(fields, "_walk", refuse)
+    assert run(capsys, "jacobi", "--p", "9999991", "--l", "5") == (0, JACOBI_9999991, "")
+    assert run(capsys, "code", "build", "--p", "1000151", "--l", "5") == (0, CODE_BUILD_1000151, "")

@@ -8,7 +8,9 @@ import pytest
 from jacobicodes import (
     CongruenceSystem,
     CycInt,
+    DicksonSolution,
     FieldSpec,
+    InputError,
     IntegrityError,
     build_code,
     build_congruence_system,
@@ -345,3 +347,50 @@ def test_extension_field_code_round_trip():
     assert codeword == word
     assert error[2] == spec.element([5, 1])
     assert min_distance(code) == 3  # exhaustive over 11^2 messages
+
+
+def test_caller_input_is_an_input_error(p61, p7):
+    code = p61["code"]
+    bad_inputs = (
+        (lambda: encode(code, [1, 2, 3]), "^message length must be 2$"),
+        (lambda: syndrome(code, [1, 2, 3]), "^word length must be 4$"),
+        (lambda: decode_single_error(p7["code"], [1, 2]), "^code has d = 2 < 3 "),
+        (lambda: build_code(p61["system"], FieldSpec(p=11, l=5)),
+         "^field does not match the congruence system$"),
+        (lambda: is_mds([[1], [0], [2]], 61), "^generator matrix must have k <= n$"),
+    )
+    for call, message in bad_inputs:
+        with pytest.raises(InputError, match=message):
+            call()
+
+
+def test_integrity_errors_name_their_cell(p61, monkeypatch):
+    cell = "l = 5, p = 61"
+    with pytest.raises(IntegrityError, match=rf"^{cell}: congruence row 1 does not vanish at b = 20"):
+        build_congruence_system(p61["J"].value, 61, pow(9, 2, 61))
+    with pytest.raises(IntegrityError, match=rf"^{cell}: vanishing subsystem determinant"):
+        determinant_suite((1, 1, 1, 1), 61)
+    with pytest.raises(IntegrityError, match=rf"^{cell}: pair 2 disagrees with b = "):
+        determinant_suite((-3, -3, -2, 2), 61)
+
+    # a solution whose A and B break 16 N_1 = (2/5)(A - 10B)
+    monkeypatch.setattr(codes_module, "a_to_dickson",
+                        lambda a, q, p: DicksonSolution(1, 0, 0, 0, q, p))
+    with pytest.raises(IntegrityError, match=rf"^{cell}: identity 16 N_1 = "):
+        determinant_suite(p61["J"].coeffs, 61)
+
+    # a dependent column subset, over F_11 and over F_(11^2)
+    system = CongruenceSystem(l=5, p=11, b=1, D=((1, 0), (0, 1), (1, 1), (2, 0)), rhs=(0,) * 4)
+    for field, prefix in ((None, "l = 5, p = 11"), (FieldSpec(p=11, l=5, alpha=2),
+                                                    "l = 5, p = 11, alpha = 2")):
+        with pytest.raises(IntegrityError, match=rf"^{prefix}: dependent column subset \(1, 4\)"):
+            build_code(system, field)
+
+    def wrong_parity(G, p):
+        g_std, h = to_standard(G, p)
+        return g_std, [[c + 1 for c in row] for row in h]
+
+    to_standard = codes_module.to_standard_form
+    monkeypatch.setattr(codes_module, "to_standard_form", wrong_parity)
+    with pytest.raises(IntegrityError, match=rf"^{cell}, alpha = 1: G_std \* H\^T != 0 mod p$"):
+        build_code(p61["system"], p61["spec"])

@@ -9,6 +9,7 @@ import jacobicodes.fields as fields
 from jacobicodes import (
     BudgetError,
     FieldSpec,
+    InputError,
     build_log_table,
     character_exponent,
     find_irreducible_poly,
@@ -217,7 +218,7 @@ def test_log_table_rejects_non_generators():
         spec = FieldSpec(p=p, l=l, alpha=alpha)
         gamma = find_primitive_element(spec)
         for x in (spec.zero, spec.one, gamma**2, gamma**l):
-            with pytest.raises(ValueError, match="does not generate"):
+            with pytest.raises(InputError, match="does not generate"):
                 build_log_table(spec, x)
 
 
@@ -240,7 +241,7 @@ def test_log_table_rejects_generators_of_the_norm_alone():
     for x in (spec.zero, spec.one, spec.element(2), gamma**7, gamma**19):
         if x and x != spec.one:
             assert multiplicative_order(x ** 133) == 10
-        with pytest.raises(ValueError, match="does not generate"):
+        with pytest.raises(InputError, match="does not generate"):
             build_log_table(spec, x)
 
 
@@ -260,8 +261,28 @@ def test_log_table_multiplies_once_per_line(monkeypatch, p, l, alpha):
 
     for name in ("_matvec", "_poly_mulmod"):
         monkeypatch.setattr(fields, name, spy(getattr(fields, name)))
-    assert len(build_log_table(spec, gamma)) == spec.q - 1
+    table = build_log_table(spec, gamma)
+    # the generator check takes at most one power in F_q, at most two
+    # multiplications per bit, for each prime of q - 1 not dividing p - 1
+    above = [r for r in prime_factors(spec.q - 1) if (p - 1) % r]
+    assert len(steps) <= 2 * spec.q.bit_length() * len(above)
+    assert len(steps) < lines
+    steps.clear()
+    assert len(table.logs) == spec.q
     assert len(steps) >= lines - 1
+
+
+@pytest.mark.parametrize("p, l, alpha", [(61, 5, 1), (7, 3, 2), (11, 5, 3), (7, 3, 4)])
+def test_generator_check_is_the_order(p, l, alpha):
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    for x in spec.elements():
+        assert fields._generates(x) == bool(x and multiplicative_order(x) == spec.q - 1), x
+
+
+def test_log_table_rejects_a_foreign_generator():
+    spec = FieldSpec(p=7, l=3, alpha=2)
+    with pytest.raises(InputError, match="^generator belongs to a different field$"):
+        build_log_table(spec, FieldSpec(p=7, l=3).element(3))
 
 
 def test_primitive_element_is_the_least_generator():

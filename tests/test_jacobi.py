@@ -4,12 +4,16 @@ roots b^k) against the histogram it bypasses, and the cell named by every
 IntegrityError."""
 
 import cmath
+import importlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import jacobicodes
 import jacobicodes.cyclotomic as cyclotomic
 import jacobicodes.diophantine as diophantine
+import jacobicodes.fields as fields
 import jacobicodes.jacobi as jacobi
 from jacobicodes import (
     CycInt,
@@ -297,6 +301,53 @@ def test_jacobi_sum_reads_no_log(p, alpha):
     blind = LogTable(spec, table.generator, RefusingLogs(table.logs))
     for i, j in ((1, 1), (1, 2), (3, 4), (1, 4)):
         assert jacobi_sum(blind, i, j).value == _histogram(table, i, j)
+
+
+def ladder_workload(monkeypatch):
+    """The benchmark's workloads module, which lists the ``ladder`` fields."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    return importlib.import_module("workloads")
+
+
+def test_l3_and_l5_tables_are_never_walked(monkeypatch):
+    wl = ladder_workload(monkeypatch)
+    # every field a ladder seed can draw, and a prime past 10^6
+    cases = {(61, 5, 1), *wl.EXTENSION_FIELDS, (9999991, 5, 1)} | {
+        (p, l, 1) for low in wl.PRIME_BANDS for l in (3, 5) for p in wl.band_primes(low, l)
+    }
+    monkeypatch.setattr(fields, "_walk", refuse)
+    for p, l, alpha in sorted(cases):
+        table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
+        assert len(table) == p**alpha - 1
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, l - 1), (l - 1, l - 1)):
+            J = jacobi_sum(table, i, j)
+            assert J.order_pair == (i, j) and J.generator == table.generator
+    # the whole pipeline of one seed, against the benchmark's own oracles
+    ladder = wl.Ladder.from_seed(1)
+    ladder.setup(jacobicodes)
+    for key, op in ladder.ops():
+        assert ladder.check(key, ladder.plain(key, op())) == [], key
+
+
+def test_a_table_is_walked_once_on_first_lookup(monkeypatch):
+    walks = []
+
+    def counted(spec, generator):
+        walks.append(spec)
+        return walk(spec, generator)
+
+    walk = fields._walk
+    monkeypatch.setattr(fields, "_walk", counted)
+    spec = FieldSpec(p=79, l=13)
+    table = build_log_table(spec)
+    assert (len(table), walks) == (78, [])
+    g = table.generator
+    for k in (0, 1, 5, 77, 1, 0):
+        assert table.log(g**k) == k
+    assert len(walks) == 1
+    for i, j in ((1, 1), (2, 5), (6, 7), (12, 12)):
+        assert jacobi_sum(table, i, j).value == _histogram(table, i, j)
+    assert (len(table), len(table.logs), walks) == (78, 79, [spec])
 
 
 def _fail_vi(verify):
