@@ -6,16 +6,22 @@ divisible by p.  Expanding the product with an indeterminate t in place of
 b gives, coordinate by coordinate in the zeta-power basis, a system of
 l - 1 polynomial congruences in t of degree (l-1)/2 that all vanish at
 t = b.  The matrix D of their non-constant coefficients is the transpose
-of a generator matrix for an MDS code when every maximal row minor of D is
-nonzero mod p, which is conjectured to fail for at most finitely many
+of a generator matrix G for an MDS code when every maximal row minor of D
+is nonzero mod p, which is conjectured to fail for at most finitely many
 primes for each l.
+
+That test runs on the systematic form.  One Gauss-Jordan reduction of the
+k x n matrix G gives its rank and, at full rank, [I | P] up to the order of
+the columns; a k-column subset of G is dependent exactly when a square
+minor of P vanishes (MacWilliams-Sloane, The Theory of Error-Correcting
+Codes, ch. 11), and a rank below k makes every subset dependent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
-from math import comb
 from operator import mul
 
 import random
@@ -46,27 +52,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Small exact linear algebra mod a prime.
-
-
-def _det_mod(rows: list[list[int]], p: int) -> int:
-    m = [[c % p for c in row] for row in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv % p
-                for c in range(col, n):
-                    m[r][c] = (m[r][c] - factor * m[col][c]) % p
-    return det % p
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -117,6 +102,19 @@ class CongruenceSystem:
         return (self.l - 1) // 2
 
 
+@lru_cache(maxsize=16)
+def _root_product(l: int) -> tuple[CycInt, ...]:
+    """The coefficients of prod_(k=1..(l-1)/2) (t - zeta^(1/k)) in Z[zeta],
+    of t^0 first.  The product does not depend on J, so it is kept per l."""
+    poly = [CycInt.from_int(l, 1)]
+    for k in range(1, (l - 1) // 2 + 1):
+        root = CycInt.zeta(l, pow(k, -1, l))
+        shifted = [CycInt.zero(l)] + poly
+        scaled = [c * root for c in poly] + [CycInt.zero(l)]
+        poly = [s - t for s, t in zip(shifted, scaled)]
+    return tuple(poly)
+
+
 def _expand(J: CycInt, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Expand conj(J) * prod_(k=1..(l-1)/2) (t - zeta^(1/k)) into a
     polynomial in t with coefficients in Z[zeta], and read off one congruence
@@ -126,19 +124,10 @@ def _expand(J: CycInt, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
     t^j, is sum_j C_j[i] * t^j = -C_0[i]: D holds C_1..C_((l-1)/2) and rhs
     holds -C_0.
     """
-    l = J.l
-    half = (l - 1) // 2
-    poly = [J.conjugate(-1)]  # coefficients of t^0, t^1, ... as CycInt
-    for k in range(1, half + 1):
-        root = CycInt.zeta(l, pow(k, -1, l))
-        shifted = [CycInt.zero(l)] + poly
-        scaled = [c * root for c in poly] + [CycInt.zero(l)]
-        poly = [s - t for s, t in zip(shifted, scaled)]
-    D = tuple(
-        tuple(poly[j].coeffs[i] % p for j in range(1, half + 1))
-        for i in range(l - 1)
-    )
-    rhs = tuple(-poly[0].coeffs[i] % p for i in range(l - 1))
+    conj = J.conjugate(-1)
+    poly = [conj * e for e in _root_product(J.l)]
+    D = tuple(zip(*(tuple(c % p for c in C.coeffs) for C in poly[1:])))
+    rhs = tuple(-c % p for c in poly[0].coeffs)
     return D, rhs
 
 
@@ -166,42 +155,102 @@ def build_generator_matrix(system: CongruenceSystem) -> list[list[int]]:
     ]
 
 
-def _vanishing_minors(rows, k: int, p: int) -> list[tuple[int, ...]]:
-    """All k-element subsets of rows whose k x k minor on the first k
-    columns vanishes mod p, as 1-based index tuples in lexicographic order.
+@lru_cache(maxsize=4)
+def _laplace_schedule(k: int, w: int) -> tuple[tuple, tuple]:
+    """The order in which ``_square_minors`` grows the minors of any k x w
+    matrix, kept for the last few shapes.
 
-    Minors grow one column at a time by Laplace expansion along the new
-    column, so each smaller minor is computed once and shared by every row
-    subset that extends it.  A row subset is keyed by its bitmask, so the
-    subset without row r is mask ^ (1 << r).  Integer-exact; rank-deficient
-    rows need no special case.
+    rows[m] holds one entry per m-row mask R: R, then the pairs
+    (r, R without r) for the rows r of R whose cofactor sign
+    (-1)^(i + m - 1) is +1 (i the position of r in R), then those whose
+    sign is -1.  cols[m] holds one entry per m-column mask C: C << k, its
+    last column c, and (C without c) << k.  That is k * 2^(k-1) pairs and
+    one triple per column mask, not one object per Laplace term."""
+    rows: list[list] = [[] for _ in range(k + 1)]
+    for R in range(1, 1 << k):
+        terms = [(r, R ^ (1 << r)) for r in range(k) if R >> r & 1]
+        first, second = tuple(terms[0::2]), tuple(terms[1::2])
+        rows[len(terms)].append((R, first, second) if len(terms) % 2 else (R, second, first))
+    cols: list[list] = [[] for _ in range(w + 1)]
+    for C in range(1, 1 << w):
+        c = C.bit_length() - 1
+        cols[C.bit_count()].append((C << k, c, (C ^ (1 << c)) << k))
+    return tuple(map(tuple, rows)), tuple(map(tuple, cols))
+
+
+def _square_minors(P: list[list[int]], p: int) -> list[int]:
+    """Every square minor of the k x w matrix P mod p, at index C << k | R
+    for row mask R and column mask C of equal size (the empty minor, 1, at
+    index 0); the other slots hold -1.
+
+    Each m x m minor is expanded along its last column c into the
+    (m-1) x (m-1) minors on C without c, computed once for all the larger
+    minors that share them: about k * C(k + w - 1, k - 1) products in all.
     """
-    n = len(rows)
-    bits = [1 << r for r in range(n)]
-    minors = {bit: row[0] % p for bit, row in zip(bits, rows)}
-    for col in range(1, k):
-        column = {bit: row[col] for bit, row in zip(bits, rows)}
-        grown = {}
-        for subset in combinations(bits, col + 1):
-            mask = sum(subset)
-            total, sign = 0, (-1) ** col  # cofactor sign of the top row
-            for bit in subset:
-                total += sign * column[bit] * minors[mask ^ bit]
-                sign = -sign
-            grown[mask] = total % p
-        minors = grown
-    return [
-        tuple(r + 1 for r in range(n) if mask >> r & 1)
-        for mask, minor in minors.items()
-        if not minor
-    ]
+    k, w = len(P), len(P[0])
+    rows, cols = _laplace_schedule(k, w)
+    columns = [list(col) for col in zip(*P)]
+    minors = [-1] * (1 << (k + w))
+    minors[0] = 1
+    for m in range(1, min(k, w) + 1):
+        for base, c, below in cols[m]:
+            column = columns[c]
+            for R, plus, minus in rows[m]:
+                total = 0
+                for r, smaller in plus:
+                    total += column[r] * minors[below | smaller]
+                for r, smaller in minus:
+                    total -= column[r] * minors[below | smaller]
+                minors[base | R] = total % p
+    return minors
+
+
+def _dependent_columns(
+    reduced: list[list[int]], pivots: list[int], p: int
+) -> list[tuple[int, ...]]:
+    """Every k-column subset of a k x n matrix that is dependent mod p, as
+    1-based index tuples in lexicographic order, given the matrix's reduced
+    row echelon form and pivot columns (see ``_rref``).
+
+    At rank below k every subset is dependent, with no minor computed.  At
+    full rank, let P be the k x (n-k) block of the free (non-pivot) columns.
+    Eliminating the unit columns a subset S picks among the pivots leaves
+    the minor of P on the pivot rows missing from S and the free columns in
+    S, so S is dependent iff that minor vanishes; the pivots need not be
+    the first k columns.
+    """
+    k, n = len(reduced), len(reduced[0])
+    if len(pivots) < k:
+        return list(combinations(range(1, n + 1), k))
+    free = [c for c in range(n) if c not in pivots]
+    minors = _square_minors([[row[c] for c in free] for row in reduced], p)
+    dependent = []
+    index = 0
+    while True:
+        try:
+            index = minors.index(0, index + 1)
+        except ValueError:
+            break
+        C, R = index >> k, index & ((1 << k) - 1)
+        dependent.append(tuple(sorted(
+            [pivots[r] + 1 for r in range(k) if not R >> r & 1]
+            + [free[j] + 1 for j in range(len(free)) if C >> j & 1]
+        )))
+    dependent.sort()
+    return dependent
 
 
 def check_row_subsets(system: CongruenceSystem) -> list[tuple[int, ...]]:
     """All k-element row subsets of D whose square minor vanishes mod p,
-    as 1-based index tuples.  Empty means every subset is independent, the
-    MDS case."""
-    return _vanishing_minors(system.D, system.k, system.p)
+    as 1-based index tuples in lexicographic order.  Empty means every
+    subset is independent, the MDS case.
+
+    The rows of D are the columns of G = D^T, so one reduction of G decides
+    them all: a rank below k makes every subset dependent, and at full rank
+    only the square minors of G's systematic block are computed (see
+    ``_dependent_columns``)."""
+    reduced, pivots = _rref(build_generator_matrix(system), system.p)
+    return _dependent_columns(reduced, pivots, system.p)
 
 
 @dataclass(frozen=True)
@@ -213,14 +262,15 @@ class MdsResult:
 def is_mds(G: list[list[int]], p: int) -> MdsResult:
     """Whether every k columns of the k x n matrix G are independent mod p.
     Returns the first dependent column subset (1-based) as witness when not.
-    Rank-deficient G is rejected outright: rank G < k exactly when every
-    k x k minor vanishes."""
+    Rank-deficient G is rejected outright with ValueError: rank G < k
+    exactly when every k x k minor vanishes."""
     k, n = len(G), len(G[0])
     if k > n:
         raise InputError("generator matrix must have k <= n")
-    dependent = _vanishing_minors(list(zip(*G)), k, p)
-    if len(dependent) == comb(n, k):
+    reduced, pivots = _rref(G, p)
+    if len(pivots) < k:
         raise ValueError("generator matrix is rank-deficient mod p")
+    dependent = _dependent_columns(reduced, pivots, p)
     if dependent:
         return MdsResult(False, dependent[0])
     return MdsResult(True, None)
@@ -299,6 +349,16 @@ def determinant_suite(a, p: int) -> DeterminantSuite:
 # Standard form, encoding, decoding.
 
 
+def _parity_check(g_std: list[list[int]], p: int) -> list[list[int]]:
+    """H = [-P^T | I_(n-k)] for a systematic G_std = [I_k | P]."""
+    k, n = len(g_std), len(g_std[0])
+    return [
+        [-g_std[i][k + r] % p for i in range(k)]
+        + [int(c == r) for c in range(n - k)]
+        for r in range(n - k)
+    ]
+
+
 def to_standard_form(
     G: list[list[int]], p: int
 ) -> tuple[list[list[int]], list[list[int]]]:
@@ -306,16 +366,10 @@ def to_standard_form(
     k x k block, and H = [-P^T | I_(n-k)].  G_std is the reduced row echelon
     form of G, which is [I_k | Y^(-1) Z] exactly when Y is invertible.
     Raises ValueError when Y is singular mod p."""
-    k, n = len(G), len(G[0])
     g_std, pivots = _rref(G, p)
-    if pivots != list(range(k)):
+    if pivots != list(range(len(G))):
         raise ValueError("leading k x k block is singular mod p")
-    h = [
-        [-g_std[i][k + r] % p for i in range(k)]
-        + [int(c == r) for c in range(n - k)]
-        for r in range(n - k)
-    ]
-    return g_std, h
+    return g_std, _parity_check(g_std, p)
 
 
 @dataclass(frozen=True)
@@ -340,24 +394,31 @@ class LinearCode:
 
 def build_code(system: CongruenceSystem, field: FieldSpec | None = None) -> LinearCode:
     """The [l-1, (l-1)/2] code generated by D transposed.  Requires the MDS
-    property; a dependent column subset raises IntegrityError carrying the
-    witness, which is exactly a conjectured-exceptional (p, generator) pair.
-    G_std * H^T = 0 is checked mod p."""
+    property: a rank below k, or a dependent column subset, raises
+    IntegrityError naming the cell and the rank or the witness, since either
+    is exactly a conjectured-exceptional (p, generator) pair.  G is reduced
+    once; its reduced form is G_std, whose pivots are the first k columns
+    once every k columns are independent.  G_std * H^T = 0 is checked mod p."""
     if field is not None and (field.p != system.p or field.l != system.l):
         raise InputError("field does not match the congruence system")
     cell = _cell(system.l, system.p, None if field is None else field.alpha)
+    n, k, p = system.n, system.k, system.p
     g = build_generator_matrix(system)
-    result = is_mds(g, system.p)
-    if not result.ok:
+    g_std, pivots = _rref(g, p)
+    if len(pivots) < k:
         raise IntegrityError(
-            f"{cell}: dependent column subset {result.witness}: code is not MDS"
+            f"{cell}: generator matrix has rank {len(pivots)} < k = {k} mod p: code is not MDS"
         )
-    g_std, h = to_standard_form(g, system.p)
-    if any(sum(map(mul, row, hrow)) % system.p for row in g_std for hrow in h):
+    dependent = _dependent_columns(g_std, pivots, p)
+    if dependent:
+        raise IntegrityError(
+            f"{cell}: dependent column subset {dependent[0]}: code is not MDS"
+        )
+    h = _parity_check(g_std, p)
+    if any(sum(map(mul, row, hrow)) % p for row in g_std for hrow in h):
         raise IntegrityError(f"{cell}: G_std * H^T != 0 mod p")
-    n, k = system.n, system.k
     return LinearCode(
-        n=n, k=k, d=n - k + 1, p=system.p,
+        n=n, k=k, d=n - k + 1, p=p,
         G=tuple(tuple(r) for r in g),
         G_std=tuple(tuple(r) for r in g_std),
         H=tuple(tuple(r) for r in h),

@@ -507,12 +507,15 @@ class LogTable:
 
     A table made with logs = None walks the powers of its generator on the
     first read of ``logs`` (by ``log``, ``character_exponent`` or the Jacobi
-    histogram) and keeps the list; until then it holds no O(q) data.  The
-    generator must generate F_q*, as ``build_log_table`` checks."""
+    histogram) and keeps the list; until then it holds no O(q) data.  Such
+    a table checks its generator on the prime factors of q - 1 (see
+    ``_generates``) and raises InputError if it does not generate F_q*."""
 
     __slots__ = ("spec", "generator", "_logs")
 
     def __init__(self, spec: FieldSpec, generator: FieldElement, logs: list[int] | None):
+        if logs is None and not _generates(generator):
+            raise InputError(f"{generator} does not generate the multiplicative group")
         self.spec = spec
         self.generator = generator
         self._logs = logs
@@ -551,8 +554,6 @@ def build_log_table(
         raise InputError("generator belongs to a different field")
     if spec.q - 1 > budget:
         raise BudgetError(f"log table needs {spec.q - 1} entries, budget is {budget}")
-    if not _generates(generator):
-        raise InputError(f"{generator} does not generate the multiplicative group")
     return LogTable(spec, generator, None)
 
 

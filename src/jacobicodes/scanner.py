@@ -58,7 +58,10 @@ class ScanRecord:
     Generators gamma^t in one Galois class t mod l share one row-subset
     check, so elapsed_ms is paid by the first computed cell of each class
     (that cell also pays for the prime's log table and Jacobi sum); later
-    cells of the class record only their own bookkeeping, usually 0.
+    cells of the class record only their own bookkeeping, usually 0.  A
+    class whose mirror class l - t mod l was checked first takes the
+    mirror's verdict with its rows mapped r -> l - r, so its first cell
+    also reads about 0.
     """
 
     l: int
@@ -117,6 +120,38 @@ def _generator_powers(q: int, policy: str) -> list[int]:
     raise InputError(f"unknown generator policy {policy!r}")
 
 
+def _mirror(dependent, l: int) -> tuple[tuple[int, ...], ...]:
+    """The dependent row subsets of class l - c, given those of class c:
+    every row index r mapped to l - r, in lexicographic order again.
+
+    Why it holds.  Let H be class c's Jacobi sum, h = (l-1)/2, E_j the
+    coefficient of t^j in E(t) = prod_(k=1..h) (t - zeta^(1/k)), and
+    C_j = conj(H) * E_j mod p, so that class c's columns are C_1..C_h and
+    its root b satisfies sum_j b^j C_j = 0 mod p.  Class l - c has the sum
+    conj(H) and the root b^-1.  A row subset is dependent iff the columns,
+    restricted to its rows, span less than h dimensions, so the verdict
+    depends only on the column space in (Z[zeta]/p) = F_p^(l-1).
+
+    - sigma_-1 (zeta -> zeta^-1) permutes the zero-constant coordinates,
+      zeta^r -> zeta^(l-r).
+    - Under sigma_-1, class l - c's polynomial H * E(t) becomes
+      conj(H) * prod_k (t - zeta^(-1/k)) = u * conj(H) * t^h E(1/t), with u
+      the unit prod_k (-zeta^(-1/k)) = +-zeta^e, so its columns are
+      u * C_(h-1), ..., u * C_0.  Since b != 0, the root relation puts C_0
+      in span(C_1..C_h) and C_h in span(C_0..C_(h-1)), so both spans are
+      one space V, and the two classes have the same rank.
+    - At full rank h, V lies in the ideal (conj(H), p)/p.  p splits into
+      the l - 1 primes (p, zeta - b^m), Z[zeta]/p is the product of their
+      residue fields, and by Stickelberger conj(H) lies in exactly h of
+      them, so that ideal is the product of the other l - 1 - h = h
+      fields, of dimension h, and equals V.  An ideal is
+      zeta-stable, so u * V = V: the two column spaces agree after
+      r -> l - r, and so do the dependent subsets.
+    - At a lower rank, every subset is dependent in both classes.
+    """
+    return tuple(sorted(tuple(sorted(l - r for r in s)) for s in dependent))
+
+
 def scan(
     l: int,
     p_min: int,
@@ -135,7 +170,10 @@ def scan(
     just gamma itself (policy "first").  The sum for gamma^t is the Galois
     conjugate sigma_(t^-1 mod l)(J) and its root is b^t, so the congruence
     system and its verdict depend only on the class t mod l: the row-subset
-    check runs once per class and later generators of a class reuse it.
+    check runs once per class and later generators of a class reuse it.  A
+    class c whose mirror class l - c already has a verdict takes that
+    verdict with every row r mapped to l - r (see ``_mirror``), so with
+    policy "all" about half the classes are checked.
 
     Cells that would exceed ``table_budget`` log-table entries, or that
     start after ``deadline_s`` seconds of wall-clock time, are emitted with
@@ -180,10 +218,13 @@ def scan(
                 b = subfield_residue(table.generator ** ((q - 1) // l))
             c = t % l
             if c not in verdicts:
-                system = build_congruence_system(
-                    J.conjugate(pow(t, -1, l)), p, pow(b, t, p)
-                )
-                verdicts[c] = tuple(check_row_subsets(system))
+                if l - c in verdicts:
+                    verdicts[c] = _mirror(verdicts[l - c], l)
+                else:
+                    system = build_congruence_system(
+                        J.conjugate(pow(t, -1, l)), p, pow(b, t, p)
+                    )
+                    verdicts[c] = tuple(check_row_subsets(system))
             dependent = verdicts[c]
             elapsed_ms = int((time.monotonic() - cell_start) * 1000)
             records.append(

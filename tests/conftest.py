@@ -1,10 +1,12 @@
 """Shared fixtures: cached pipelines so tests do not rebuild log tables, the
 element-object paths that the integer and prime-field paths replaced (log
-table, Jacobi sum, power loop, minimum distance), kept as oracles, and a
-record of which properties ran in this pytest run for the acceptance gate."""
+table, Jacobi sum, power loop, minimum distance), the determinant and
+shared-minor paths that the systematic-form check replaced, kept as
+oracles, and a record of which properties ran in this pytest run for the
+acceptance gate."""
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -46,6 +48,16 @@ def make_pipeline(p: int, l: int, alpha: int = 1):
         "system": system,
         "code": code,
     }
+
+
+@lru_cache(maxsize=None)
+def class_system(l: int, p: int, c: int):
+    """The congruence system of the generators gamma^t with t = c mod l:
+    the conjugate sigma_(c^-1)(J) of the canonical J, with root b^c."""
+    table = build_log_table(FieldSpec(p=p, l=l))
+    J = jacobi_sum(table).value
+    b = subfield_residue(table.generator ** ((p - 1) // l))
+    return build_congruence_system(J.conjugate(pow(c, -1, l)), p, pow(b, c, p))
 
 
 def dict_log_oracle(spec: FieldSpec, generator) -> dict:
@@ -100,6 +112,60 @@ def fq_min_distance_oracle(code) -> int:
                     for col in columns]
             best = min(best, sum(1 for c in word if c))
     return best
+
+
+def det_mod(rows: list[list[int]], p: int) -> int:
+    """The determinant of a square integer matrix mod p, by Gaussian
+    elimination."""
+    m = [[c % p for c in row] for row in rows]
+    n = len(m)
+    det = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col] % p
+        inv = pow(m[col][col], -1, p)
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv % p
+                for c in range(col, n):
+                    m[r][c] = (m[r][c] - factor * m[col][c]) % p
+    return det % p
+
+
+def vanishing_minors_oracle(rows, k: int, p: int) -> list[tuple[int, ...]]:
+    """All k-element subsets of rows whose k x k minor on the first k
+    columns vanishes mod p, as 1-based index tuples in lexicographic order.
+
+    Minors grow one column at a time by Laplace expansion along the new
+    column, so each smaller minor is computed once and shared by every row
+    subset that extends it.  A row subset is keyed by its bitmask, so the
+    subset without row r is mask ^ (1 << r).  Integer-exact; rank-deficient
+    rows need no special case.
+    """
+    n = len(rows)
+    bits = [1 << r for r in range(n)]
+    minors = {bit: row[0] % p for bit, row in zip(bits, rows)}
+    for col in range(1, k):
+        column = {bit: row[col] for bit, row in zip(bits, rows)}
+        grown = {}
+        for subset in combinations(bits, col + 1):
+            mask = sum(subset)
+            total, sign = 0, (-1) ** col  # cofactor sign of the top row
+            for bit in subset:
+                total += sign * column[bit] * minors[mask ^ bit]
+                sign = -sign
+            grown[mask] = total % p
+        minors = grown
+    return [
+        tuple(r + 1 for r in range(n) if mask >> r & 1)
+        for mask, minor in minors.items()
+        if not minor
+    ]
 
 
 def primes_1_mod(l: int, lo: int, hi: int) -> list[int]:

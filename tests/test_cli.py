@@ -8,6 +8,7 @@ import jacobicodes.cli as cli
 import jacobicodes.diophantine as diophantine
 import jacobicodes.fields as fields
 from jacobicodes import (
+    CongruenceSystem,
     FieldSpec,
     InputError,
     IntegrityError,
@@ -291,6 +292,19 @@ def test_internal_value_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-example")
     assert code == 1
     assert err == "internal error: leading k x k block is singular mod p\n"
+
+
+def test_rank_collapse_is_an_integrity_failure(capsys, monkeypatch):
+    # a congruence system whose generator matrix has rank 1 < k = 2
+    def collapsed(J, p, b):
+        return CongruenceSystem(l=5, p=p, b=b, D=((1, 2), (2, 4), (3, 6), (4, 8)), rhs=(0,) * 4)
+
+    monkeypatch.setattr(cli, "build_congruence_system", collapsed)
+    code, out, err = run(capsys, "code", "build", "--p", "11", "--l", "5")
+    assert code == 1
+    assert out == ""
+    assert err == ("integrity failure: l = 5, p = 11, alpha = 1: generator matrix has "
+                   "rank 1 < k = 2 mod p: code is not MDS\n")
 
 
 CODE_BUILD_1000151 = """\

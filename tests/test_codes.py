@@ -31,7 +31,13 @@ from jacobicodes import (
 import jacobicodes.codes as codes_module
 from jacobicodes.codes import _expand
 
-from conftest import fq_min_distance_oracle, make_pipeline, primes_1_mod
+from conftest import (
+    class_system,
+    fq_min_distance_oracle,
+    make_pipeline,
+    primes_1_mod,
+    vanishing_minors_oracle,
+)
 
 
 def det_mod(rows, p):
@@ -132,8 +138,29 @@ def test_check_row_subsets_exception_prime():
     dependent = check_row_subsets(bad)
     assert len(dependent) == 924  # all C(12, 6) subsets
     assert dependent[0] == (1, 2, 3, 4, 5, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegrityError, match=r"^l = 13, p = 79: generator matrix has rank 5 < k = 6 "):
         build_code(bad)  # rank-deficient generator matrix
+
+
+ORACLE_PRIMES = [(l, p) for l in (7, 11, 13) for p in primes_1_mod(l, 3, 500)] + [
+    (17, 103), (19, 191)
+]
+
+
+@pytest.mark.parametrize("l, p", ORACLE_PRIMES)
+def test_check_row_subsets_matches_shared_minors_in_every_class(l, p):
+    for c in range(1, l):
+        system = class_system(l, p, c)
+        assert check_row_subsets(system) == vanishing_minors_oracle(system.D, system.k, p), c
+
+
+def test_systematic_minors_find_pivots_past_the_leading_block():
+    # G's first two columns are dependent, so its pivots are columns 1 and 3
+    G = [[1, 2, 0, 1], [1, 2, 1, 3]]
+    reduced, pivots = codes_module._rref(G, 7)
+    assert pivots == [0, 2]
+    assert codes_module._dependent_columns(reduced, pivots, 7) == [(1, 2)]
+    assert is_mds(G, 7).witness == (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +413,15 @@ def test_integrity_errors_name_their_cell(p61, monkeypatch):
         with pytest.raises(IntegrityError, match=rf"^{prefix}: dependent column subset \(1, 4\)"):
             build_code(system, field)
 
-    def wrong_parity(G, p):
-        g_std, h = to_standard(G, p)
-        return g_std, [[c + 1 for c in row] for row in h]
+    # a rank-collapsed system
+    collapsed = CongruenceSystem(l=5, p=11, b=1, D=((1, 2), (2, 4), (3, 6), (4, 8)), rhs=(0,) * 4)
+    with pytest.raises(IntegrityError, match=r"^l = 5, p = 11: generator matrix has rank 1 < k = 2 "):
+        build_code(collapsed)
 
-    to_standard = codes_module.to_standard_form
-    monkeypatch.setattr(codes_module, "to_standard_form", wrong_parity)
+    def wrong_parity(g_std, p):
+        return [[c + 1 for c in row] for row in parity_check(g_std, p)]
+
+    parity_check = codes_module._parity_check
+    monkeypatch.setattr(codes_module, "_parity_check", wrong_parity)
     with pytest.raises(IntegrityError, match=rf"^{cell}, alpha = 1: G_std \* H\^T != 0 mod p$"):
         build_code(p61["system"], p61["spec"])

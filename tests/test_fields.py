@@ -18,7 +18,7 @@ from jacobicodes import (
     poly_is_irreducible,
     subfield_residue,
 )
-from jacobicodes.fields import multiplicative_order, prime_factors
+from jacobicodes.fields import LogTable, multiplicative_order, prime_factors
 
 from conftest import dict_log_oracle
 
@@ -277,6 +277,23 @@ def test_generator_check_is_the_order(p, l, alpha):
     spec = FieldSpec(p=p, l=l, alpha=alpha)
     for x in spec.elements():
         assert fields._generates(x) == bool(x and multiplicative_order(x) == spec.q - 1), x
+
+
+def test_lazy_log_table_checks_its_generator(monkeypatch):
+    # 13 has order 3 in F_61*: a lazy table of it would answer wrong logs
+    spec = FieldSpec(p=61, l=5)
+    x = spec.element(13)
+    assert multiplicative_order(x) == 3
+    with pytest.raises(InputError, match="^13 does not generate the multiplicative group$"):
+        LogTable(spec, x, None)
+    assert LogTable(spec, spec.element(2), None).log(spec.element(4)) == 2
+
+    # build_log_table leaves the check to the table: one test per table
+    calls = []
+    real = fields._generates
+    monkeypatch.setattr(fields, "_generates", lambda g: calls.append(g) or real(g))
+    build_log_table(spec, spec.element(2))
+    assert calls == [spec.element(2)]
 
 
 def test_log_table_rejects_a_foreign_generator():

@@ -42,15 +42,17 @@ from jacobicodes import (
     to_standard_form,
     verify_conditions,
 )
-from jacobicodes.codes import _det_mod, _vanishing_minors
+from jacobicodes.codes import _dependent_columns, _rref
 from jacobicodes.cyclotomic import _div_round, _norm
 from jacobicodes.fields import prime_factors
 
 from conftest import (
+    det_mod,
     dict_log_oracle,
     elements_jacobi_oracle,
     make_pipeline,
     pow_loop_oracle,
+    vanishing_minors_oracle,
 )
 
 CASES = settings(max_examples=1000, derandomize=True, deadline=None)
@@ -458,18 +460,52 @@ def test_mds_verdict_matches_parity_side(p, data):
     assert det % p != 0
 
 
+def _planted_rows(draw, n: int, k: int, p: int, lead: bool) -> list[list[int]]:
+    """n > k rows of width k, of rank k mod p, with one planted dependent
+    k-subset: the leading k rows when lead is set, k rows at random
+    positions otherwise.  The planted rows are e_0, ..., e_(k-2) and a
+    combination of them, one more row adds e_(k-1), the rest are random,
+    and the columns are then mixed by L * U with unit diagonals, which is
+    invertible, so rank and dependent subsets are kept."""
+    entry = st.integers(min_value=0, max_value=p - 1)
+    basis = [[int(i == j) for j in range(k)] for i in range(k - 1)]
+    combination = draw(st.lists(entry, min_size=k - 1, max_size=k - 1)) + [0]
+    completion = draw(st.lists(entry, min_size=k - 1, max_size=k - 1)) + [1]
+    rest = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                         min_size=n - k - 1, max_size=n - k - 1))
+    rows = basis + [combination, completion] + rest
+    if not lead:
+        rows = draw(st.permutations(rows))
+    for lower in (True, False):  # rows times L, then times U
+        mix = [[draw(entry) if (i > j if lower else i < j) else int(i == j)
+                for j in range(k)] for i in range(k)]
+        rows = [[sum(row[t] * mix[t][j] for t in range(k)) for j in range(k)]
+                for row in rows]
+    return rows
+
+
 @st.composite
 def minor_matrix(draw):
     """(rows, k, p): n <= 8 rows of width >= k, often rank-deficient mod p
-    through a zero column, a column combined from the others, or a small p."""
+    through a zero column, a column combined from the others, or a small p;
+    or of full rank k with the leading k rows dependent (so the pivots of
+    G = rows^T are not its first k columns), or with one planted dependent
+    k-subset elsewhere."""
     p = draw(st.sampled_from((2, 3, 5, 7, 61)))
     n = draw(st.integers(min_value=1, max_value=8))
     k = draw(st.integers(min_value=1, max_value=n))
     width = draw(st.integers(min_value=k, max_value=k + 2))
     entry = st.integers(min_value=-2 * p, max_value=2 * p)
+    shape = draw(st.sampled_from(
+        ("random", "zero column", "dependent column", "singular lead", "planted subset")
+    ))
+    if shape in ("singular lead", "planted subset") and n > k:
+        rows = _planted_rows(draw, n, k, p, lead=shape == "singular lead")
+        for row in rows:
+            row += draw(st.lists(entry, min_size=width - k, max_size=width - k))
+        return rows, k, p
     rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
                          min_size=n, max_size=n))
-    shape = draw(st.sampled_from(("random", "zero column", "dependent column")))
     if shape == "zero column":
         j = draw(st.integers(min_value=0, max_value=k - 1))
         for row in rows:
@@ -485,11 +521,21 @@ def minor_matrix(draw):
 @given(minor_matrix())
 def test_shared_minors_match_one_elimination_per_subset(case):
     rows, k, p = case
-    assert _vanishing_minors(rows, k, p) == [
+    assert vanishing_minors_oracle(rows, k, p) == [
         tuple(r + 1 for r in subset)
         for subset in combinations(range(len(rows)), k)
-        if _det_mod([rows[r][:k] for r in subset], p) == 0
+        if det_mod([rows[r][:k] for r in subset], p) == 0
     ]
+
+
+@CASES
+@given(minor_matrix())
+def test_systematic_minors_match_shared_minors(case):
+    # the columns of G = rows^T on which the square minors of its
+    # systematic block vanish are the row subsets with a vanishing minor
+    rows, k, p = case
+    G = [[row[j] for row in rows] for j in range(k)]
+    assert _dependent_columns(*_rref(G, p), p) == vanishing_minors_oracle(rows, k, p)
 
 
 @CASES
@@ -500,7 +546,7 @@ def test_standard_form_matches_inverse_of_leading_block(case):
     rows, k, p = case
     G = [[row[j] for row in rows] for j in range(k)]
     Y = [row[:k] for row in G]
-    if _det_mod(Y, p) == 0:
+    if det_mod(Y, p) == 0:
         with pytest.raises(ValueError):
             to_standard_form(G, p)
         return

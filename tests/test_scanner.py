@@ -13,7 +13,9 @@ from jacobicodes import (
     FieldSpec,
     ScanRecord,
     build_congruence_system,
+    build_generator_matrix,
     build_log_table,
+    check_row_subsets,
     find_primitive_element,
     jacobi_sum,
     report,
@@ -22,8 +24,10 @@ from jacobicodes import (
     summarize,
     write_report,
 )
-from jacobicodes.codes import _det_mod
-from jacobicodes.scanner import CSV_COLUMNS
+from jacobicodes.codes import _rref
+from jacobicodes.scanner import CSV_COLUMNS, _mirror
+
+from conftest import class_system, det_mod, primes_1_mod
 
 
 def per_generator_records(l, p, alpha=1):
@@ -44,7 +48,7 @@ def per_generator_records(l, p, alpha=1):
         dependent = tuple(
             tuple(r + 1 for r in rows)
             for rows in combinations(range(system.n), system.k)
-            if _det_mod([list(system.D[r]) for r in rows], p) == 0
+            if det_mod([list(system.D[r]) for r in rows], p) == 0
         )
         status = "exception" if dependent else "mds"
         out.append((l, p, alpha, table.generator.coeffs, t, status, dependent))
@@ -88,7 +92,8 @@ def test_scan_order13_all_generators():
 
 
 @pytest.mark.parametrize(
-    "l, p, alpha", [(13, 53, 1), (13, 79, 1), (5, 61, 1), (3, 97, 1), (3, 7, 2)]
+    "l, p, alpha",
+    [(13, 53, 1), (13, 79, 1), (5, 61, 1), (3, 97, 1), (3, 7, 2), (7, 29, 1), (11, 23, 1)],
 )
 def test_scan_by_class_matches_per_generator_path(l, p, alpha):
     records = scan(l, p, p, alpha=alpha, generators="all")
@@ -96,6 +101,41 @@ def test_scan_by_class_matches_per_generator_path(l, p, alpha):
         (r.l, r.p, r.alpha, r.generator, r.power, r.status, r.dependent_subsets)
         for r in records
     ] == per_generator_records(l, p, alpha)
+
+
+@pytest.mark.parametrize("c, rank", [(1, 6), (3, 5)])
+def test_mirror_class_is_the_mapped_class(c, rank):
+    # p = 79, l = 13: classes 1 and 12 have full rank; 3 and 10 collapse
+    l, p = 13, 79
+    systems = [class_system(l, p, c), class_system(l, p, l - c)]
+    assert [len(_rref(build_generator_matrix(s), p)[1]) for s in systems] == [rank, rank]
+    dependent = [tuple(check_row_subsets(s)) for s in systems]
+    assert len(dependent[0]) == (0 if rank == 6 else 924)
+    assert _mirror(dependent[0], l) == dependent[1]
+    assert _mirror(dependent[1], l) == dependent[0]
+
+
+def test_mirror_maps_and_sorts_the_subsets():
+    assert _mirror(((1, 2, 4), (1, 3, 5)), 7) == ((2, 4, 6), (3, 5, 6))
+
+
+@pytest.mark.parametrize("l", [7, 11, 13])
+def test_mirror_classes_share_their_column_space(l):
+    # the identity behind _mirror, checked directly: at full rank, class
+    # l - c's columns with rows r -> l - r span the same space as class c's
+    # (equal reduced row echelon forms of G = D^T); at lower rank, both
+    # classes have the same rank
+    full = 0
+    for p in primes_1_mod(l, 3, 500):
+        for c in range(1, (l + 1) // 2):
+            D = class_system(l, p, c).D
+            mirrored = class_system(l, p, l - c).D[::-1]  # row of r is row of l - r
+            own, other = (_rref([list(col) for col in zip(*rows)], p) for rows in (D, mirrored))
+            assert len(own[1]) == len(other[1]), (p, c)
+            if len(own[1]) == (l - 1) // 2:
+                full += 1
+                assert own == other, (p, c)
+    assert full > 0
 
 
 def test_scan_mds_records_agree_with_code_builder():
