@@ -67,6 +67,7 @@ from .fields import (
     LogTable,
     build_log_table,
     character_exponent,
+    character_root,
     find_irreducible_poly,
     find_primitive_element,
     is_prime,
@@ -115,6 +116,7 @@ __all__ = [
     "build_generator_matrix",
     "build_log_table",
     "character_exponent",
+    "character_root",
     "check_row_subsets",
     "condition_index_set",
     "conjugate",

@@ -38,6 +38,7 @@ from .fields import (
     DEFAULT_TABLE_BUDGET,
     FieldSpec,
     build_log_table,
+    character_root,
     find_primitive_element,
     subfield_residue,
 )
@@ -156,7 +157,7 @@ def _cmd_solve(args) -> int:
 def _build_pipeline(args, l: int):
     spec, table = _make_table(args, l)
     J = jacobi_sum(table)
-    b = subfield_residue(table.generator ** ((spec.q - 1) // l))
+    b = character_root(table.generator)
     system = build_congruence_system(J.value, spec.p, b)
     code = build_code(system, spec)
     return spec, table, J, system, code
@@ -286,7 +287,7 @@ def _cmd_verify_example(args) -> int:
     table = build_log_table(spec, gamma)
     J = jacobi_sum(table)
     check("jacobi_coeffs", list(J.coeffs))
-    b = subfield_residue(gamma ** ((spec.q - 1) // spec.l))
+    b = character_root(gamma)
     check("b", b)
     selection = select_solution(solve_dickson(spec.q, spec.p), spec, gamma)
     check("dickson_solution", selection.solution.as_json())

@@ -156,53 +156,83 @@ def build_generator_matrix(system: CongruenceSystem) -> list[list[int]]:
 
 
 @lru_cache(maxsize=4)
-def _laplace_schedule(k: int, w: int) -> tuple[tuple, tuple]:
-    """The order in which ``_square_minors`` grows the minors of any k x w
+def _laplace_schedule(k: int, w: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The order in which ``_zero_minors`` grows the minors of any k x w
     matrix, kept for the last few shapes.
 
-    rows[m] holds one entry per m-row mask R: R, then the pairs
-    (r, R without r) for the rows r of R whose cofactor sign
-    (-1)^(i + m - 1) is +1 (i the position of r in R), then those whose
-    sign is -1.  cols[m] holds one entry per m-column mask C: C << k, its
-    last column c, and (C without c) << k.  That is k * 2^(k-1) pairs and
-    one triple per column mask, not one object per Laplace term."""
-    rows: list[list] = [[] for _ in range(k + 1)]
-    for R in range(1, 1 << k):
-        terms = [(r, R ^ (1 << r)) for r in range(k) if R >> r & 1]
-        first, second = tuple(terms[0::2]), tuple(terms[1::2])
-        rows[len(terms)].append((R, first, second) if len(terms) % 2 else (R, second, first))
-    cols: list[list] = [[] for _ in range(w + 1)]
-    for C in range(1, 1 << w):
-        c = C.bit_length() - 1
-        cols[C.bit_count()].append((C << k, c, (C ^ (1 << c)) << k))
-    return tuple(map(tuple, rows)), tuple(map(tuple, cols))
+    row_masks[m] lists the m-row masks in increasing order, and a mask's
+    place in that list is its rank; col_masks[m] likewise for the columns.
+    rows[m] holds one entry per m-row mask R, in rank order: the pairs
+    (r, rank of R without r) for the rows r of R whose cofactor sign
+    (-1)^(i + m - 1) is +1 (i the position of r in R), then those whose sign
+    is -1.  cols[m] holds one pair per m-column mask C, in rank order: its
+    last column c and the offset of the minors on C without c among the
+    minors one size smaller.  That is k * 2^(k-1) pairs and one pair per
+    column mask, not one object per Laplace term."""
+
+    def by_size(n: int) -> tuple[list[list[int]], dict[int, int]]:
+        masks: list[list[int]] = [[] for _ in range(n + 1)]
+        for mask in range(1 << n):
+            masks[mask.bit_count()].append(mask)
+        return masks, {mask: i for sized in masks for i, mask in enumerate(sized)}
+
+    row_masks, row_rank = by_size(k)
+    col_masks, col_rank = by_size(w)
+    rows: list[tuple] = [()]
+    cols: list[tuple] = [()]
+    for m in range(1, min(k, w) + 1):
+        entries = []
+        for R in row_masks[m]:
+            terms = [(r, row_rank[R ^ (1 << r)]) for r in range(k) if R >> r & 1]
+            first, second = tuple(terms[0::2]), tuple(terms[1::2])
+            entries.append((first, second) if m % 2 else (second, first))
+        rows.append(tuple(entries))
+        height = len(row_masks[m - 1])
+        last = [C.bit_length() - 1 for C in col_masks[m]]
+        cols.append(tuple(
+            (c, col_rank[C ^ (1 << c)] * height) for C, c in zip(col_masks[m], last)
+        ))
+    return tuple(map(tuple, row_masks)), tuple(map(tuple, col_masks)), tuple(rows), tuple(cols)
 
 
-def _square_minors(P: list[list[int]], p: int) -> list[int]:
-    """Every square minor of the k x w matrix P mod p, at index C << k | R
-    for row mask R and column mask C of equal size (the empty minor, 1, at
-    index 0); the other slots hold -1.
+def _zero_minors(P: list[list[int]], p: int) -> list[tuple[int, int]]:
+    """The (row mask, column mask) pairs of the square minors of the k x w
+    matrix P that vanish mod p.
 
     Each m x m minor is expanded along its last column c into the
     (m-1) x (m-1) minors on C without c, computed once for all the larger
     minors that share them: about k * C(k + w - 1, k - 1) products in all.
+    Only two sizes are kept, each in one flat list indexed by the ranks of
+    its masks (column rank times the number of m-row masks, plus row rank),
+    so at most 2 C(k, k/2) C(w, w/2) minors are held at once, and the zeros
+    of each size are recorded as it is finished.
     """
     k, w = len(P), len(P[0])
-    rows, cols = _laplace_schedule(k, w)
+    row_masks, col_masks, rows, cols = _laplace_schedule(k, w)
     columns = [list(col) for col in zip(*P)]
-    minors = [-1] * (1 << (k + w))
-    minors[0] = 1
+    zeros = []
+    smaller = [1]  # the empty minor
     for m in range(1, min(k, w) + 1):
-        for base, c, below in cols[m]:
+        minors = []
+        for c, below in cols[m]:
             column = columns[c]
-            for R, plus, minus in rows[m]:
+            for plus, minus in rows[m]:
                 total = 0
-                for r, smaller in plus:
-                    total += column[r] * minors[below | smaller]
-                for r, smaller in minus:
-                    total -= column[r] * minors[below | smaller]
-                minors[base | R] = total % p
-    return minors
+                for r, rank in plus:
+                    total += column[r] * smaller[below + rank]
+                for r, rank in minus:
+                    total -= column[r] * smaller[below + rank]
+                minors.append(total % p)
+        height = len(row_masks[m])
+        index = -1
+        while True:
+            try:
+                index = minors.index(0, index + 1)
+            except ValueError:
+                break
+            zeros.append((row_masks[m][index % height], col_masks[m][index // height]))
+        smaller = minors
+    return zeros
 
 
 def _dependent_columns(
@@ -223,15 +253,8 @@ def _dependent_columns(
     if len(pivots) < k:
         return list(combinations(range(1, n + 1), k))
     free = [c for c in range(n) if c not in pivots]
-    minors = _square_minors([[row[c] for c in free] for row in reduced], p)
     dependent = []
-    index = 0
-    while True:
-        try:
-            index = minors.index(0, index + 1)
-        except ValueError:
-            break
-        C, R = index >> k, index & ((1 << k) - 1)
+    for R, C in _zero_minors([[row[c] for c in free] for row in reduced], p):
         dependent.append(tuple(sorted(
             [pivots[r] + 1 for r in range(k) if not R >> r & 1]
             + [free[j] + 1 for j in range(len(free)) if C >> j & 1]

@@ -27,7 +27,7 @@ from math import isqrt
 
 from .cyclotomic import CycInt
 from .errors import InputError, IntegrityError, _cell
-from .fields import FieldElement, FieldSpec, is_prime, subfield_residue
+from .fields import FieldElement, FieldSpec, character_root, is_prime
 from .jacobi import _failed_conditions, _prime_sum, conjugate_solutions, verify_conditions
 
 __all__ = [
@@ -322,10 +322,10 @@ def select_solution(
     """The unique solution whose coefficient vector satisfies the
     generator-dependent divisibility condition for gamma.
 
-    b is recomputed here as the prime-subfield residue of
-    gamma^((q-1)/l); the caller never passes it.  Every candidate must pass
-    the generator-independent conditions, and exactly one may pass the
-    generator-dependent one; anything else raises IntegrityError.
+    b is recomputed here as gamma^((q-1)/l), read off the norm of gamma
+    (see ``character_root``); the caller never passes it.  Every candidate
+    must pass the generator-independent conditions, and exactly one may pass
+    the generator-dependent one; anything else raises IntegrityError.
     """
     l = spec.l
     p = spec.p
@@ -335,7 +335,7 @@ def select_solution(
     expected_l = 3 if isinstance(first, GaussSolution) else 5
     if l != expected_l:
         raise ValueError(f"field has l = {l}, solutions are for l = {expected_l}")
-    b = subfield_residue(gamma ** ((spec.q - 1) // l))
+    b = character_root(gamma)
     cell = _cell(l, p, spec.alpha, gamma)
     passing = []
     for sol in solutions:

@@ -22,10 +22,10 @@ digits of c^k gamma^m are rotations of the powers of c in F_p.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, mul
+from typing import ClassVar
 
 from .errors import BudgetError, InputError
 
@@ -196,14 +196,16 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
-    """Whether the polynomial has a root in F_p, i.e. a linear factor."""
-    for v in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * v + c) % p
-        if acc == 0:
-            return True
-    return False
+    """Whether the monic polynomial f has a root in F_p, i.e. a linear
+    factor: whether gcd(x^p - x, f) has positive degree, with x^p taken
+    mod f by repeated squaring, O(log p) products and no walk over F_p."""
+    deg = len(coeffs) - 1
+    if deg == 1:
+        return True
+    modulus = tuple(c % p for c in coeffs)
+    frob = _poly_powmod([0, 1], p, modulus, p)
+    frob[1] = (frob[1] - 1) % p
+    return len(_poly_gcd(frob, list(modulus), p)) > 1
 
 
 def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -235,15 +237,28 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _lex_tuples(p: int, k: int, start: int = 0):
+    """The k-tuples over range(p) in lexicographic order, lazily, from the
+    start-th on: the n-th is n written in base p, its first entry the
+    leading digit."""
+    places = [p ** (k - 1 - i) for i in range(k)]
+    for n in range(start, p**k):
+        yield tuple(n // w % p for w in places)
+
+
 def find_irreducible_poly(p: int, degree: int) -> tuple[int, ...]:
     """The lexicographically least monic irreducible polynomial of the given
-    degree over F_p, coefficients compared low-degree first.  From degree 4
-    on, candidates with a linear factor are dropped by a root search before
-    the Frobenius test (degrees 2 and 3 are tested by that search alone)."""
+    degree over F_p, coefficients compared low-degree first.  Past degree 1,
+    x divides every candidate with constant term 0, so the search starts at
+    constant term 1.  From degree 4 on, candidates with a linear factor are
+    dropped by ``_has_root`` before the Frobenius test (degrees 2 and 3 are
+    tested by that alone)."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    for tail in itertools.product(range(p), repeat=degree):
-        cand = tuple(tail) + (1,)
+    if degree == 1:
+        return (0, 1)
+    for tail in _lex_tuples(p, degree, start=p ** (degree - 1)):
+        cand = tail + (1,)
         if degree >= 4 and _has_root(cand, p):
             continue
         if poly_is_irreducible(cand, p):
@@ -327,11 +342,8 @@ class FieldSpec:
     def elements(self):
         """All q elements, lazily, in lexicographic order of coefficient
         tuples: the n-th is n written in base p, c_0 its leading digit."""
-        p, alpha = self.p, self.alpha
-        for n in range(self.q):
-            yield FieldElement(
-                self, tuple(n // p ** (alpha - 1 - i) % p for i in range(alpha))
-            )
+        for coeffs in _lex_tuples(self.p, self.alpha):
+            yield FieldElement(self, coeffs)
 
     def __str__(self) -> str:
         return f"F_{self.q}" if self.alpha > 1 else f"F_{self.p}"
@@ -343,6 +355,9 @@ class FieldElement:
 
     spec: FieldSpec
     coeffs: tuple[int, ...]
+    # True on the instances find_primitive_element returns, a proof that
+    # they generate F_q*; set on that instance alone, outside eq and hash
+    _proved_generator: ClassVar[bool] = False
 
     def _check_mate(self, other: FieldElement) -> None:
         if self.spec != other.spec:
@@ -460,6 +475,30 @@ def multiplicative_order(x: FieldElement) -> int:
     return order
 
 
+def _norm(x: FieldElement) -> int:
+    """The norm x^((q-1)/(p-1)) of x to F_p: x itself for alpha = 1, the
+    determinant of the matrix of multiplication by x otherwise."""
+    spec = x.spec
+    if spec.alpha == 1:
+        return x.coeffs[0]
+    return _det(_mul_matrix(x.coeffs, spec.modulus, spec.p), spec.p)
+
+
+def character_root(x: FieldElement) -> int:
+    """The root b = x^((q-1)/l) in F_p, l the field's character order.
+
+    (q-1)/l = N (p-1)/l with N = (q-1)/(p-1), and x^N is the norm of x, so
+    b = Norm(x)^((p-1)/l): one determinant and one power in F_p, and no
+    power in F_q."""
+    spec = x.spec
+    return pow(_norm(x), (spec.p - 1) // spec.l, spec.p)
+
+
+def _generates_fp(c: int, p: int, primes) -> bool:
+    """Whether c^((p-1)/r) != 1 mod p for each of the primes r | p - 1."""
+    return all(pow(c, (p - 1) // r, p) != 1 for r in primes)
+
+
 def _generates(x: FieldElement) -> bool:
     """Whether x generates the multiplicative group: x^((q-1)/r) != 1 for
     every prime r | q - 1.
@@ -471,23 +510,73 @@ def _generates(x: FieldElement) -> bool:
         return False
     spec = x.spec
     p, n = spec.p, spec.q - 1
-    if spec.alpha == 1:
-        c = x.coeffs[0]
-    else:
-        c = _det(_mul_matrix(x.coeffs, spec.modulus, p), p)
     factors, one = _cached_prime_factors(n), spec.one
-    return all(pow(c, (p - 1) // r, p) != 1 for r in factors if (p - 1) % r == 0) and all(
+    return _generates_fp(_norm(x), p, [r for r in factors if (p - 1) % r == 0]) and all(
         x ** (n // r) != one for r in factors if (p - 1) % r
     )
 
 
+def _proved(x: FieldElement) -> FieldElement:
+    """x, marked as a proved generator of F_q*."""
+    object.__setattr__(x, "_proved_generator", True)
+    return x
+
+
 def find_primitive_element(spec: FieldSpec) -> FieldElement:
     """The least element, in lexicographic order of coefficient tuples,
-    generating the multiplicative group (see ``_generates``).  For
-    alpha > 1 the elements of F_p, whose order divides p - 1, are skipped."""
-    for x in spec.elements():
-        if (spec.alpha == 1 or any(x.coeffs[1:])) and _generates(x):
-            return x
+    generating the multiplicative group (the test of ``_generates``).  The
+    element returned carries that proof, so ``LogTable`` does not test it
+    again.
+
+    For alpha > 1 the search goes by F_p*-lines.  Write x = c y with c in
+    F_p* and the first nonzero coefficient of y equal to 1.
+
+    - A prime r | q - 1 that does not divide p - 1 divides
+      N = (q-1)/(p-1), so c^((q-1)/r) = 1 and x^((q-1)/r) = y^((q-1)/r):
+      the power in F_q depends on the line alone.
+    - For r | p - 1 the test is on the norm c^alpha Norm(y) in F_p, and for
+      r | gcd(alpha, p - 1) c^(alpha (p-1)/r) = 1, so it does not depend on
+      c either.
+
+    y comes before c y in lexicographic order, so each line is tested once,
+    at its first element, and remembered for the rest of the call.  The
+    elements whose first nonzero coefficient sits at index i come in one
+    block, ordered by c and then by the rest; a block none of whose lines
+    passes is left after its c = 1 pass.  So over F_(1000003^2), modulo
+    t^2 + 1, the p - 1 multiples of t, whose norm is 1, cost one test.
+    """
+    p, alpha = spec.p, spec.alpha
+    n = spec.q - 1
+    factors = _cached_prime_factors(n)
+    norm_primes = [r for r in factors if (p - 1) % r == 0]
+    if alpha == 1:
+        for x in spec.elements():
+            if x.coeffs[0] and _generates_fp(x.coeffs[0], p, norm_primes):
+                return _proved(x)
+        raise AssertionError("unreachable: the multiplicative group is cyclic")
+    line_primes = [r for r in norm_primes if alpha % r == 0]
+    fq_exponents = [n // r for r in factors if (p - 1) % r]
+    one = spec.one
+    for i in reversed(range(alpha)):
+        # the norm of each line y = (0, ..., 0, 1, rest), by rest; None
+        # when the line holds no generator
+        lines: dict[tuple[int, ...], int | None] = {}
+        for c in range(1, p):
+            c_inv, c_alpha = pow(c, -1, p), pow(c, alpha, p)
+            for rest in _lex_tuples(p, alpha - 1 - i):
+                if c == 1:
+                    y = FieldElement(spec, (0,) * i + (1,) + rest)
+                    norm = _norm(y)
+                    if not (_generates_fp(norm, p, line_primes)
+                            and all(y ** e != one for e in fq_exponents)):
+                        norm = None
+                    lines[rest] = norm
+                else:
+                    norm = lines[tuple(t * c_inv % p for t in rest)]
+                if norm is not None and _generates_fp(c_alpha * norm % p, p, norm_primes):
+                    return _proved(FieldElement(spec, (0,) * i + (c,) + rest))
+            if c == 1 and not any(v is not None for v in lines.values()):
+                break
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
@@ -509,20 +598,28 @@ class LogTable:
     first read of ``logs`` (by ``log``, ``character_exponent`` or the Jacobi
     histogram) and keeps the list; until then it holds no O(q) data.  Such
     a table checks its generator on the prime factors of q - 1 (see
-    ``_generates``) and raises InputError if it does not generate F_q*."""
+    ``_generates``), unless ``find_primitive_element`` returned it, and
+    raises InputError if it does not generate F_q*.  A table from
+    ``build_log_table`` raises BudgetError at that first read if the walk
+    would exceed the budget."""
 
-    __slots__ = ("spec", "generator", "_logs")
+    __slots__ = ("spec", "generator", "_logs", "_budget")
 
     def __init__(self, spec: FieldSpec, generator: FieldElement, logs: list[int] | None):
-        if logs is None and not _generates(generator):
+        if logs is None and not generator._proved_generator and not _generates(generator):
             raise InputError(f"{generator} does not generate the multiplicative group")
         self.spec = spec
         self.generator = generator
         self._logs = logs
+        self._budget = None
 
     @property
     def logs(self) -> list[int]:
         if self._logs is None:
+            if self._budget is not None and self.spec.q - 1 > self._budget:
+                raise BudgetError(
+                    f"log table needs {self.spec.q - 1} entries, budget is {self._budget}"
+                )
             self._logs = _walk(self.spec, self.generator)
         return self._logs
 
@@ -543,18 +640,20 @@ def build_log_table(
     budget: int = DEFAULT_TABLE_BUDGET,
 ) -> LogTable:
     """The log table of generator, the canonical one by default, walked on
-    its first lookup (see ``LogTable``).  Raises BudgetError if the table
-    would exceed budget entries, and InputError if the element provided
-    belongs to another field or does not generate F_q*; the generator is
-    tested on the prime factors of q - 1 (see ``_generates``), so none of
-    this walks the field."""
+    its first lookup (see ``LogTable``).  Raises InputError if the element
+    provided belongs to another field or does not generate F_q*; the
+    generator is tested on the prime factors of q - 1 (see ``_generates``),
+    so none of this walks the field.  The budget binds where the table is
+    walked: its first lookup raises BudgetError if the table would exceed
+    budget entries, and a caller that never looks a log up is never
+    refused."""
     if generator is None:
         generator = find_primitive_element(spec)
     if generator.spec != spec:
         raise InputError("generator belongs to a different field")
-    if spec.q - 1 > budget:
-        raise BudgetError(f"log table needs {spec.q - 1} entries, budget is {budget}")
-    return LogTable(spec, generator, None)
+    table = LogTable(spec, generator, None)
+    table._budget = budget
+    return table
 
 
 def _walk(spec: FieldSpec, generator: FieldElement) -> list[int]:

@@ -26,11 +26,11 @@ ch. 11 and 14; Berndt, Evans and Williams, Gauss and Jacobi Sums).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
-from .cyclotomic import CycInt, _gcd, divisible_by_int
+from .cyclotomic import CycInt, _gcd
 from .errors import InputError, IntegrityError, _cell
-from .fields import FieldElement, FieldSpec, LogTable, subfield_residue
+from .fields import FieldElement, FieldSpec, LogTable, character_root
 
 __all__ = [
     "JacobiSum",
@@ -81,7 +81,7 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     if (i + j) % l == 0:
         value = CycInt.from_int(l, -1)
     elif l in (3, 5):
-        b = subfield_residue(table.generator ** ((spec.q - 1) // l))
+        b = character_root(table.generator)
         n = j * pow(i, -1, l) % l
         base = _prime_sum(l, p, spec.alpha, b, n)
         if base is not None:
@@ -223,13 +223,31 @@ def _cyclic_convolutions(a: tuple[int, ...], l: int) -> list[int]:
     return [sum(full[i] * full[(i + t) % l] for i in range(1, l)) for t in range(1, l)]
 
 
+def _coefficients(values: list[int], powers: list[int], p: int) -> tuple[int, ...]:
+    """The normal-form coefficients (c_1, ..., c_(l-1)) mod p of the element
+    of Z[zeta_l] whose images under zeta -> b^m are values[m - 1], m = 1..l-1,
+    with powers[e] = b^e: the inverse of the length-l transform at b.  As
+    c_0 = 0, the value at zeta -> 1 is v_0 = -sum(v_m), and
+    c_j = l^-1 sum over m of v_m b^(-mj)."""
+    l = len(powers)
+    if not any(values):
+        return (0,) * (l - 1)
+    full = [-sum(values) % p, *values]
+    inv_l = pow(l, -1, p)
+    return tuple(
+        inv_l * sum(v * powers[-m * j % l] for m, v in enumerate(full)) % p
+        for j in range(1, l)
+    )
+
+
 def verify_conditions(
     candidate: CycInt | tuple[int, ...], spec: FieldSpec, b: int, n: int = 1
 ) -> ConditionReport:
     """Check the six conditions a vector (a_1, ..., a_(l-1)) must satisfy to
     be the Jacobi sum J(1, n) for the generator with root b.
 
-    The conditions are, writing a_0 = 0 and q = p^alpha:
+    The conditions are, writing a_0 = 0, q = p^alpha and H for the
+    candidate a_1 zeta + ... + a_(l-1) zeta^(l-1):
 
       (i)   q = sum(a_i^2) - sum(a_i * a_(i+1)), indices mod l;
       (ii)  all cyclic convolutions sum(a_i * a_(i+t)) agree for t = 1..l-1;
@@ -239,8 +257,17 @@ def verify_conditions(
             set {k : ((n+1)k mod l) > k};
       (vi)  p divides conj(H) * prod over the same set of (b - zeta^(1/k)).
 
-    b must be an l-th root of unity mod p; it ties condition (vi) to one
-    specific generator.
+    b must be an l-th root of unity mod p other than 1; it ties condition
+    (vi) to one specific generator.
+
+    (v) and (vi) are read in F_p.  As p = 1 mod l and b is a primitive l-th
+    root of unity mod p, p splits into the l - 1 primes (p, zeta - b^m), and
+    Z[zeta]/p is the product of their residue fields F_p, zeta -> b^m (Ireland
+    and Rosen, ch. 14).  So p divides X iff X(b^m) = 0 mod p for
+    m = 1..l-1.  H is evaluated at the b^e once, sigma_k(H)(b^m) is H(b^(km)),
+    and each product is a product of residues; the residues of (vi)'s product,
+    reported as ``diagnostics["vi_residues"]``, are read back by the inverse
+    transform (see ``_coefficients``).
     """
     l = spec.l
     p = spec.p
@@ -253,8 +280,10 @@ def verify_conditions(
         raise InputError(f"candidate has order {candidate.l}, field expects {l}")
     if not 1 <= n <= l - 2:
         raise InputError(f"n must lie in [1, {l - 2}]")
-    if pow(b, l, p) != 1 % p:
+    if pow(b, l, p) != 1:
         raise InputError(f"b = {b} is not an l-th root of unity mod {p}")
+    if b % p == 1:
+        raise InputError(f"b = {b} is 1 mod {p}, the root of no generator")
     a = candidate.coeffs
     diagnostics: dict = {}
 
@@ -271,17 +300,19 @@ def verify_conditions(
     cond_iv = residue_iv == 0
     diagnostics["iv_residue"] = residue_iv
 
+    powers = [pow(b, e, p) for e in range(l)]
+    # at[e] = H(b^e) mod p
+    at = [sum(c * powers[e * k % l] for k, c in enumerate(a, start=1)) % p for e in range(l)]
     index_set = condition_index_set(l, n)
-    prod_v = CycInt.from_int(l, 1)
-    for k in index_set:
-        prod_v = prod_v * candidate.conjugate(k)
-    cond_v = not divisible_by_int(prod_v, p)
+    cond_v = any(prod(at[m * k % l] for k in index_set) % p for m in range(1, l))
 
-    prod_vi = candidate.conjugate(-1)
-    for k in index_set:
-        prod_vi = prod_vi * (CycInt.from_int(l, b) - CycInt.zeta(l, pow(k, -1, l)))
-    cond_vi = divisible_by_int(prod_vi, p)
-    diagnostics["vi_residues"] = tuple(c % p for c in prod_vi.coeffs)
+    inverses = [pow(k, -1, l) for k in index_set]
+    vi_values = [
+        at[-m % l] * prod(powers[1] - powers[m * k % l] for k in inverses) % p
+        for m in range(1, l)
+    ]
+    cond_vi = not any(vi_values)
+    diagnostics["vi_residues"] = _coefficients(vi_values, powers, p)
 
     return ConditionReport(
         i=cond_i, ii=cond_ii, iii=cond_iii, iv=cond_iv, v=cond_v, vi=cond_vi,

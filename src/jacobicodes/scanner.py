@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .codes import build_congruence_system, check_row_subsets
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .fields import (
     DEFAULT_TABLE_BUDGET,
     FieldSpec,
     build_log_table,
+    character_root,
     is_prime,
-    subfield_residue,
 )
 from .jacobi import jacobi_sum
 
@@ -175,9 +175,11 @@ def scan(
     verdict with every row r mapped to l - r (see ``_mirror``), so with
     policy "all" about half the classes are checked.
 
-    Cells that would exceed ``table_budget`` log-table entries, or that
-    start after ``deadline_s`` seconds of wall-clock time, are emitted with
-    status "skipped" rather than dropped.  Records come back sorted by
+    Cells whose Jacobi sum needs a log-table walk (``jacobi_sum``'s
+    histogram: l outside {3, 5}, or Euclid stalled at every root) of more
+    than ``table_budget`` entries, and cells that start after ``deadline_s``
+    seconds of wall-clock time, are emitted with status "skipped" rather
+    than dropped.  Records come back sorted by
     (l, p, alpha, generator).  An empty range (p_min > p_max) is rejected.
     """
     if not is_prime(l) or l == 2:
@@ -193,29 +195,24 @@ def scan(
     for p in _primes_in(p_min, p_max):
         if p % l != 1:
             continue
-        q = p**alpha
-        powers = _generator_powers(q, generators)
-        if q - 1 > table_budget:
-            # too big to tabulate: record every planned cell as skipped
-            for t in powers:
-                records.append(
-                    ScanRecord(l, p, alpha, (0,) * alpha, t, "skipped", (), 0)
-                )
-            continue
         spec = FieldSpec(p=p, l=l, alpha=alpha)
-        table = None
+        table = J = None
         verdicts: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for t in powers:
+        for t in _generator_powers(spec.q, generators):
             cell_start = time.monotonic()
-            if out_of_time():
+            late = out_of_time()
+            if table is None and not late:
+                table = build_log_table(spec, budget=table_budget)
+                b = character_root(table.generator)
+                try:
+                    J = jacobi_sum(table).value
+                except BudgetError:
+                    pass  # J needs the histogram, and its walk is over budget
+            if late or J is None:
                 records.append(
                     ScanRecord(l, p, alpha, (0,) * alpha, t, "skipped", (), 0)
                 )
                 continue
-            if table is None:
-                table = build_log_table(spec, budget=table_budget)
-                J = jacobi_sum(table).value
-                b = subfield_residue(table.generator ** ((q - 1) // l))
             c = t % l
             if c not in verdicts:
                 if l - c in verdicts:

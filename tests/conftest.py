@@ -1,9 +1,11 @@
 """Shared fixtures: cached pipelines so tests do not rebuild log tables, the
 element-object paths that the integer and prime-field paths replaced (log
 table, Jacobi sum, power loop, minimum distance), the determinant and
-shared-minor paths that the systematic-form check replaced, kept as
-oracles, and a record of which properties ran in this pytest run for the
-acceptance gate."""
+shared-minor paths that the systematic-form check replaced, the Z[zeta]
+products that conditions (v) and (vi) read in F_p, the exhaustive modulus
+search and the element-by-element generator search, kept as oracles, and
+a record of which properties ran in this pytest run for the acceptance
+gate."""
 
 from functools import lru_cache
 from itertools import combinations, product
@@ -11,18 +13,23 @@ from itertools import combinations, product
 import pytest
 
 from jacobicodes import (
+    ConditionReport,
     CycInt,
     FieldSpec,
     build_code,
     build_congruence_system,
     build_log_table,
+    condition_index_set,
+    divisible_by_int,
     jacobi_sum,
+    poly_is_irreducible,
     select_solution,
     solve_dickson,
     solve_gauss,
     subfield_residue,
 )
-from jacobicodes.fields import is_prime
+from jacobicodes.fields import _generates, is_prime
+from jacobicodes.jacobi import _cyclic_convolutions, _unit_residues
 
 
 @lru_cache(maxsize=None)
@@ -166,6 +173,68 @@ def vanishing_minors_oracle(rows, k: int, p: int) -> list[tuple[int, ...]]:
         for mask, minor in minors.items()
         if not minor
     ]
+
+
+def conditions_oracle(candidate, spec: FieldSpec, b: int, n: int = 1) -> ConditionReport:
+    """The six conditions of ``verify_conditions`` with (v) and (vi) taken
+    in Z[zeta_l]: the products of CycInt conjugates, tested for divisibility
+    by p coefficient by coefficient.  No input validation."""
+    l, p = spec.l, spec.p
+    H = CycInt(l, tuple(candidate))
+    a = H.coeffs
+    diagnostics: dict = {}
+    convs = _cyclic_convolutions(a, l)
+    cond_i = spec.q == sum(c * c for c in a) - convs[0]
+    cond_ii = all(c == convs[0] for c in convs[1:])
+    if not cond_ii:
+        diagnostics["unequal_convolutions"] = convs
+    residue_iii, residue_iv = _unit_residues(a, l)
+    diagnostics["iii_residue"] = residue_iii
+    diagnostics["iv_residue"] = residue_iv
+    index_set = condition_index_set(l, n)
+    prod_v = CycInt.from_int(l, 1)
+    for k in index_set:
+        prod_v = prod_v * H.conjugate(k)
+    prod_vi = H.conjugate(-1)
+    for k in index_set:
+        prod_vi = prod_vi * (CycInt.from_int(l, b) - CycInt.zeta(l, pow(k, -1, l)))
+    diagnostics["vi_residues"] = tuple(c % p for c in prod_vi.coeffs)
+    return ConditionReport(
+        i=cond_i, ii=cond_ii, iii=residue_iii == 0, iv=residue_iv == 0,
+        v=not divisible_by_int(prod_v, p), vi=divisible_by_int(prod_vi, p),
+        b=b, n=n, diagnostics=diagnostics,
+    )
+
+
+def _root_walk(coeffs, p: int) -> bool:
+    """Whether the polynomial has a root in F_p, by evaluating it at every
+    residue."""
+    for v in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * v + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
+def modulus_search_oracle(p: int, degree: int) -> tuple[int, ...]:
+    """The lexicographically least monic irreducible polynomial of the given
+    degree, over every candidate from constant term 0 on: a root walk over
+    F_p decides degrees up to 3, and from degree 4 on a candidate with no
+    root goes to the Frobenius test."""
+    for tail in product(range(p), repeat=degree):
+        cand = tail + (1,)
+        if degree == 1 or not _root_walk(cand, p) and (
+            degree <= 3 or poly_is_irreducible(cand, p)
+        ):
+            return cand
+
+
+def primitive_search_oracle(spec: FieldSpec):
+    """The least generator of F_q*, every element in lexicographic order
+    sent to ``_generates``."""
+    return next(x for x in spec.elements() if _generates(x))
 
 
 def primes_1_mod(l: int, lo: int, hi: int) -> list[int]:

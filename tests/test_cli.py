@@ -163,12 +163,29 @@ def test_noncoprime_generator_power_is_usage_error(capsys):
     assert "coprime" in err
 
 
-def test_budget_exit_code(capsys):
+def _refuse_walk(*args, **kwargs):
+    raise AssertionError("walked a log table")
+
+
+def test_budget_exit_code(capsys, monkeypatch):
+    # J for l = 7 histograms the table: its walk is refused before it starts
+    monkeypatch.setattr(fields, "_walk", _refuse_walk)
     code, _, err = run(
-        capsys, "jacobi", "--p", "61", "--l", "5", "--table-budget", "10"
+        capsys, "jacobi", "--p", "29", "--l", "7", "--table-budget", "10"
     )
     assert code == 3
-    assert "budget" in err
+    assert err == "resource budget exceeded: log table needs 28 entries, budget is 10\n"
+
+
+def test_budget_binds_only_where_a_table_is_walked(capsys, monkeypatch):
+    # q - 1 = 10000140 is over the default budget, but l = 5 walks nothing
+    monkeypatch.setattr(fields, "_walk", _refuse_walk)
+    for argv in (("jacobi",), ("code", "build")):
+        code, out, err = run(capsys, *argv, "--p", "10000141", "--l", "5")
+        assert (code, err) == (0, ""), argv
+        assert "F_10000141" in out
+    code, _, err = run(capsys, "jacobi", "--p", "61", "--l", "5", "--table-budget", "10")
+    assert (code, err) == (0, "")
 
 
 def test_solvers_build_no_log_table(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Congruence systems, MDS generator matrices, the determinant suite, and
 single-error decoding."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -152,6 +153,20 @@ def test_check_row_subsets_matches_shared_minors_in_every_class(l, p):
     for c in range(1, l):
         system = class_system(l, p, c)
         assert check_row_subsets(system) == vanishing_minors_oracle(system.D, system.k, p), c
+
+
+def test_square_minors_keep_two_sizes():
+    # one l = 19 class: k = w = 9, at most 2 * C(9, 4)^2 = 31 752 minors
+    # held at once, where one slot per (row mask, column mask) was 2^18
+    system = class_system(19, 191, 1)
+    expected = check_row_subsets(system)  # the schedule is cached from here on
+    tracemalloc.start()
+    try:
+        assert check_row_subsets(system) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_systematic_minors_find_pivots_past_the_leading_block():

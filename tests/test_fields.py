@@ -12,6 +12,7 @@ from jacobicodes import (
     InputError,
     build_log_table,
     character_exponent,
+    character_root,
     find_irreducible_poly,
     find_primitive_element,
     is_prime,
@@ -20,7 +21,7 @@ from jacobicodes import (
 )
 from jacobicodes.fields import LogTable, multiplicative_order, prime_factors
 
-from conftest import dict_log_oracle
+from conftest import dict_log_oracle, modulus_search_oracle, primitive_search_oracle
 
 # F_61 and extension fields of 2 to 5 digits, with N = (q-1)/(p-1) lines
 LINE_FIELDS = ((61, 5, 1), (7, 3, 2), (31, 3, 2), (13, 3, 3), (11, 5, 3), (7, 3, 4),
@@ -88,6 +89,80 @@ def test_modulus_search_matches_unfiltered_search():
             assert find_irreducible_poly(p, degree) == _unfiltered_search(p, degree), (p, degree)
             checked += 1
     assert checked == 55
+
+
+SMALL_PRIMES = [p for p in range(2, 50) if is_prime(p)]
+
+
+def test_modulus_search_matches_the_exhaustive_search():
+    for p in SMALL_PRIMES:
+        for degree in (1, 2, 3, 4):
+            assert find_irreducible_poly(p, degree) == modulus_search_oracle(p, degree), (p, degree)
+
+
+def test_primitive_search_matches_the_element_by_element_search():
+    checked = 0
+    for p in SMALL_PRIMES:
+        l = next((r for r in prime_factors(p - 1) if r > 2), None)
+        if l is None:
+            continue
+        for alpha in (1, 2, 3, 4):
+            spec = FieldSpec(p=p, l=l, alpha=alpha)
+            assert find_primitive_element(spec) == primitive_search_oracle(spec), spec
+            checked += 1
+    assert checked == 44
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(fields, name)
+    monkeypatch.setattr(fields, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("p, alpha", [(1000003, 2), (1009, 3), (1000003, 4)])
+def test_large_p_modulus_search_walks_nothing(monkeypatch, p, alpha):
+    # the search starts at constant term 1, and a root test is a gcd with
+    # x^p - x: a few candidates, O(log p) products each, no pass over F_p
+    tests = _counting(monkeypatch, "poly_is_irreducible")
+    products = _counting(monkeypatch, "_poly_mulmod")
+    spec = FieldSpec(p=p, l=3, alpha=alpha)
+    assert find_irreducible_poly(p, alpha) == spec.modulus
+    assert 1 <= len(tests) <= 2 * 5
+    assert len(products) <= 2 * 500
+
+
+def test_primitive_search_tests_a_line_once(monkeypatch):
+    # modulo t^2 + 1 the p - 1 multiples of t, of norm 1, hold no generator
+    spec = FieldSpec(p=1000003, l=3, alpha=2)
+    assert spec.modulus == (1, 0, 1)
+    norms = _counting(monkeypatch, "_norm")
+    assert find_primitive_element(spec) == spec.element([1, 2])
+    assert len(norms) == 4  # the lines of t, 1, 1 + t and 1 + 2t
+
+
+@pytest.mark.parametrize("p, l, alpha", [(61, 5, 1), (7, 3, 2), (11, 5, 3), (7, 3, 4)])
+def test_character_root_is_the_power_in_f_q(p, l, alpha):
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    for x in spec.elements():
+        assert character_root(x) == subfield_residue(x ** ((spec.q - 1) // l)), x
+
+
+def test_found_generator_is_checked_once(monkeypatch):
+    checks = _counting(monkeypatch, "_generates")
+    for p, l, alpha in LINE_FIELDS:
+        spec = FieldSpec(p=p, l=l, alpha=alpha)
+        gamma = find_primitive_element(spec)
+        build_log_table(spec, gamma)
+        assert checks == []
+        # an element the caller builds is checked, even when equal to gamma
+        build_log_table(spec, spec.element(gamma.coeffs))
+        build_log_table(spec, gamma ** 1)
+        assert len(checks) == 2
+        checks.clear()
+    spec = FieldSpec(p=61, l=5)
+    with pytest.raises(InputError, match="^13 does not generate the multiplicative group$"):
+        LogTable(spec, spec.element(13), None)
 
 
 def test_field_spec_validation():
@@ -323,8 +398,9 @@ def test_log_rejects_foreign_elements():
 
 def test_budget_and_generator_validation():
     spec = FieldSpec(p=61, l=5)
-    with pytest.raises(BudgetError):
-        build_log_table(spec, budget=10)
+    table = build_log_table(spec, budget=10)  # the budget binds at the walk
+    with pytest.raises(BudgetError, match="^log table needs 60 entries, budget is 10$"):
+        table.log(spec.element(4))
     with pytest.raises(ValueError):
         build_log_table(spec, spec.element(13))  # 13 has order 3 mod 61
 

@@ -36,7 +36,7 @@ from jacobicodes import (
 from jacobicodes.cyclotomic import _gcd
 from jacobicodes.jacobi import _histogram
 
-from conftest import make_pipeline
+from conftest import conditions_oracle, make_pipeline
 
 
 def complex_jacobi_oracle(spec: FieldSpec, generator, i: int, j: int) -> complex:
@@ -160,6 +160,36 @@ def test_conditions_validation(p61):
         verify_conditions((1, 2), spec, b=9)  # wrong order
     with pytest.raises(InputError):
         verify_conditions(CycInt(3, (1, 2)), spec, b=9)  # wrong order
+
+
+def test_conditions_reject_b_equal_to_one(p61):
+    # b = 1 is the root of no generator, and p does not split at it
+    spec = p61["spec"]
+    a = p61["J"].coeffs
+    for b in (1, 62, -60):
+        with pytest.raises(InputError, match=f"^b = {b} is 1 mod 61, the root of no generator$"):
+            verify_conditions(a, spec, b=b)
+
+
+@pytest.mark.parametrize(
+    "p, l, alpha",
+    [(7, 3, 1), (7, 3, 2), (61, 5, 1), (11, 5, 2), (29, 7, 1), (29, 7, 2), (53, 13, 1)],
+)
+def test_conditions_in_f_p_match_the_cycint_products(p, l, alpha):
+    # every conjugate of J, every root b != 1 and every n, with the
+    # residues of (vi) read back by the inverse transform
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    J = jacobi_sum(build_log_table(spec))
+    roots = [b for b in range(2, p) if pow(b, l, p) == 1]
+    assert len(roots) == l - 1
+    passing = 0
+    for a in conjugate_solutions(J.coeffs):
+        for b in roots:
+            for n in range(1, l - 1):
+                report = verify_conditions(a, spec, b, n)
+                assert report == conditions_oracle(a, spec, b, n), (a, b, n)
+                passing += report.all_ok
+    assert passing >= l - 1  # each root certifies its own conjugate at n = 1
 
 
 def test_conjugate_solutions():

@@ -47,6 +47,7 @@ from jacobicodes.cyclotomic import _div_round, _norm
 from jacobicodes.fields import prime_factors
 
 from conftest import (
+    conditions_oracle,
     det_mod,
     dict_log_oracle,
     elements_jacobi_oracle,
@@ -245,6 +246,37 @@ def test_jacobi_sums_of_generator_powers_stay_in_one_orbit(t):
     b = subfield_residue(view.generator**12)
     passing = [a for a in orbit if verify_conditions(a, spec, b).all_ok]
     assert passing == [J.coeffs]
+
+
+# (p, l, alpha) for l = 3, 5, 7 and 13 over F_p and F_(p^2).
+CONDITION_FIELDS = tuple(
+    (p, l, alpha) for p, l in ((7, 3), (11, 5), (29, 7), (53, 13)) for alpha in (1, 2)
+)
+
+
+@lru_cache(maxsize=None)
+def jacobi_conjugates(p: int, l: int, alpha: int):
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    return spec, conjugate_solutions(jacobi_sum(build_log_table(spec)).coeffs)
+
+
+@CASES
+@given(st.sampled_from(CONDITION_FIELDS), st.data())
+def test_conditions_in_f_p_match_the_cycint_products(field, data):
+    p, l, alpha = field
+    spec, conjugates = jacobi_conjugates(*field)
+    coeff = st.integers(min_value=-3 * p, max_value=3 * p)
+    a = data.draw(st.one_of(
+        st.sampled_from(conjugates),
+        st.tuples(*(coeff for _ in range(l - 1))),
+        # near J: the generator-independent conditions may still hold
+        st.sampled_from(conjugates).flatmap(lambda j: st.tuples(
+            *(st.sampled_from((c, c + p, c - p)) for c in j)
+        )),
+    ))
+    b = data.draw(st.sampled_from([b for b in range(2, p) if pow(b, l, p) == 1]))
+    n = data.draw(st.integers(min_value=1, max_value=l - 2))
+    assert verify_conditions(a, spec, b, n) == conditions_oracle(a, spec, b, n)
 
 
 # Prime fields and alpha = 2, 3, 4 extensions, (p, l, alpha) with l | p - 1.

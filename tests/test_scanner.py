@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+import jacobicodes.fields as fields
 from jacobicodes import (
     FieldSpec,
     ScanRecord,
@@ -165,11 +166,23 @@ def test_scan_deadline_skips():
 
 
 def test_scan_budget_skips():
-    records = scan(5, 11, 100, table_budget=20)
+    # J for l = 7 histograms the log table, so the budget binds
+    records = scan(7, 29, 100, table_budget=30)
     by_p = {r.p: r for r in records}
-    assert by_p[11].status == "mds"  # q - 1 = 10 fits
-    assert all(by_p[p].status == "skipped" for p in (31, 41, 61, 71))
-    assert by_p[31].generator == (0,) and by_p[31].power == 1
+    assert by_p[29].status == "mds"  # q - 1 = 28 fits
+    assert all(by_p[p].status == "skipped" for p in (43, 71))
+    assert by_p[43].generator == (0,) and by_p[43].power == 1
+
+
+def test_scan_budget_binds_only_where_a_table_is_walked(monkeypatch):
+    # J for l = 5 comes from the prime above p: no table is walked
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked a log table")
+
+    monkeypatch.setattr(fields, "_walk", refuse)
+    assert [r.status for r in scan(5, 11, 100, table_budget=20)] == ["mds"] * 5
+    records = scan(5, 10**7, 10000200)
+    assert [(r.p, r.status) for r in records] == [(10000121, "mds"), (10000141, "mds")]
 
 
 def test_scan_rejects_bad_order():
