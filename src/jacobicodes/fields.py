@@ -195,13 +195,37 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+# Below this p a root test walks F_p: the walk costs about p (deg + 1)
+# products and stops at the first root, the gcd with x^p - x about
+# deg^2 log p.  Timed on the modulus search's own candidates, degrees 3 to 5,
+# the two cross between p = 250 (candidates with no root) and p = 350 (all
+# candidates), and the crossover hardly moves with the degree.
+_ROOT_WALK_BELOW = 300
+
+
 def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
     """Whether the monic polynomial f has a root in F_p, i.e. a linear
-    factor: whether gcd(x^p - x, f) has positive degree, with x^p taken
-    mod f by repeated squaring, O(log p) products and no walk over F_p."""
+    factor.  A quadratic over odd p has one iff its discriminant is a square
+    or 0 (Euler's criterion, one ``pow``).  Otherwise, below
+    ``_ROOT_WALK_BELOW`` f is evaluated at each residue by Horner's rule;
+    from there on the test is whether gcd(x^p - x, f) has positive degree,
+    with x^p taken mod f by repeated squaring, O(log p) products and no walk
+    over F_p."""
     deg = len(coeffs) - 1
     if deg == 1:
         return True
+    if deg == 2 and p > 2:
+        disc = (coeffs[1] * coeffs[1] - 4 * coeffs[0]) % p
+        return disc == 0 or pow(disc, (p - 1) // 2, p) == 1
+    if p < _ROOT_WALK_BELOW:
+        rev = coeffs[::-1]
+        for v in range(p):
+            acc = 0
+            for c in rev:
+                acc = (acc * v + c) % p
+            if not acc:
+                return True
+        return False
     modulus = tuple(c % p for c in coeffs)
     frob = _poly_powmod([0, 1], p, modulus, p)
     frob[1] = (frob[1] - 1) % p

@@ -11,9 +11,11 @@ down to the single sum attached to a specific generator.
 
 For l = 3 and 5 the sum needs no pass over F_q.  With b the root
 gamma^((q-1)/l) in F_p, Euclid's algorithm gives pi = gcd(p, zeta - b),
-a prime above p.  Stickelberger's theorem makes J_p(1, n) a unit times
-prod over k in S(n) of sigma_(1/k)(pi), S(n) = condition_index_set(l, n),
-and the unit is the one +-zeta^e with J = -1 mod (1 - zeta)^2.  The
+a prime above p, started at the element r - t zeta of that prime that a
+half-gcd on the integers (p, b) finds.  Stickelberger's theorem makes
+J_p(1, n) a unit times prod over k in S(n) of sigma_(1/k)(pi),
+S(n) = condition_index_set(l, n), and the unit is the one +-zeta^e with
+J = -1 mod (1 - zeta)^2, read off in closed form.  The
 Hasse-Davenport lifting theorem gives J_q = -(-J_p)^alpha, and J(i, j) is
 sigma_i(J(1, j/i)).  A stalled Euclid step at b is retried at b^2, ...,
 b^(l-1), whose sums are conjugates of the one for b.  The six conditions
@@ -26,9 +28,10 @@ ch. 11 and 14; Berndt, Evans and Williams, Gauss and Jacobi Sums).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, prod
 
-from .cyclotomic import CycInt, _gcd
+from .cyclotomic import CycInt, _conjugations, _euclid_start, _flat_mul, _gcd
 from .errors import InputError, IntegrityError, _cell
 from .fields import FieldElement, FieldSpec, LogTable, character_root
 
@@ -145,34 +148,45 @@ def _prime_sum(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
 
 def _stickelberger(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
     """J(1, n) over F_(p^alpha) for the character with root b in F_p, or
-    None when Euclid's algorithm stalls on gcd(p, zeta - b).
+    None when Euclid's algorithm stalls on gcd(p, r - t zeta), the prime
+    above p that ``_euclid_start`` reaches from b.
 
     J_p(1, n) is +-zeta^e * prod over k in S(n) of sigma_(1/k)(pi), the unit
     chosen by conditions (iii) and (iv); J_q = -(-J_p)^alpha.  A product no
-    unit fixes is returned unfixed, for the caller's check to reject.
+    unit fixes is returned unfixed, for the caller's check to reject.  The
+    products run on flat lists (see ``cyclotomic._gcd``); one CycInt is built,
+    for the result.
     """
-    pi = _gcd(CycInt.from_int(l, p), CycInt.zeta(l) - b)
+    pi = _gcd([p] + [0] * (l - 1), _euclid_start(l, p, b))
     if pi is None:
         return None
-    product = CycInt.from_int(l, 1)
-    for k in condition_index_set(l, n):
-        product = product * pi.conjugate(pow(k, -1, l))
-    # +-zeta^e * product: the raw coefficients (0, a_1, ..., a_(l-1))
-    # rotated by e, renormalised to a zero constant term, and signed
-    raw = (0,) + product.coeffs
-    units = (
-        tuple(s * (raw[(k - e) % l] - raw[-e % l]) for k in range(1, l))
-        for s in (1, -1) for e in range(l)
-    )
-    value = CycInt._new(
-        l, next((a for a in units if _unit_residues(a, l) == (0, 0)), product.coeffs)
-    )
-    if alpha > 1:
-        lifted = CycInt.from_int(l, 1)
-        for _ in range(alpha):
-            lifted = lifted * -value
-        value = -lifted
-    return value
+    perms = _conjugations(l)
+    conjugates = ([pi[i] for i in perms[pow(k, -1, l)]] for k in condition_index_set(l, n))
+    product = _fix_unit(reduce(_flat_mul, conjugates))
+    # -(-J_p)^alpha = (-1)^(alpha+1) J_p^alpha
+    value = product
+    for _ in range(alpha - 1):
+        value = _flat_mul(value, product)
+    if alpha % 2 == 0:
+        value = [-c for c in value]
+    return CycInt._new(l, tuple(c - value[0] for c in value[1:]))
+
+
+def _fix_unit(product: list[int]) -> list[int]:
+    """The one +-zeta^e * product, as a flat list, that conditions (iii) and
+    (iv) accept, or product itself when no unit makes them hold.
+
+    +-zeta^e * product has the coefficients s * r_(k-e).  With S = sum(r_k)
+    and T = sum(k * r_k), the residues of (iii) and (iv) are 1 + s S and
+    s (T + e S) mod l, so s = 1 for S = -1, s = -1 for S = 1, and
+    e = -T / S mod l; any other S leaves no unit that fixes the product."""
+    l = len(product)
+    total = sum(product) % l
+    if total not in (1, l - 1):
+        return product
+    sign = 1 if total == l - 1 else -1
+    e = -sum(k * c for k, c in enumerate(product)) * pow(total, -1, l) % l
+    return [sign * c for c in product[-e:] + product[:-e]]
 
 
 def condition_index_set(l: int, n: int) -> list[int]:

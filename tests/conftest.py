@@ -2,8 +2,9 @@
 element-object paths that the integer and prime-field paths replaced (log
 table, Jacobi sum, power loop, minimum distance), the determinant and
 shared-minor paths that the systematic-form check replaced, the Z[zeta]
-products that conditions (v) and (vi) read in F_p, the exhaustive modulus
-search and the element-by-element generator search, kept as oracles, and
+products that conditions (v) and (vi) read in F_p, Euclid's algorithm and
+the unit search on CycInts, the exhaustive modulus search and the
+element-by-element generator search, kept as oracles, and
 a record of which properties ran in this pytest run for the acceptance
 gate."""
 
@@ -204,6 +205,55 @@ def conditions_oracle(candidate, spec: FieldSpec, b: int, n: int = 1) -> Conditi
         v=not divisible_by_int(prod_v, p), vi=divisible_by_int(prod_vi, p),
         b=b, n=n, diagnostics=diagnostics,
     )
+
+
+def cofactor_norm_oracle(y: CycInt) -> tuple[CycInt, int]:
+    """prod_(k=2..l-1) sigma_k(y), by CycInt products, and the norm
+    N(y) = y times it, positive unless y = 0."""
+    cof = y.conjugate(2)
+    for k in range(3, y.l):
+        cof = cof * y.conjugate(k)
+    return cof, (y * cof).as_rational_int()
+
+
+def norm_oracle(y: CycInt) -> int:
+    """The norm N(y) = y * prod_(k=2..l-1) sigma_k(y) of a CycInt."""
+    return cofactor_norm_oracle(y)[1]
+
+
+def div_round_oracle(x: CycInt, y: CycInt, known: tuple[CycInt, int] | None = None) -> CycInt:
+    """x / y rounded: each coefficient c of x * prod_(k>=2) sigma_k(y) goes
+    to (2c + N) // (2N), the integer nearest c / N(y).  known, y's
+    ``cofactor_norm_oracle`` when the caller has it, saves computing it
+    again."""
+    cof, n = known or cofactor_norm_oracle(y)
+    return CycInt(x.l, tuple((2 * c + n) // (2 * n) for c in (x * cof).coeffs))
+
+
+def gcd_oracle(x: CycInt, y: CycInt) -> CycInt | None:
+    """A gcd of x and y by Euclid's algorithm on CycInts with rounded
+    quotients, or None when a remainder's norm is not below the divisor's:
+    the form that ``cyclotomic._gcd`` runs on flat lists."""
+    known = cofactor_norm_oracle(y)
+    while y:
+        r = x - div_round_oracle(x, y, known) * y
+        known_r = cofactor_norm_oracle(r)
+        if known_r[1] >= known[1]:
+            return None
+        x, y, known = y, r, known_r
+    return x
+
+
+def unit_search_oracle(product: CycInt) -> CycInt:
+    """The first of the 2l units +-zeta^e times product, s = 1 before -1 and
+    e rising, that conditions (iii) and (iv) accept, or product itself."""
+    l = product.l
+    for s in (1, -1):
+        for e in range(l):
+            a = (s * product * CycInt.zeta(l, e)).coeffs
+            if _unit_residues(a, l) == (0, 0):
+                return CycInt(l, a)
+    return product
 
 
 def _root_walk(coeffs, p: int) -> bool:

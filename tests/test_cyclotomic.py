@@ -14,7 +14,9 @@ from jacobicodes import (
     divisible_by_lambda_power,
     residue_mod_lambda,
 )
-from jacobicodes.cyclotomic import _div_round, _gcd, _norm
+from jacobicodes.cyclotomic import _cofactor_norm, _euclid_start, _gcd
+
+from conftest import div_round_oracle, gcd_oracle, norm_oracle, primes_1_mod
 
 
 def as_complex(x: CycInt) -> complex:
@@ -135,27 +137,75 @@ def test_norm_is_the_product_of_all_conjugates():
         want = 1
         for k in range(1, x.l):
             want *= as_complex(x.conjugate(k))
-        assert abs(_norm(x) - want) < 1e-6
-    assert _norm(CycInt(5, (0, -6, 3, 2))) == 61**2
-    assert _norm(CycInt.zero(5)) == 0
+        assert abs(norm_oracle(x) - want) < 1e-6
+        # the flat form, from any raw representative
+        for shift in (0, 5):
+            assert _cofactor_norm([shift] + [c + shift for c in x.coeffs])[1] == norm_oracle(x)
+    assert norm_oracle(CycInt(5, (0, -6, 3, 2))) == 61**2
+    assert _cofactor_norm([0, 0, -6, 3, 2])[1] == 61**2
+    assert norm_oracle(CycInt.zero(5)) == 0
+    assert _cofactor_norm([4] * 5)[1] == 0
 
 
 def test_rounded_quotient_is_nearest_coefficientwise():
     x, y = CycInt(5, (40, -17, 3, 9)), CycInt(5, (2, 1, 0, -1))
-    n = _norm(y)
+    n = norm_oracle(y)
     exact = (x * y.conjugate(2) * y.conjugate(3) * y.conjugate(4)).coeffs
-    quo = _div_round(x, y)
+    quo = div_round_oracle(x, y)
     assert all(abs(2 * (c - n * d)) <= n for c, d in zip(exact, quo.coeffs))
-    assert _div_round(x * y, y) == x  # exact quotients are found exactly
+    assert div_round_oracle(x * y, y) == x  # exact quotients are found exactly
+
+
+def flat(x: CycInt) -> list[int]:
+    return [0, *x.coeffs]
+
+
+def root_of_unity(l: int, p: int) -> int:
+    """x^((p-1)/l) for the least x >= 2 where it is not 1."""
+    x = 2
+    while pow(x, (p - 1) // l, p) == 1:
+        x += 1
+    return pow(x, (p - 1) // l, p)
 
 
 def test_gcd_is_the_prime_above_p():
-    # gcd(p, zeta - b) generates the prime (p, zeta - b) of norm p, so it
-    # divides both p and zeta - b exactly
-    for l, p in ((3, 7), (3, 1000003), (5, 61), (5, 100151), (7, 29), (11, 23)):
-        b = pow(2, (p - 1) // l, p)
-        assert b != 1
-        pi = _gcd(CycInt.from_int(l, p), CycInt.zeta(l) - b)
-        assert _norm(pi) == p
-        for x in (CycInt.from_int(l, p), CycInt.zeta(l) - b):
-            assert _div_round(x, pi) * pi == x
+    # r - t zeta, from the half-gcd on (p, b), lies in (p, zeta - b) and in
+    # no other prime above p, so gcd(p, r - t zeta) generates (p, zeta - b),
+    # of norm p, and divides both p and zeta - b exactly.  The flat Euclid
+    # takes the same steps as the CycInt one, stalls included.
+    for l in (3, 5, 7, 11, 13):
+        found = 0
+        for p in primes_1_mod(l, 20, 4000)[:12] + primes_1_mod(l, 10**5, 10**5 + 3000)[:4]:
+            b = root_of_unity(l, p)
+            for m in range(1, l):
+                bm = pow(b, m, p)
+                start = _euclid_start(l, p, bm)
+                # of the l - 1 primes above p, only (p, zeta - b^m) holds it
+                at = [sum(c * pow(bm, k * j, p) for j, c in enumerate(start)) % p
+                      for k in range(1, l)]
+                assert start[0] == 0 and [k for k, v in enumerate(at, 1) if v == 0] == [1]
+                pi = _gcd([p] + [0] * (l - 1), start)
+                want = gcd_oracle(CycInt.from_int(l, p), CycInt.from_raw(l, start))
+                assert pi == (None if want is None else flat(want)), (l, p, bm)
+                if pi is None:
+                    continue
+                found += 1
+                pi = CycInt.from_raw(l, pi)
+                assert norm_oracle(pi) == p
+                for x in (CycInt.from_int(l, p), CycInt.zeta(l) - bm):
+                    assert div_round_oracle(x, pi) * pi == x
+        assert found >= 8 * (l - 1), l
+
+
+def test_order_3_starts_at_the_prime():
+    # for l = 3 the norm r^2 + rt + t^2 of the start is a multiple of p
+    # below 3p, and 2p is no norm in Z[zeta_3]: the start is the prime,
+    # and Euclid takes one exact step from it, at every p and both roots
+    primes = primes_1_mod(3, 7, 10**5)
+    for p in primes:
+        b = root_of_unity(3, p)
+        for root in (b, b * b % p):
+            start = _euclid_start(3, p, root)
+            assert _cofactor_norm(start)[1] == p, (p, root)
+            assert _gcd([p, 0, 0], start) == start, (p, root)
+    assert len(primes) == 4784

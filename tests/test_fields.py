@@ -21,7 +21,7 @@ from jacobicodes import (
 )
 from jacobicodes.fields import LogTable, multiplicative_order, prime_factors
 
-from conftest import dict_log_oracle, modulus_search_oracle, primitive_search_oracle
+from conftest import _root_walk, dict_log_oracle, modulus_search_oracle, primitive_search_oracle
 
 # F_61 and extension fields of 2 to 5 digits, with N = (q-1)/(p-1) lines
 LINE_FIELDS = ((61, 5, 1), (7, 3, 2), (31, 3, 2), (13, 3, 3), (11, 5, 3), (7, 3, 4),
@@ -98,6 +98,20 @@ def test_modulus_search_matches_the_exhaustive_search():
     for p in SMALL_PRIMES:
         for degree in (1, 2, 3, 4):
             assert find_irreducible_poly(p, degree) == modulus_search_oracle(p, degree), (p, degree)
+
+
+@pytest.mark.parametrize("p", [2, 293, 307])
+def test_root_test_matches_the_walk_on_both_sides_of_the_crossover(p):
+    # below the crossover a root test walks F_p, from it on it is a gcd with
+    # x^p - x; a quadratic over odd p goes by Euler's criterion on either side
+    assert 293 < fields._ROOT_WALK_BELOW <= 307
+    for degree in (2, 3, 4, 5):
+        for tail in itertools.islice(itertools.product(range(p), repeat=degree), 0, 400, 3):
+            cand = tail + (1,)
+            assert fields._has_root(cand, p) == _root_walk(cand, p), (p, cand)
+    # the oracle walks the p^(degree-1) candidates with constant term 0 too
+    for degree in (1, 2, 3, 4) if p == 2 else (1, 2, 3):
+        assert find_irreducible_poly(p, degree) == modulus_search_oracle(p, degree), (p, degree)
 
 
 def test_primitive_search_matches_the_element_by_element_search():

@@ -33,7 +33,7 @@ from jacobicodes import (
     subfield_residue,
     verify_conditions,
 )
-from jacobicodes.cyclotomic import _gcd
+from jacobicodes.cyclotomic import _euclid_start, _gcd
 from jacobicodes.jacobi import _histogram
 
 from conftest import conditions_oracle, make_pipeline
@@ -226,29 +226,30 @@ def refuse(*args, **kwargs):
     raise AssertionError("the table-free path ran an O(q) fallback")
 
 
-def test_a_later_root_stands_in_for_the_stalled_root_of_f_96451(monkeypatch):
-    # the canonical root of F_96451 is one of the 12 roots b of the primes
+def test_a_later_root_stands_in_for_the_stalled_root_of_f_36821(monkeypatch):
+    # the canonical root of F_36821 is one of the 16 roots b of the primes
     # p = 1 mod 5 below 2 * 10^5 where rounded division stalls on
-    # gcd(p, zeta - b); past the stall the remainders cycle, so the
-    # division count of this one gcd is capped.  The sums and the Dickson
-    # solutions then come from a later root b^k, and must agree with the
-    # histogram and the unfiltered solutions.
-    p = 96451
+    # gcd(p, r - t zeta): its second remainder has the norm of the first.
+    # The sums and the Dickson solutions then come from a later root b^k,
+    # and must agree with the histogram and the unfiltered solutions.
+    p = 36821
     spec = FieldSpec(p=p, l=5)
     table = build_log_table(spec)
     b = subfield_residue(table.generator ** ((p - 1) // 5))
-    steps = []
+    norms = []
 
-    def div_round(x, y, *known):
-        steps.append(y)
-        assert len(steps) < 50, "Euclid's algorithm did not stop"
-        return div_round_real(x, y, *known)
+    def cofactor_norm(y):
+        known = cofactor_norm_real(y)
+        norms.append(known[1])
+        assert len(norms) < 50, "Euclid's algorithm did not stop"
+        return known
 
-    div_round_real = cyclotomic._div_round
+    cofactor_norm_real = cyclotomic._cofactor_norm
     with monkeypatch.context() as m:
-        m.setattr(cyclotomic, "_div_round", div_round)
-        assert _gcd(CycInt.from_int(5, p), CycInt.zeta(5) - b) is None
-    assert len(steps) == 7
+        m.setattr(cyclotomic, "_cofactor_norm", cofactor_norm)
+        assert _gcd([p, 0, 0, 0, 0], _euclid_start(5, p, b)) is None
+    # the start, then two remainders, the second not below the first
+    assert len(norms) == 3 and norms[0] > norms[1] == norms[2]
     for i, j in ((1, 1), (2, 4), (3, 1)):
         assert jacobi_sum(table, i, j).value == _histogram(table, i, j)
     raw = solve_dickson(p, apply_rejection=False)
@@ -291,13 +292,16 @@ def test_later_roots_stand_in_for_a_stalled_one(monkeypatch):
     monkeypatch.setattr(jacobi, "_gcd", stall_first)
     monkeypatch.setattr(diophantine, "_enumerate_dickson", refuse)
     assert solve_dickson(61) == want
-    # b = 2^12 = 9 mod 61 stalls, so b^2 = 20 is tried next
-    assert calls == [CycInt.zeta(5) - 9, CycInt.zeta(5) - 20]
+    # b = 2^12 = 9 mod 61 stalls, so b^2 = 20 is tried next; the starts
+    # are r - t zeta = 7 + 6 zeta and 1 + 3 zeta, as 7 = -6 * 9 and
+    # 1 = -3 * 20 mod 61
+    zeta = CycInt.zeta(5)
+    assert [CycInt.from_raw(5, y) for y in calls] == [7 + 6 * zeta, 1 + 3 * zeta]
 
 
 def test_a_stalled_root_needs_no_histogram(monkeypatch):
-    # F_96451's canonical root stalls (see above); b^2 stands in for it
-    table = build_log_table(FieldSpec(p=96451, l=5))
+    # F_36821's canonical root stalls (see above); b^2 stands in for it
+    table = build_log_table(FieldSpec(p=36821, l=5))
     pairs = ((1, 1), (1, 2), (2, 4), (3, 1), (4, 4))
     want = {(i, j): _histogram(table, i, j) for i, j in pairs}
     monkeypatch.setattr(jacobi, "_histogram", refuse)
@@ -331,6 +335,21 @@ def test_jacobi_sum_reads_no_log(p, alpha):
     blind = LogTable(spec, table.generator, RefusingLogs(table.logs))
     for i, j in ((1, 1), (1, 2), (3, 4), (1, 4)):
         assert jacobi_sum(blind, i, j).value == _histogram(table, i, j)
+
+
+@pytest.mark.parametrize(
+    "p, l, alpha", [(1000003, 3, 1), (7, 3, 2), (100151, 5, 1), (36821, 5, 1), (11, 5, 2)]
+)
+def test_prime_above_p_takes_no_cycint_product(monkeypatch, p, l, alpha):
+    # Euclid, Stickelberger's product, the unit and the lift run on flat
+    # lists, the stalled root of F_36821 and its retry included; the one
+    # CycInt product left is the norm check J * conj(J) = q
+    table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
+    products = []
+    mul_real = CycInt.__mul__
+    monkeypatch.setattr(CycInt, "__mul__", lambda x, y: products.append(y) or mul_real(x, y))
+    J = jacobi_sum(table)
+    assert products == [J.value.conjugate(-1)]
 
 
 def ladder_workload(monkeypatch):

@@ -43,16 +43,19 @@ from jacobicodes import (
     verify_conditions,
 )
 from jacobicodes.codes import _dependent_columns, _rref
-from jacobicodes.cyclotomic import _div_round, _norm
 from jacobicodes.fields import prime_factors
+from jacobicodes.jacobi import _fix_unit
 
 from conftest import (
     conditions_oracle,
     det_mod,
     dict_log_oracle,
+    div_round_oracle,
     elements_jacobi_oracle,
     make_pipeline,
+    norm_oracle,
     pow_loop_oracle,
+    unit_search_oracle,
     vanishing_minors_oracle,
 )
 
@@ -150,7 +153,26 @@ def nonzero_cyc3():
 def test_rounded_division_is_euclidean_for_order_3(x, y):
     # the rounding error s zeta + t zeta^2, |s|, |t| <= 1/2, has norm
     # s^2 - st + t^2 <= 3/4, so Euclid's algorithm cannot stall for l = 3
-    assert 4 * _norm(x - _div_round(x, y) * y) <= 3 * _norm(y)
+    assert 4 * norm_oracle(x - div_round_oracle(x, y) * y) <= 3 * norm_oracle(y)
+
+
+@st.composite
+def raw_product(draw):
+    l = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    coeff = st.integers(min_value=-10**4, max_value=10**4)
+    return draw(st.lists(coeff, min_size=l, max_size=l))
+
+
+@CASES
+@given(raw_product())
+@example([0, 2, 1])  # S = 0 mod 3: no unit fixes it
+@example([4, 0, 0, 0, 0])  # S = -1 mod 5, fixed as it is
+@example([0, 0, 0, 1, 0])  # S = 1 mod 5: sign -1 and a rotation
+def test_closed_form_unit_matches_the_unit_search(raw):
+    # +-zeta^e * product is read off S = sum(r_k) and T = sum(k r_k) mod l,
+    # on any raw representative; the search tries all 2l units in turn
+    l = len(raw)
+    assert CycInt.from_raw(l, _fix_unit(raw)) == unit_search_oracle(CycInt.from_raw(l, raw))
 
 
 @CASES
