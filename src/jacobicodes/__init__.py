@@ -6,10 +6,11 @@ The pipeline, end to end:
 1. ``fields`` builds F_q = F_{p^alpha} with a canonical generator and a
    discrete-log table, walked on its first lookup.
 2. ``jacobi`` computes the Jacobi sum, a cyclotomic integer in Z[zeta_l],
-   and checks the six arithmetic conditions that pin it down.  For l = 3
-   and 5 it comes from the prime above p (Euclid in ``cyclotomic``,
-   Stickelberger's theorem, the Hasse-Davenport lift) with no pass over
-   F_q; otherwise the log table is histogrammed.
+   and checks the six arithmetic conditions that pin it down.  It reads
+   no log table and makes no pass over F_q: for l = 3 and 5 it comes from
+   the prime above p (Euclid in ``cyclotomic``, Stickelberger's theorem),
+   otherwise from its residues at the primes above p (Stickelberger's
+   congruence), and the Hasse-Davenport lift carries it to F_q.
 3. ``diophantine`` solves the quadratic-form systems (order 3 and 5) whose
    integer solutions are exactly the conjugates of the Jacobi sum, reading
    them off those conjugates, then selects the one belonging to the chosen

@@ -11,7 +11,8 @@ Subcommands:
   verify-example  re-derive the F_61 worked example and compare every value
 
 Exit codes: 0 success, 1 assertion, integrity or other internal failure,
-2 usage error (bad input), 3 resource budget exceeded.
+2 usage error (bad input).  No subcommand walks a discrete-log table, so
+none takes a table budget.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from .codes import (
     to_standard_form,
 )
 from .diophantine import DicksonSolution, select_solution, solve_dickson, solve_gauss
-from .errors import BudgetError, InputError, IntegrityError
+from .errors import InputError, IntegrityError
 from .fields import (
-    DEFAULT_TABLE_BUDGET,
     FieldSpec,
     build_log_table,
     character_root,
@@ -49,8 +49,8 @@ import os
 
 
 def _field_args(parser: argparse.ArgumentParser, solver: bool = False) -> None:
-    """The field options; gauss and dickson (solver) fix l and build no
-    log table, so they take neither --l nor --table-budget."""
+    """The field options; gauss and dickson (solver) fix l, so they take no
+    --l."""
     parser.add_argument("--p", type=int, required=True, help="prime characteristic")
     parser.add_argument("--alpha", type=int, default=1, help="extension degree (default 1)")
     if not solver:
@@ -59,11 +59,6 @@ def _field_args(parser: argparse.ArgumentParser, solver: bool = False) -> None:
         "--generator-power", type=int, default=1, metavar="T",
         help="use gamma^T instead of the canonical generator gamma",
     )
-    if not solver:
-        parser.add_argument(
-            "--table-budget", type=int, default=DEFAULT_TABLE_BUDGET,
-            help="maximum discrete-log table size",
-        )
 
 
 def _format_arg(parser: argparse.ArgumentParser) -> None:
@@ -97,7 +92,7 @@ def _generator(args, l: int):
 
 def _make_table(args, l: int):
     spec, generator = _generator(args, l)
-    return spec, build_log_table(spec, generator, budget=args.table_budget)
+    return spec, build_log_table(spec, generator)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +246,6 @@ def _cmd_scan(args) -> int:
         p_max=args.p_max,
         alpha=args.alpha,
         generators=args.generators,
-        table_budget=args.table_budget,
         deadline_s=args.deadline,
     )
     text = report(records, args.format)
@@ -386,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--p-max", type=int, required=True)
     p_scan.add_argument("--alpha", type=int, default=1)
     p_scan.add_argument("--generators", choices=("first", "all"), default="first")
-    p_scan.add_argument("--table-budget", type=int, default=DEFAULT_TABLE_BUDGET)
     p_scan.add_argument("--deadline", type=float, default=None,
                         help="wall-clock budget in seconds; later cells are skipped")
     p_scan.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -413,9 +406,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except BudgetError as exc:
-        print(f"resource budget exceeded: {exc}", file=sys.stderr)
-        return 3
     except IntegrityError as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return 1

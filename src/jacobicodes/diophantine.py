@@ -10,9 +10,10 @@ The final non-divisibility cuts the solution set down to exactly four
 members, one per Galois conjugate of the Jacobi sum.
 
 Both solvers read their solutions off those conjugates, with no search:
-J(1, 1) comes from the prime above p (``jacobi._prime_sum``).  The (U, V)
-enumeration stays for ``apply_rejection=False`` and for the rare order-5
-field where Euclid's algorithm stalls at every root.
+J(1, 1) comes from the prime above p (``jacobi._prime_sum``), or from its
+residues at the split primes (``jacobi._residue_sum``) in the rare field
+where Euclid's algorithm stalls at every root.  The (U, V) enumeration
+stays for ``apply_rejection=False``.
 
 Both systems translate to and from the cyclotomic coefficient vector
 (a_1, ..., a_(l-1)) by fixed unimodular-over-Z[1/2l] linear maps; the
@@ -28,7 +29,13 @@ from math import isqrt
 from .cyclotomic import CycInt
 from .errors import InputError, IntegrityError, _cell
 from .fields import FieldElement, FieldSpec, character_root, is_prime
-from .jacobi import _failed_conditions, _prime_sum, conjugate_solutions, verify_conditions
+from .jacobi import (
+    _failed_conditions,
+    _prime_sum,
+    _residue_sum,
+    conjugate_solutions,
+    verify_conditions,
+)
 
 __all__ = [
     "GaussSolution",
@@ -128,10 +135,7 @@ def solve_gauss(q: int, p: int | None = None) -> list[GaussSolution]:
 
     For q = p^alpha with p = 1 mod 3 there are exactly two, (L, M) and
     (L, -M) for a unique L: ``a_to_gauss`` of J = J(1, 1) and of its
-    conjugate (see ``solve_dickson``), listed positive M first.  Euclid's
-    algorithm cannot stall in Z[zeta_3], where rounding leaves a remainder
-    of at most 3/4 the divisor's norm, so there is no fallback: a stall
-    raises IntegrityError.
+    conjugate (see ``solve_dickson``), listed positive M first.
     """
     return _solve(3, q, q if p is None else p)
 
@@ -144,8 +148,7 @@ def solve_dickson(
     With ``apply_rejection`` the p-non-divisibility filter applies and the
     four solutions are ``a_to_dickson`` of the four conjugates sigma_k(J),
     k = 1..4, of J = J(1, 1) for the root b = x^((p-1)/5) of the least x
-    with b != 1, each validated and the four checked distinct.  When
-    Euclid's algorithm stalls for b, b^2, b^3 and b^4 alike, and without
+    with b != 1, each validated and the four checked distinct.  Without
     ``apply_rejection`` (all solutions of the first three equations, the
     imprimitive ones included), the (U, V) plane is enumerated instead.
     """
@@ -155,7 +158,8 @@ def solve_dickson(
 def _solve(l: int, q: int, p: int, apply_rejection: bool = True) -> list:
     """The body of ``solve_gauss`` (l = 3) and ``solve_dickson`` (l = 5):
     the l - 1 solutions read off the conjugates of J(1, 1) from the prime
-    above p (``jacobi._prime_sum``)."""
+    above p (``jacobi._prime_sum``), or from its residues when Euclid's
+    algorithm stalls at every root."""
     alpha = _prime_power_check(q, p)
     if p % l != 1:
         raise InputError(f"p = {p} is not 1 mod {l}")
@@ -164,16 +168,14 @@ def _solve(l: int, q: int, p: int, apply_rejection: bool = True) -> list:
     x = 2
     while pow(x, (p - 1) // l, p) == 1:
         x += 1
-    J = _prime_sum(l, p, alpha, pow(x, (p - 1) // l, p), 1)
+    b = pow(x, (p - 1) // l, p)
+    J = _prime_sum(l, p, alpha, b, 1)
+    if J is None:
+        J = _residue_sum(l, p, alpha, b, 1)
     cell = _cell(l, p, alpha)
+    to_solution = a_to_gauss if l == 3 else a_to_dickson
     try:
-        if J is not None:
-            to_solution = a_to_gauss if l == 3 else a_to_dickson
-            sols = [to_solution(a, q, p) for a in conjugate_solutions(J.coeffs)]
-        elif l == 5:
-            sols = [s for s in _enumerate_dickson(q, p) if s.A % p != 0]
-        else:
-            raise IntegrityError(f"{cell}: Euclid's algorithm stalled at every root")
+        sols = [to_solution(a, q, p) for a in conjugate_solutions(J.coeffs)]
         for sol in sols:
             sol.validate()
     except ValueError as exc:
@@ -325,16 +327,17 @@ def select_solution(
     b is recomputed here as gamma^((q-1)/l), read off the norm of gamma
     (see ``character_root``); the caller never passes it.  Every candidate
     must pass the generator-independent conditions, and exactly one may pass
-    the generator-dependent one; anything else raises IntegrityError.
+    the generator-dependent one; anything else raises IntegrityError.  An
+    empty list, or solutions of the other order's system, raise InputError.
     """
     l = spec.l
     p = spec.p
     if not solutions:
-        raise ValueError("no candidate solutions given")
+        raise InputError("no candidate solutions given")
     first = solutions[0]
     expected_l = 3 if isinstance(first, GaussSolution) else 5
     if l != expected_l:
-        raise ValueError(f"field has l = {l}, solutions are for l = {expected_l}")
+        raise InputError(f"field has l = {l}, solutions are for l = {expected_l}")
     b = character_root(gamma)
     cell = _cell(l, p, spec.alpha, gamma)
     passing = []

@@ -17,7 +17,7 @@ class IntegrityError(JacobiCodesError):
 
 
 class BudgetError(JacobiCodesError):
-    """A configured resource limit (table size, deadline) was exceeded."""
+    """A log-table walk would exceed the table's configured size budget."""
 
 
 class InputError(JacobiCodesError, ValueError):

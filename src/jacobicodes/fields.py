@@ -9,9 +9,9 @@ from one run to the next.
 
 Each element also has one integer code, c_0 + c_1 p + ... +
 c_(alpha-1) p^(alpha-1), which for alpha = 1 is the residue itself.  A
-log table is a flat list indexed by that code, so the Jacobi sum can loop
-over integers 1..q-1 instead of element objects.  It is walked on its
-first lookup: a caller that needs only the generator pays nothing O(q).
+log table is a flat list indexed by that code.  It is walked on its first
+lookup: a caller that needs only the generator, as every Jacobi sum does,
+pays nothing O(q).
 
 For alpha > 1 the table is built one F_p*-line at a time.  With
 N = (q-1)/(p-1) and c = gamma^N, the norm of gamma, in F_p*,
@@ -23,7 +23,6 @@ digits of c^k gamma^m are rotations of the powers of c in F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import add, mul
 from typing import ClassVar
 
@@ -77,11 +76,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-@lru_cache(maxsize=None)
-def _cached_prime_factors(n: int) -> tuple[int, ...]:
-    return tuple(prime_factors(n))
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +487,7 @@ def multiplicative_order(x: FieldElement) -> int:
     n = x.spec.q - 1
     order = n
     one = x.spec.one
-    for r in _cached_prime_factors(n):
+    for r in prime_factors(n):
         while order % r == 0 and x ** (order // r) == one:
             order //= r
     return order
@@ -534,7 +528,7 @@ def _generates(x: FieldElement) -> bool:
         return False
     spec = x.spec
     p, n = spec.p, spec.q - 1
-    factors, one = _cached_prime_factors(n), spec.one
+    factors, one = prime_factors(n), spec.one
     return _generates_fp(_norm(x), p, [r for r in factors if (p - 1) % r == 0]) and all(
         x ** (n // r) != one for r in factors if (p - 1) % r
     )
@@ -571,7 +565,7 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
     """
     p, alpha = spec.p, spec.alpha
     n = spec.q - 1
-    factors = _cached_prime_factors(n)
+    factors = prime_factors(n)
     norm_primes = [r for r in factors if (p - 1) % r == 0]
     if alpha == 1:
         for x in spec.elements():
@@ -619,8 +613,8 @@ class LogTable:
     slot 0 (the zero element) is unused.
 
     A table made with logs = None walks the powers of its generator on the
-    first read of ``logs`` (by ``log``, ``character_exponent`` or the Jacobi
-    histogram) and keeps the list; until then it holds no O(q) data.  Such
+    first read of ``logs`` (by ``log`` or ``character_exponent``) and keeps
+    the list; until then it holds no O(q) data.  Such
     a table checks its generator on the prime factors of q - 1 (see
     ``_generates``), unless ``find_primitive_element`` returned it, and
     raises InputError if it does not generate F_q*.  A table from

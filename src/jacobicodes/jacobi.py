@@ -9,27 +9,32 @@ two linear congruences mod l, a non-divisibility constraint, and one
 generator-dependent divisibility by p -- cut the Galois orbit of J(1, n)
 down to the single sum attached to a specific generator.
 
-For l = 3 and 5 the sum needs no pass over F_q.  With b the root
-gamma^((q-1)/l) in F_p, Euclid's algorithm gives pi = gcd(p, zeta - b),
-a prime above p, started at the element r - t zeta of that prime that a
-half-gcd on the integers (p, b) finds.  Stickelberger's theorem makes
-J_p(1, n) a unit times prod over k in S(n) of sigma_(1/k)(pi),
-S(n) = condition_index_set(l, n), and the unit is the one +-zeta^e with
-J = -1 mod (1 - zeta)^2, read off in closed form.  The
-Hasse-Davenport lifting theorem gives J_q = -(-J_p)^alpha, and J(i, j) is
-sigma_i(J(1, j/i)).  A stalled Euclid step at b is retried at b^2, ...,
-b^(l-1), whose sums are conjugates of the one for b.  The six conditions
-certify the result.  J(i, -i) = -chi^i(-1) = -1 for every odd l.  Other
-l, and the rare field where every root stalls, histogram the log table
-(Ireland and Rosen, A Classical Introduction to Modern Number Theory,
-ch. 11 and 14; Berndt, Evans and Williams, Gauss and Jacobi Sums).
+No sum reads a log table.  With b the root gamma^((q-1)/l) in F_p,
+p splits in Z[zeta_l] into the l - 1 primes (p, zeta - b^m), and the sum
+J_p(1, n) over F_p is read in one of two ways.  For l = 3 and 5,
+Euclid's algorithm gives pi = gcd(p, zeta - b), a prime above p, started
+at the element r - t zeta of that prime that a half-gcd on the integers
+(p, b) finds.  Stickelberger's theorem makes J_p(1, n) a unit times prod
+over k in S(n) of sigma_(1/k)(pi), S(n) = condition_index_set(l, n), and
+the unit is the one +-zeta^e with J = -1 mod (1 - zeta)^2, read off in
+closed form.  A stalled Euclid step at b is retried at b^2, ..., b^(l-1),
+whose sums are conjugates of the one for b, and the six conditions
+certify the result.  For other l, and the rare field where every root
+stalls, Stickelberger's congruence gives J_p(1, n) mod each split prime as
+a binomial coefficient mod p, and the inverse transform at b gives J_p;
+the norm identity certifies it.  The Hasse-Davenport lifting theorem gives
+J_q = -(-J_p)^alpha, and J(i, j) is sigma_i(J(1, j/i)).
+J(i, -i) = -chi^i(-1) = -1 for every odd l (Ireland and Rosen, A
+Classical Introduction to Modern Number Theory, ch. 11 and 14; Berndt,
+Evans and Williams, Gauss and Jacobi Sums, ch. 2 and 11).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd, prod
+from math import prod
+from operator import mul
 
 from .cyclotomic import CycInt, _conjugations, _euclid_start, _flat_mul, _gcd
 from .errors import InputError, IntegrityError, _cell
@@ -63,66 +68,42 @@ class JacobiSum:
 def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     """J(i, j) for the character sending the table's generator to zeta_l.
 
-    For i + j = 0 mod l it is -1.  Otherwise, for l in {3, 5}, J(1, j/i)
-    comes from the prime above p by Stickelberger's theorem and the
-    Hasse-Davenport lift, with no log lookup and no pass over F_q, and is
-    certified by ``verify_conditions`` at the root b of the table's
-    generator.  For other l, or when Euclid's algorithm stalls at b, b^2,
-    ..., b^(l-1) alike, one pass over the element codes 1..q-1 of F_q
-    minus {0, -1} histograms the character exponent of chi^i(v) *
-    chi^j(v + 1).  When gcd(i, l), gcd(j, l) and gcd(i + j, l) are all 1
-    the result is checked against the norm identity J * conj(J) = q, which
-    any correct sum must satisfy.  A failed check raises IntegrityError
-    naming the cell.
+    For i + j = 0 mod l it is -1.  Otherwise J(1, j/i) comes from the root
+    b of the table's generator, with no log lookup: for l in {3, 5} from
+    the prime above p by Stickelberger's theorem, certified by
+    ``verify_conditions`` at b; for other l, or when Euclid's algorithm
+    stalls at b, b^2, ..., b^(l-1) alike, from its residues at the split
+    primes (``_residue_sum``, one pass of about p products mod p).  Either way the Hasse-Davenport
+    lift gives the sum over F_q, and J(i, j) is checked against the norm
+    identity J * conj(J) = q, which any correct sum must satisfy.  A failed
+    check raises IntegrityError naming the cell.
     """
     spec = table.spec
     l, p = spec.l, spec.p
     if not (1 <= i <= l - 1 and 1 <= j <= l - 1):
         raise InputError(f"character exponents must lie in [1, {l - 1}]")
-    cell = _cell(l, p, spec.alpha, table.generator)
-    value = None
     if (i + j) % l == 0:
-        value = CycInt.from_int(l, -1)
-    elif l in (3, 5):
-        b = character_root(table.generator)
-        n = j * pow(i, -1, l) % l
-        base = _prime_sum(l, p, spec.alpha, b, n)
-        if base is not None:
-            failed = _failed_conditions(verify_conditions(base, spec, b, n))
-            if failed:
-                raise IntegrityError(
-                    f"{cell}: J(1, {n}) from the prime above p fails condition(s) "
-                    f"{', '.join(failed)} at b = {b}"
-                )
-            value = base.conjugate(i)
-    if value is None:
-        value = _histogram(table, i, j)
-    if gcd(i, l) == gcd(j, l) == gcd(i + j, l) == 1:
-        norm = (value * value.conjugate(-1)).as_rational_int()
-        if norm != spec.q:
+        return JacobiSum(CycInt.from_int(l, -1), spec, table.generator, (i, j))
+    cell = _cell(l, p, spec.alpha, table.generator)
+    b = character_root(table.generator)
+    n = j * pow(i, -1, l) % l
+    base = _prime_sum(l, p, spec.alpha, b, n) if l in (3, 5) else None
+    if base is None:
+        base = _residue_sum(l, p, spec.alpha, b, n)
+    else:
+        failed = _failed_conditions(verify_conditions(base, spec, b, n))
+        if failed:
             raise IntegrityError(
-                f"{cell}: norm check failed: J(i,j) * conj = {norm}, expected q = {spec.q}"
+                f"{cell}: J(1, {n}) from the prime above p fails condition(s) "
+                f"{', '.join(failed)} at b = {b}"
             )
+    value = base.conjugate(i)
+    norm = (value * value.conjugate(-1)).as_rational_int()
+    if norm != spec.q:
+        raise IntegrityError(
+            f"{cell}: norm check failed: J(i,j) * conj = {norm}, expected q = {spec.q}"
+        )
     return JacobiSum(value, spec, table.generator, (i, j))
-
-
-def _histogram(table: LogTable, i: int, j: int) -> CycInt:
-    """J(i, j) by one pass over the element codes 1..q-1 of F_q."""
-    spec = table.spec
-    l, p = spec.l, spec.p
-    hist = [0] * l
-    logs = table.logs
-    for v in range(1, spec.q):
-        # adding 1 raises the lowest base-p digit of the code, p - 1 wrapping
-        # to 0; v = p - 1 is the code of -1, where v + 1 = 0
-        if v % p == p - 1:
-            if v == p - 1:
-                continue
-            w = v - (p - 1)
-        else:
-            w = v + 1
-        hist[(i * logs[v] + j * logs[w]) % l] += 1
-    return CycInt.from_raw(l, hist)
 
 
 def _unit_residues(a: tuple[int, ...], l: int) -> tuple[int, int]:
@@ -162,14 +143,50 @@ def _stickelberger(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
         return None
     perms = _conjugations(l)
     conjugates = ([pi[i] for i in perms[pow(k, -1, l)]] for k in condition_index_set(l, n))
-    product = _fix_unit(reduce(_flat_mul, conjugates))
-    # -(-J_p)^alpha = (-1)^(alpha+1) J_p^alpha
-    value = product
+    return _lift(_fix_unit(reduce(_flat_mul, conjugates)), alpha)
+
+
+def _residue_sum(l: int, p: int, alpha: int, b: int, n: int) -> CycInt:
+    """J(1, n) over F_(p^alpha) for the character with root b in F_p, from
+    its residues at the l - 1 primes (p, zeta - b^m) above p.
+
+    With f = (p-1)/l, zeta -> b^m sends chi(v) to v^(m f) mod p, so the
+    residue of J_p(1, n) is the sum over x in F_p of x^(A f) (1 - x)^(B f),
+    A = m and B = m n mod l (v = -x, and chi(-1) = 1 for odd l).  Expanded,
+    only the power x^(l f) survives the sum, so the residue is 0 when
+    A + B < l and -C(B f, (l-A) f) mod p otherwise, f being even:
+    Stickelberger's congruence.  The binomials need only the factorials
+    (k f)!, k < l, kept from one pass of products up to (l-1) f.  The
+    inverse transform at b (``_coefficients``) gives J_p mod p, and as each
+    |a_k| is below sqrt(2p) < p/2 for p > 8 (Parseval on the counts behind
+    J_p; the sums over F_7 have |a_k| <= 2), the symmetric lift is J_p.
+    """
+    f = (p - 1) // l
+    facts, acc = [1] * l, 1  # facts[k] = (k f)! mod p
+    for k in range(1, l):
+        for x in range((k - 1) * f + 1, k * f + 1):
+            acc = acc * x % p
+        facts[k] = acc
+    values = []
+    for m in range(1, l):
+        s = m + m * n % l  # A + B
+        values.append(
+            0 if s < l else -facts[s - m] * pow(facts[l - m] * facts[s - l], -1, p) % p
+        )
+    powers = [pow(b, e, p) for e in range(l)]
+    coeffs = _coefficients(values, powers, p)
+    return _lift([0, *(c - p if c > p // 2 else c for c in coeffs)], alpha)
+
+
+def _lift(jp: list[int], alpha: int) -> CycInt:
+    """J_q = -(-J_p)^alpha = (-1)^(alpha+1) J_p^alpha over F_(p^alpha), by
+    the Hasse-Davenport lifting theorem, from J_p as a flat list."""
+    value = jp
     for _ in range(alpha - 1):
-        value = _flat_mul(value, product)
+        value = _flat_mul(value, jp)
     if alpha % 2 == 0:
         value = [-c for c in value]
-    return CycInt._new(l, tuple(c - value[0] for c in value[1:]))
+    return CycInt._new(len(jp), tuple(c - value[0] for c in value[1:]))
 
 
 def _fix_unit(product: list[int]) -> list[int]:
@@ -242,14 +259,16 @@ def _coefficients(values: list[int], powers: list[int], p: int) -> tuple[int, ..
     of Z[zeta_l] whose images under zeta -> b^m are values[m - 1], m = 1..l-1,
     with powers[e] = b^e: the inverse of the length-l transform at b.  As
     c_0 = 0, the value at zeta -> 1 is v_0 = -sum(v_m), and
-    c_j = l^-1 sum over m of v_m b^(-mj)."""
+    c_j = l^-1 sum over m of v_m b^(-mj), the exponents -mj being the index
+    permutation of sigma_(-1/j)."""
     l = len(powers)
     if not any(values):
         return (0,) * (l - 1)
     full = [-sum(values) % p, *values]
     inv_l = pow(l, -1, p)
+    perms = _conjugations(l)
     return tuple(
-        inv_l * sum(v * powers[-m * j % l] for m, v in enumerate(full)) % p
+        inv_l * sum(map(mul, full, [powers[e] for e in perms[pow(-j, -1, l)]])) % p
         for j in range(1, l)
     )
 

@@ -21,14 +21,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .codes import build_congruence_system, check_row_subsets
-from .errors import BudgetError, InputError
-from .fields import (
-    DEFAULT_TABLE_BUDGET,
-    FieldSpec,
-    build_log_table,
-    character_root,
-    is_prime,
-)
+from .errors import InputError
+from .fields import FieldSpec, build_log_table, character_root, is_prime
 from .jacobi import jacobi_sum
 
 __all__ = [
@@ -51,13 +45,13 @@ class ScanRecord:
     """Outcome for one (l, p, alpha, generator) cell.
 
     status is "mds" (every row subset independent), "exception" (at least
-    one dependent subset, listed 1-based), or "skipped" (a resource budget
-    stopped the cell before it was computed; such cells carry an all-zero
-    generator placeholder and the planned power t).
+    one dependent subset, listed 1-based), or "skipped" (the scan's deadline
+    passed before the cell started; such cells carry an all-zero generator
+    placeholder and the planned power t).
 
     Generators gamma^t in one Galois class t mod l share one row-subset
     check, so elapsed_ms is paid by the first computed cell of each class
-    (that cell also pays for the prime's log table and Jacobi sum); later
+    (that cell also pays for the prime's generator and Jacobi sum); later
     cells of the class record only their own bookkeeping, usually 0.  A
     class whose mirror class l - t mod l was checked first takes the
     mirror's verdict with its rows mapped r -> l - r, so its first cell
@@ -158,14 +152,13 @@ def scan(
     p_max: int,
     alpha: int = 1,
     generators: str = "first",
-    table_budget: int = DEFAULT_TABLE_BUDGET,
     deadline_s: float | None = None,
 ) -> list[ScanRecord]:
     """Scan primes p in [p_min, p_max] with p = 1 mod l.
 
-    For each prime, the canonical generator gamma, its log table (walked
-    only where J needs the histogram, see ``jacobi_sum``), the Jacobi sum J
-    and the root b = gamma^((q-1)/l) are computed once.  Other
+    For each prime, the canonical generator gamma, the Jacobi sum J (from
+    the root of gamma, with no log table walked; see ``jacobi_sum``) and
+    the root b = gamma^((q-1)/l) are computed once.  Other
     generators are powers gamma^t with gcd(t, q-1) = 1 (policy "all") or
     just gamma itself (policy "first").  The sum for gamma^t is the Galois
     conjugate sigma_(t^-1 mod l)(J) and its root is b^t, so the congruence
@@ -175,11 +168,9 @@ def scan(
     verdict with every row r mapped to l - r (see ``_mirror``), so with
     policy "all" about half the classes are checked.
 
-    Cells whose Jacobi sum needs a log-table walk (``jacobi_sum``'s
-    histogram: l outside {3, 5}, or Euclid stalled at every root) of more
-    than ``table_budget`` entries, and cells that start after ``deadline_s``
-    seconds of wall-clock time, are emitted with status "skipped" rather
-    than dropped.  Records come back sorted by
+    Cells that start after ``deadline_s`` seconds of wall-clock time are
+    emitted with status "skipped" rather than dropped.  Records come back
+    sorted by
     (l, p, alpha, generator).  An empty range (p_min > p_max) is rejected.
     """
     if not is_prime(l) or l == 2:
@@ -196,23 +187,19 @@ def scan(
         if p % l != 1:
             continue
         spec = FieldSpec(p=p, l=l, alpha=alpha)
-        table = J = None
+        table = None
         verdicts: dict[int, tuple[tuple[int, ...], ...]] = {}
         for t in _generator_powers(spec.q, generators):
             cell_start = time.monotonic()
-            late = out_of_time()
-            if table is None and not late:
-                table = build_log_table(spec, budget=table_budget)
-                b = character_root(table.generator)
-                try:
-                    J = jacobi_sum(table).value
-                except BudgetError:
-                    pass  # J needs the histogram, and its walk is over budget
-            if late or J is None:
+            if out_of_time():
                 records.append(
                     ScanRecord(l, p, alpha, (0,) * alpha, t, "skipped", (), 0)
                 )
                 continue
+            if table is None:
+                table = build_log_table(spec)
+                b = character_root(table.generator)
+                J = jacobi_sum(table).value
             c = t % l
             if c not in verdicts:
                 if l - c in verdicts:

@@ -1,6 +1,7 @@
 """Shared fixtures: cached pipelines so tests do not rebuild log tables, the
 element-object paths that the integer and prime-field paths replaced (log
-table, Jacobi sum, power loop, minimum distance), the determinant and
+table, Jacobi sum, power loop, minimum distance), the log-table histogram
+that the residues at the split primes replaced, the determinant and
 shared-minor paths that the systematic-form check replaced, the Z[zeta]
 products that conditions (v) and (vi) read in F_p, Euclid's algorithm and
 the unit search on CycInts, the exhaustive modulus search and the
@@ -88,6 +89,27 @@ def elements_jacobi_oracle(spec: FieldSpec, index: dict, i: int, j: int) -> CycI
         if not v or v == spec.minus_one:
             continue
         hist[(i * index[v.coeffs] + j * index[(v + spec.one).coeffs]) % l] += 1
+    return CycInt.from_raw(l, hist)
+
+
+def histogram_oracle(table, i: int, j: int) -> CycInt:
+    """J(i, j) by one pass over the element codes 1..q-1 of F_q, the
+    character exponent of chi^i(v) * chi^j(v + 1) histogrammed from the
+    table's walked logs."""
+    spec = table.spec
+    l, p = spec.l, spec.p
+    hist = [0] * l
+    logs = table.logs
+    for v in range(1, spec.q):
+        # adding 1 raises the lowest base-p digit of the code, p - 1 wrapping
+        # to 0; v = p - 1 is the code of -1, where v + 1 = 0
+        if v % p == p - 1:
+            if v == p - 1:
+                continue
+            w = v - (p - 1)
+        else:
+            w = v + 1
+        hist[(i * logs[v] + j * logs[w]) % l] += 1
     return CycInt.from_raw(l, hist)
 
 

@@ -167,25 +167,41 @@ def _refuse_walk(*args, **kwargs):
     raise AssertionError("walked a log table")
 
 
-def test_budget_exit_code(capsys, monkeypatch):
-    # J for l = 7 histograms the table: its walk is refused before it starts
-    monkeypatch.setattr(fields, "_walk", _refuse_walk)
-    code, _, err = run(
-        capsys, "jacobi", "--p", "29", "--l", "7", "--table-budget", "10"
-    )
-    assert code == 3
-    assert err == "resource budget exceeded: log table needs 28 entries, budget is 10\n"
+TABLE_BUDGET_ARGVS = (
+    ("jacobi", "--p", "29", "--l", "7"),
+    ("gauss", "--p", "7"),
+    ("dickson", "--p", "61"),
+    ("code", "build", "--p", "61", "--l", "5"),
+    ("code", "encode", "--p", "61", "--l", "5", "--message", "1,2"),
+    ("code", "decode", "--p", "61", "--l", "5", "--word", "1,2,3,4"),
+    ("scan", "--l", "7", "--p-min", "29", "--p-max", "29"),
+)
+
+
+def test_budget_exit_code(capsys):
+    # no subcommand walks a log table, so none takes a table budget: the
+    # option is an argparse usage error
+    for argv in TABLE_BUDGET_ARGVS:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--table-budget", "10"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --table-budget 10" in capsys.readouterr().err
 
 
 def test_budget_binds_only_where_a_table_is_walked(capsys, monkeypatch):
-    # q - 1 = 10000140 is over the default budget, but l = 5 walks nothing
+    # q - 1 = 10000140 is over the library's default budget, but no
+    # subcommand walks a table, whatever l is
     monkeypatch.setattr(fields, "_walk", _refuse_walk)
     for argv in (("jacobi",), ("code", "build")):
         code, out, err = run(capsys, *argv, "--p", "10000141", "--l", "5")
         assert (code, err) == (0, ""), argv
         assert "F_10000141" in out
-    code, _, err = run(capsys, "jacobi", "--p", "61", "--l", "5", "--table-budget", "10")
-    assert (code, err) == (0, "")
+    for p, l in ((1000039, 13), (1000213, 17), (1000133, 23)):
+        code, out, err = run(capsys, "jacobi", "--p", str(p), "--l", str(l))
+        assert (code, err) == (0, ""), l
+        assert f"F_{p}" in out
+    for argv in TABLE_BUDGET_ARGVS:
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_solvers_build_no_log_table(capsys, monkeypatch):

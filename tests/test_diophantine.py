@@ -8,6 +8,7 @@ import pytest
 from jacobicodes import (
     DicksonSolution,
     GaussSolution,
+    InputError,
     IntegrityError,
     a_to_dickson,
     a_to_gauss,
@@ -233,3 +234,14 @@ def test_selection_validation(p61):
     gauss_sols = solve_gauss(7)
     with pytest.raises(ValueError):
         select_solution(gauss_sols, spec61, gamma)  # l mismatch
+
+
+def test_selection_rejects_caller_mistakes_as_input_errors(p61, p7):
+    # an empty list and solutions of the other order's system are the
+    # caller's mistakes, not broken identities
+    with pytest.raises(InputError, match="^no candidate solutions given$"):
+        select_solution([], p61["spec"], p61["table"].generator)
+    with pytest.raises(InputError, match="^field has l = 5, solutions are for l = 3$"):
+        select_solution(solve_gauss(7), p61["spec"], p61["table"].generator)
+    with pytest.raises(InputError, match="^field has l = 3, solutions are for l = 5$"):
+        select_solution(solve_dickson(61), p7["spec"], p7["table"].generator)

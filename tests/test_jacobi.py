@@ -1,7 +1,7 @@
 """Jacobi sums against an independent complex-arithmetic oracle, plus the
 six selection conditions, the prime-above-p path (with its retry over the
-roots b^k) against the histogram it bypasses, and the cell named by every
-IntegrityError."""
+roots b^k) and the residues at the split primes against the histogram
+they replaced, and the cell named by every IntegrityError."""
 
 import cmath
 import importlib
@@ -34,9 +34,9 @@ from jacobicodes import (
     verify_conditions,
 )
 from jacobicodes.cyclotomic import _euclid_start, _gcd
-from jacobicodes.jacobi import _histogram
 
-from conftest import conditions_oracle, make_pipeline
+from conftest import conditions_oracle, histogram_oracle, make_pipeline, primes_1_mod
+from test_properties import ORACLE_FIELDS, object_path
 
 
 def complex_jacobi_oracle(spec: FieldSpec, generator, i: int, j: int) -> complex:
@@ -251,33 +251,45 @@ def test_a_later_root_stands_in_for_the_stalled_root_of_f_36821(monkeypatch):
     # the start, then two remainders, the second not below the first
     assert len(norms) == 3 and norms[0] > norms[1] == norms[2]
     for i, j in ((1, 1), (2, 4), (3, 1)):
-        assert jacobi_sum(table, i, j).value == _histogram(table, i, j)
+        assert jacobi_sum(table, i, j).value == histogram_oracle(table, i, j)
     raw = solve_dickson(p, apply_rejection=False)
     assert solve_dickson(p) == [s for s in raw if s.A % p]
 
 
 def test_always_stalling_euclid_keeps_every_value(monkeypatch):
-    fields = ((61, 5, 1), (31, 3, 1), (7, 3, 2), (11, 5, 2))
+    # Euclid forced to stall at every root: every J(i, j) comes from its
+    # residues, equal to the histogram, and the solvers read their
+    # solutions off those
+    fields = ((7, 3, 1), (31, 3, 1), (61, 5, 1), (7, 3, 2), (11, 5, 2))
     tables = {f: build_log_table(FieldSpec(p=f[0], l=f[1], alpha=f[2])) for f in fields}
 
     def all_values():
         sums = {(f, i, j): jacobi_sum(t, i, j).value
                 for f, t in tables.items() for i in range(1, f[1]) for j in range(1, f[1])}
-        dickson = {f: solve_dickson(f[0] ** f[2], f[0]) for f in fields if f[1] == 5}
-        return sums, dickson
+        solutions = {f: (solve_gauss if f[1] == 3 else solve_dickson)(f[0] ** f[2], f[0])
+                     for f in fields}
+        return sums, solutions
 
     want = all_values()
-    fallbacks = []
+    assert want[0] == {(f, i, j): histogram_oracle(tables[f], i, j) for f, i, j in want[0]}
+    fallbacks = {jacobi: [], diophantine: []}
 
-    def enumerate_dickson(q, p):
-        fallbacks.append(q)
-        return enumerate_real(q, p)
+    def counted(module):
+        def residue_sum(l, p, alpha, b, n):
+            fallbacks[module].append(p**alpha)
+            return residue_real(l, p, alpha, b, n)
+        return residue_sum
 
-    enumerate_real = diophantine._enumerate_dickson
+    residue_real = jacobi._residue_sum
     monkeypatch.setattr(jacobi, "_gcd", lambda x, y: None)
-    monkeypatch.setattr(diophantine, "_enumerate_dickson", enumerate_dickson)
+    for module in fallbacks:
+        monkeypatch.setattr(module, "_residue_sum", counted(module))
+    monkeypatch.setattr(diophantine, "_enumerate_dickson", refuse)
     assert all_values() == want
-    assert fallbacks == [61, 121]
+    # one per J(i, j) with i + j != 0 mod l, (l - 1)(l - 2) a field, and
+    # one per solver call
+    assert sorted(fallbacks[jacobi]) == [7] * 2 + [31] * 2 + [49] * 2 + [61] * 12 + [121] * 12
+    assert fallbacks[diophantine] == [7, 31, 61, 49, 121]
 
 
 def test_later_roots_stand_in_for_a_stalled_one(monkeypatch):
@@ -290,6 +302,7 @@ def test_later_roots_stand_in_for_a_stalled_one(monkeypatch):
     gcd_real = jacobi._gcd
     want = solve_dickson(61)
     monkeypatch.setattr(jacobi, "_gcd", stall_first)
+    monkeypatch.setattr(diophantine, "_residue_sum", refuse)
     monkeypatch.setattr(diophantine, "_enumerate_dickson", refuse)
     assert solve_dickson(61) == want
     # b = 2^12 = 9 mod 61 stalls, so b^2 = 20 is tried next; the starts
@@ -299,20 +312,55 @@ def test_later_roots_stand_in_for_a_stalled_one(monkeypatch):
     assert [CycInt.from_raw(5, y) for y in calls] == [7 + 6 * zeta, 1 + 3 * zeta]
 
 
-def test_a_stalled_root_needs_no_histogram(monkeypatch):
+def test_a_stalled_root_needs_no_residues(monkeypatch):
     # F_36821's canonical root stalls (see above); b^2 stands in for it
     table = build_log_table(FieldSpec(p=36821, l=5))
     pairs = ((1, 1), (1, 2), (2, 4), (3, 1), (4, 4))
-    want = {(i, j): _histogram(table, i, j) for i, j in pairs}
-    monkeypatch.setattr(jacobi, "_histogram", refuse)
+    want = {(i, j): histogram_oracle(table, i, j) for i, j in pairs}
+    monkeypatch.setattr(jacobi, "_residue_sum", refuse)
     for i, j in pairs:
         assert jacobi_sum(table, i, j).value == want[i, j]
 
 
-def test_gauss_has_no_fallback_for_a_stall(monkeypatch):
+def test_a_forced_gauss_stall_falls_back_to_the_residues(monkeypatch):
+    # rounding in Z[zeta_3] leaves a remainder of at most 3/4 the divisor's
+    # norm, so Euclid never stalls there; forced to, solve_gauss reads J
+    # off its residues at b = 2^2 = 4 mod 7
+    want = solve_gauss(7)
+    calls = []
+    residue_real = jacobi._residue_sum
     monkeypatch.setattr(jacobi, "_gcd", lambda x, y: None)
-    with pytest.raises(IntegrityError, match=r"^l = 3, p = 7, alpha = 1: "):
-        solve_gauss(7)
+    monkeypatch.setattr(
+        diophantine, "_residue_sum", lambda *args: calls.append(args) or residue_real(*args)
+    )
+    assert solve_gauss(7) == want
+    assert calls == [(3, 7, 1, 4, 1)]
+
+
+@pytest.mark.parametrize("p, l, alpha", ORACLE_FIELDS)
+def test_every_oracle_field_sums_without_a_walk(monkeypatch, p, l, alpha):
+    # every J(i, j), against the element-object histogram, with the walk
+    # refused
+    sums = object_path(p, l, alpha, 1)[2]
+    monkeypatch.setattr(fields, "_walk", refuse)
+    table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
+    for (i, j), want in sums.items():
+        assert jacobi_sum(table, i, j).value == want, (i, j)
+
+
+@pytest.mark.parametrize("l", [13, 17, 23])
+def test_residues_need_no_walk_near_a_million(monkeypatch, l):
+    # the first prime p = 1 mod l above 10^6: J from its residues, with no
+    # walk, certified by the six conditions at the generator's root
+    p = primes_1_mod(l, 10**6, 10**6 + 20 * l)[0]
+    spec = FieldSpec(p=p, l=l)
+    monkeypatch.setattr(fields, "_walk", refuse)
+    table = build_log_table(spec)
+    J = jacobi_sum(table)
+    assert verify_conditions(J.value, spec, subfield_residue(table.generator ** ((p - 1) // l))).all_ok
+    for i, j in ((2, 1), (l - 1, 3)):
+        value = jacobi_sum(table, i, j).value
+        assert (value * value.conjugate(-1)).as_rational_int() == p
 
 
 @pytest.mark.parametrize(
@@ -324,7 +372,7 @@ def test_opposite_exponents_give_minus_one(p, l, alpha):
     # F_q minus {0, 1}
     table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
     for i in range(1, l):
-        assert jacobi_sum(table, i, l - i).value == _histogram(table, i, l - i)
+        assert jacobi_sum(table, i, l - i).value == histogram_oracle(table, i, l - i)
         assert jacobi_sum(table, i, l - i).value == CycInt.from_int(l, -1)
 
 
@@ -334,7 +382,7 @@ def test_jacobi_sum_reads_no_log(p, alpha):
     table = build_log_table(spec)
     blind = LogTable(spec, table.generator, RefusingLogs(table.logs))
     for i, j in ((1, 1), (1, 2), (3, 4), (1, 4)):
-        assert jacobi_sum(blind, i, j).value == _histogram(table, i, j)
+        assert jacobi_sum(blind, i, j).value == histogram_oracle(table, i, j)
 
 
 @pytest.mark.parametrize(
@@ -395,7 +443,7 @@ def test_a_table_is_walked_once_on_first_lookup(monkeypatch):
         assert table.log(g**k) == k
     assert len(walks) == 1
     for i, j in ((1, 1), (2, 5), (6, 7), (12, 12)):
-        assert jacobi_sum(table, i, j).value == _histogram(table, i, j)
+        assert jacobi_sum(table, i, j).value == histogram_oracle(table, i, j)
     assert (len(table), len(table.logs), walks) == (78, 79, [spec])
 
 
@@ -416,7 +464,7 @@ def test_integrity_errors_name_their_cell(monkeypatch):
         jacobi_sum(table)
 
     monkeypatch.setattr(jacobi, "_gcd", lambda x, y: None)
-    monkeypatch.setattr(jacobi, "_histogram", lambda table, i, j: CycInt.zero(5))
+    monkeypatch.setattr(jacobi, "_residue_sum", lambda *args: CycInt.zero(5))
     with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: norm check failed"):
         jacobi_sum(table)
 
@@ -439,10 +487,6 @@ def test_integrity_errors_name_their_cell(monkeypatch):
     with pytest.raises(IntegrityError, match=rf"^{cell}: expected exactly 4 distinct solutions .* found 1"):
         solve_dickson(61)
 
-    monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: None)
-    monkeypatch.setattr(diophantine, "_enumerate_dickson", lambda q, p: [])
-    with pytest.raises(IntegrityError, match=rf"^{cell}: expected exactly 4 distinct solutions .* found 0"):
-        solve_dickson(61)
 
     with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: ratio denominator"):
         diophantine._orientation(1, 61, 9, 5, 61, f"{cell}, generator 2")

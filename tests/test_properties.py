@@ -301,10 +301,12 @@ def test_conditions_in_f_p_match_the_cycint_products(field, data):
     assert verify_conditions(a, spec, b, n) == conditions_oracle(a, spec, b, n)
 
 
-# Prime fields and alpha = 2, 3, 4 extensions, (p, l, alpha) with l | p - 1.
+# Prime fields and alpha = 2, 3, 4 extensions, (p, l, alpha) with l | p - 1:
+# l = 3 and 5 from the prime above p, l = 7 to 23 from the residues.
 ORACLE_FIELDS = (
     (7, 3, 1), (31, 5, 1), (61, 5, 1), (97, 3, 1), (1021, 5, 1),
-    (7, 3, 2), (11, 5, 2), (13, 3, 2),
+    (29, 7, 1), (23, 11, 1), (53, 13, 1), (103, 17, 1), (191, 19, 1), (47, 23, 1),
+    (7, 3, 2), (11, 5, 2), (13, 3, 2), (29, 7, 2), (23, 11, 2),
     (7, 3, 3), (13, 3, 3), (11, 5, 3),
     (7, 3, 4),
 )
@@ -313,8 +315,8 @@ ORACLE_FIELDS = (
 @lru_cache(maxsize=None)
 def object_path(p: int, l: int, alpha: int, t: int):
     """A log table on gamma^t, with the element-object log dict and every
-    J(i, j) that jacobi_sum must reproduce: from the prime above p when
-    i + j != 0 mod l, from the integer histogram otherwise."""
+    J(i, j), histogrammed over the element objects, that jacobi_sum must
+    reproduce from the prime above p or from the residues."""
     spec = FieldSpec(p=p, l=l, alpha=alpha)
     generator = find_primitive_element(spec) ** t
     index = dict_log_oracle(spec, generator)

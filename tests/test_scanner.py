@@ -165,22 +165,29 @@ def test_scan_deadline_skips():
     assert all(r.generator == (0,) for r in records)
 
 
-def test_scan_budget_skips():
-    # J for l = 7 histograms the log table, so the budget binds
-    records = scan(7, 29, 100, table_budget=30)
-    by_p = {r.p: r for r in records}
-    assert by_p[29].status == "mds"  # q - 1 = 28 fits
-    assert all(by_p[p].status == "skipped" for p in (43, 71))
-    assert by_p[43].generator == (0,) and by_p[43].power == 1
+def _refuse_walk(*args, **kwargs):
+    raise AssertionError("walked a log table")
+
+
+def test_scan_computes_every_cell_without_a_walk(monkeypatch):
+    # J for l = 7 and 13 comes from its residues at the split primes: no
+    # cell is skipped, and no table is walked
+    monkeypatch.setattr(fields, "_walk", _refuse_walk)
+    records = scan(7, 29, 100)
+    assert [(r.p, r.status, r.power) for r in records] == [
+        (29, "mds", 1), (43, "mds", 1), (71, "mds", 1),
+    ]
+    assert records[1].generator == (3,)
+    counts = summarize(scan(13, 2, 200, generators="all")).counts
+    assert counts == {"mds": 140, "exception": 4, "skipped": 0}
+    with pytest.raises(TypeError):
+        scan(7, 29, 100, table_budget=30)
 
 
 def test_scan_budget_binds_only_where_a_table_is_walked(monkeypatch):
     # J for l = 5 comes from the prime above p: no table is walked
-    def refuse(*args, **kwargs):
-        raise AssertionError("walked a log table")
-
-    monkeypatch.setattr(fields, "_walk", refuse)
-    assert [r.status for r in scan(5, 11, 100, table_budget=20)] == ["mds"] * 5
+    monkeypatch.setattr(fields, "_walk", _refuse_walk)
+    assert [r.status for r in scan(5, 11, 100)] == ["mds"] * 5
     records = scan(5, 10**7, 10000200)
     assert [(r.p, r.status) for r in records] == [(10000121, "mds"), (10000141, "mds")]
 
