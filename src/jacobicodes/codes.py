@@ -7,8 +7,18 @@ b gives, coordinate by coordinate in the zeta-power basis, a system of
 l - 1 polynomial congruences in t of degree (l-1)/2 that all vanish at
 t = b.  The matrix D of their non-constant coefficients is the transpose
 of a generator matrix G for an MDS code when every maximal row minor of D
-is nonzero mod p, which is conjectured to fail for at most finitely many
-primes for each l.
+is nonzero mod p.  When that fails is a criterion on fixed elements of
+Z[zeta_l] (see ``scanner._galois_map``).  At full rank, the code of the
+class with root b_c is {x : x(b_c^m) = 0 for m in Z = -S(1)}, so its
+parity checks are the rows m in Z of the order-l Fourier matrix at
+zeta -> b_c, and a k-subset S of columns is dependent iff the Fourier
+minor M_T on those rows and the columns T outside S vanishes at b_c.
+Chebotarev's theorem on the minors of the prime-order Fourier matrix makes
+every M_T nonzero, so a full-rank failure needs p | N(M_T), which holds
+for finitely many p.  Rank collapse is one fixed element, the determinant
+delta_l of [sigma_m(E_j)] (m outside Z, E_j the coefficients of
+prod_k (t - zeta^(1/k))), vanishing at b_c; that delta_l is nonzero, so
+that collapse too needs p | N(delta_l), is still open for general l.
 
 That test runs on the systematic form.  One Gauss-Jordan reduction of the
 k x n matrix G gives its rank and, at full rank, [I | P] up to the order of
@@ -419,7 +429,7 @@ def build_code(system: CongruenceSystem, field: FieldSpec | None = None) -> Line
     """The [l-1, (l-1)/2] code generated by D transposed.  Requires the MDS
     property: a rank below k, or a dependent column subset, raises
     IntegrityError naming the cell and the rank or the witness, since either
-    is exactly a conjectured-exceptional (p, generator) pair.  G is reduced
+    is exactly an exceptional (p, generator) pair.  G is reduced
     once; its reduced form is G_std, whose pivots are the first k columns
     once every k columns are independent.  G_std * H^T = 0 is checked mod p."""
     if field is not None and (field.p != system.p or field.l != system.l):

@@ -73,10 +73,12 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     the prime above p by Stickelberger's theorem, certified by
     ``verify_conditions`` at b; for other l, or when Euclid's algorithm
     stalls at b, b^2, ..., b^(l-1) alike, from its residues at the split
-    primes (``_residue_sum``, one pass of about p products mod p).  Either way the Hasse-Davenport
-    lift gives the sum over F_q, and J(i, j) is checked against the norm
-    identity J * conj(J) = q, which any correct sum must satisfy.  A failed
-    check raises IntegrityError naming the cell.
+    primes (``_residue_sum``, one pass of about p products mod p), certified
+    by the norm identity J * conj(J) = q, which any correct sum must
+    satisfy.  Either way the Hasse-Davenport lift gives the sum over F_q.
+    Conditions (i) and (ii) force that norm on a Euclid result, and
+    sigma_i preserves it, so J(i, j) = sigma_i(J(1, j/i)) needs no other
+    check.  A failed check raises IntegrityError naming the cell.
     """
     spec = table.spec
     l, p = spec.l, spec.p
@@ -90,6 +92,11 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     base = _prime_sum(l, p, spec.alpha, b, n) if l in (3, 5) else None
     if base is None:
         base = _residue_sum(l, p, spec.alpha, b, n)
+        norm = (base * base.conjugate(-1)).as_rational_int()
+        if norm != spec.q:
+            raise IntegrityError(
+                f"{cell}: norm check failed: J(i,j) * conj = {norm}, expected q = {spec.q}"
+            )
     else:
         failed = _failed_conditions(verify_conditions(base, spec, b, n))
         if failed:
@@ -97,13 +104,7 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
                 f"{cell}: J(1, {n}) from the prime above p fails condition(s) "
                 f"{', '.join(failed)} at b = {b}"
             )
-    value = base.conjugate(i)
-    norm = (value * value.conjugate(-1)).as_rational_int()
-    if norm != spec.q:
-        raise IntegrityError(
-            f"{cell}: norm check failed: J(i,j) * conj = {norm}, expected q = {spec.q}"
-        )
-    return JacobiSum(value, spec, table.generator, (i, j))
+    return JacobiSum(base.conjugate(i), spec, table.generator, (i, j))
 
 
 def _unit_residues(a: tuple[int, ...], l: int) -> tuple[int, int]:

@@ -4,8 +4,9 @@ dependent, i.e. where the MDS construction fails.
 For l = 3 and l = 5 no such prime is known; for l = 13 the prime 79 has
 generators whose row matrix loses rank on some subset.  The scanner walks
 a prime range, builds the congruence system for one generator or for all
-of them (once per Galois class t mod l of the generator gamma^t), and
-records which row subsets (if any) vanish.  Records are deterministic for
+of them, and records which row subsets (if any) vanish: one prime's
+generators gamma^t fall into the Galois classes t mod l, one class is
+checked, and the others are read off it.  Records are deterministic for
 a fixed input range; only the elapsed-time field varies between runs.
 """
 
@@ -18,12 +19,13 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
-from .codes import build_congruence_system, check_row_subsets
+from .codes import _rref, build_congruence_system, check_row_subsets
 from .errors import InputError
 from .fields import FieldSpec, build_log_table, character_root, is_prime
-from .jacobi import jacobi_sum
+from .jacobi import condition_index_set, jacobi_sum
 
 __all__ = [
     "ScanRecord",
@@ -49,13 +51,12 @@ class ScanRecord:
     passed before the cell started; such cells carry an all-zero generator
     placeholder and the planned power t).
 
-    Generators gamma^t in one Galois class t mod l share one row-subset
-    check, so elapsed_ms is paid by the first computed cell of each class
-    (that cell also pays for the prime's generator and Jacobi sum); later
-    cells of the class record only their own bookkeeping, usually 0.  A
-    class whose mirror class l - t mod l was checked first takes the
-    mirror's verdict with its rows mapped r -> l - r, so its first cell
-    also reads about 0.
+    A prime runs one row-subset check, on its first class t mod l (two if
+    that class has rank below (l-1)/2, the second on the next full-rank
+    class), and every other class is read off it by the Galois action, so
+    elapsed_ms is paid by the cell that runs a check (the first also pays
+    for the prime's generator and Jacobi sum).  Every other cell pays at
+    most for one rank in F_p and its own bookkeeping, and usually reads 0.
     """
 
     l: int
@@ -114,36 +115,72 @@ def _generator_powers(q: int, policy: str) -> list[int]:
     raise InputError(f"unknown generator policy {policy!r}")
 
 
-def _mirror(dependent, l: int) -> tuple[tuple[int, ...], ...]:
-    """The dependent row subsets of class l - c, given those of class c:
-    every row index r mapped to l - r, in lexicographic order again.
+def _galois_map(dependent, l: int, c0: int, c: int) -> tuple[tuple[int, ...], ...]:
+    """The dependent row subsets of a full-rank class c, given those of a
+    full-rank class c0: every row index r mapped to r * c0 / c mod l, in
+    lexicographic order again.  The mirror class c = l - c0 maps r to l - r.
 
-    Why it holds.  Let H be class c's Jacobi sum, h = (l-1)/2, E_j the
-    coefficient of t^j in E(t) = prod_(k=1..h) (t - zeta^(1/k)), and
-    C_j = conj(H) * E_j mod p, so that class c's columns are C_1..C_h and
-    its root b satisfies sum_j b^j C_j = 0 mod p.  Class l - c has the sum
-    conj(H) and the root b^-1.  A row subset is dependent iff the columns,
-    restricted to its rows, span less than h dimensions, so the verdict
-    depends only on the column space in (Z[zeta]/p) = F_p^(l-1).
+    Why it holds.  Let h = (l-1)/2, J the canonical sum with root b, and
+    E_j the coefficient of t^j in E(t) = prod_(k=1..h) (t - zeta^(1/k)).
+    Class c has the sum H = sigma_(1/c)(J) and the root b^c, and its
+    columns are C_j = conj(H) * E_j mod p, j = 1..h.  A row subset is
+    dependent iff the columns, restricted to its rows, span less than h
+    dimensions, so the verdict depends only on the column space V_c in
+    Z[zeta]/p = F_p^(l-1), row r the coordinate of zeta^r.
 
-    - sigma_-1 (zeta -> zeta^-1) permutes the zero-constant coordinates,
-      zeta^r -> zeta^(l-r).
-    - Under sigma_-1, class l - c's polynomial H * E(t) becomes
-      conj(H) * prod_k (t - zeta^(-1/k)) = u * conj(H) * t^h E(1/t), with u
-      the unit prod_k (-zeta^(-1/k)) = +-zeta^e, so its columns are
-      u * C_(h-1), ..., u * C_0.  Since b != 0, the root relation puts C_0
-      in span(C_1..C_h) and C_h in span(C_0..C_(h-1)), so both spans are
-      one space V, and the two classes have the same rank.
-    - At full rank h, V lies in the ideal (conj(H), p)/p.  p splits into
-      the l - 1 primes (p, zeta - b^m), Z[zeta]/p is the product of their
-      residue fields, and by Stickelberger conj(H) lies in exactly h of
-      them, so that ideal is the product of the other l - 1 - h = h
-      fields, of dimension h, and equals V.  An ideal is
-      zeta-stable, so u * V = V: the two column spaces agree after
-      r -> l - r, and so do the dependent subsets.
-    - At a lower rank, every subset is dependent in both classes.
+    - p splits into the l - 1 primes (p, zeta - b^e), and Z[zeta]/p is the
+      product of their residue fields F_p, x -> x(b^e).  At e = c m,
+      conj(H)(b^(c m)) = conj(J)(b^m), which vanishes exactly for m in
+      Z = -S(1), S(1) = condition_index_set(l, 1): condition (vi) for J at
+      b puts conj(J) in the primes e outside S(1), and by Stickelberger
+      conj(J) lies in exactly h of them (Ireland and Rosen, ch. 14).
+    - So V_c lies in W_c = {x : x(b^(c m)) = 0 for m in Z}, of dimension
+      h, and the rank of class c is that of [E_j(b^(c m))] over j = 1..h
+      and m outside Z, the nonzero conj(J)(b^m) only scaling its columns
+      (``_class_rank``).  At full rank, V_c = W_c.
+    - With x = sum_r x_r zeta^r, x(b^(c m)) = sum_r x_r b^(c m r).  The
+      vector y with y_(r c / c0) = x_r has y(b^(c0 m)) = x(b^(c m)), so
+      r -> r c / c0 carries W_c onto W_c0: rows S of class c are dependent
+      iff rows S c / c0 of class c0 are, and the dependent subsets of c
+      are those of c0 times c0 / c.
+    - Classes c and l - c have one rank.  Class l - c has the sum conj(H)
+      and the root b^-c, so its polynomial is H * E(t).  sigma_-1, which
+      only permutes the rows, r -> l - r, turns it into
+      conj(H) * prod_k (t - zeta^(-1/k)) = u * conj(H) * t^h E(1/t), u the
+      unit prod_k (-zeta^(-1/k)), whose columns are u * C_(h-1), ...,
+      u * C_0.  As b != 0, the root relation sum_j b^(c j) C_j = 0 puts
+      C_0 in span(C_1..C_h) and C_h in span(C_0..C_(h-1)), so both spans
+      are one space.
+    - At a lower rank, every subset is dependent.
     """
-    return tuple(sorted(tuple(sorted(l - r for r in s)) for s in dependent))
+    u = c0 * pow(c, -1, l) % l
+    return tuple(sorted(tuple(sorted(r * u % l for r in s)) for s in dependent))
+
+
+def _root_products(l: int, p: int, b: int) -> list[list[int]]:
+    """Row e holds E_1(b^e), ..., E_h(b^e) mod p for e = 0..l-1, where
+    E_j(b^e) is the t^j coefficient of prod_(k=1..h) (t - b^(e/k)): the
+    coefficients of E(t) (see ``_galois_map``) at the prime (p, zeta - b^e),
+    computed in F_p."""
+    h = (l - 1) // 2
+    powers = [pow(b, e, p) for e in range(l)]
+    inverses = [pow(k, -1, l) for k in range(1, h + 1)]
+    rows = []
+    for e in range(l):
+        poly = [1]  # t^0 first
+        for inverse in inverses:
+            root = powers[e * inverse % l]
+            poly = [(s - root * x) % p for s, x in zip([0, *poly], [*poly, 0])]
+        rows.append(poly[1:])
+    return rows
+
+
+def _class_rank(products: list[list[int]], l: int, p: int, c: int) -> int:
+    """The rank mod p of class c's generator matrix, read in F_p with no
+    Jacobi sum: the rank of the h x h matrix [E_j(b^(c m))], j = 1..h and
+    m outside Z = -S(1), that is m in S(1) (see ``_galois_map``), its rows
+    taken from ``_root_products``."""
+    return len(_rref([products[c * m % l] for m in condition_index_set(l, 1)], p)[1])
 
 
 def scan(
@@ -162,16 +199,20 @@ def scan(
     generators are powers gamma^t with gcd(t, q-1) = 1 (policy "all") or
     just gamma itself (policy "first").  The sum for gamma^t is the Galois
     conjugate sigma_(t^-1 mod l)(J) and its root is b^t, so the congruence
-    system and its verdict depend only on the class t mod l: the row-subset
-    check runs once per class and later generators of a class reuse it.  A
-    class c whose mirror class l - c already has a verdict takes that
-    verdict with every row r mapped to l - r (see ``_mirror``), so with
-    policy "all" about half the classes are checked.
+    system and its verdict depend only on the class c = t mod l.  The
+    first class computed is checked (``check_row_subsets``).  Every later
+    class c gets its rank in F_p with no Jacobi sum (``_class_rank``, once
+    per mirror pair c, l - c): below (l-1)/2 every row subset is dependent,
+    and at full rank its dependent subsets are those of the checked class
+    c0 with every row r mapped to r * c0 / c mod l (see ``_galois_map``).
+    If the first class has the lower rank, the next full-rank class is
+    checked instead, so a prime costs at most two checks, and policy
+    "first" exactly one.
 
     Cells that start after ``deadline_s`` seconds of wall-clock time are
     emitted with status "skipped" rather than dropped.  Records come back
-    sorted by
-    (l, p, alpha, generator).  An empty range (p_min > p_max) is rejected.
+    sorted by (l, p, alpha, generator).  An empty range (p_min > p_max) is
+    rejected.
     """
     if not is_prime(l) or l == 2:
         raise InputError(f"l = {l} must be an odd prime")
@@ -183,12 +224,17 @@ def scan(
     def out_of_time() -> bool:
         return deadline_s is not None and time.monotonic() - started > deadline_s
 
+    h = (l - 1) // 2
     for p in _primes_in(p_min, p_max):
         if p % l != 1:
             continue
         spec = FieldSpec(p=p, l=l, alpha=alpha)
         table = None
         verdicts: dict[int, tuple[tuple[int, ...], ...]] = {}
+        full: dict[int, bool] = {}  # by mirror pair, min(c, l - c)
+        reference = None  # a full-rank class and its checked verdict
+        every = ()  # the verdict of a rank-deficient class, once built
+        products: list[list[int]] = []
         for t in _generator_powers(spec.q, generators):
             cell_start = time.monotonic()
             if out_of_time():
@@ -202,13 +248,22 @@ def scan(
                 J = jacobi_sum(table).value
             c = t % l
             if c not in verdicts:
-                if l - c in verdicts:
-                    verdicts[c] = _mirror(verdicts[l - c], l)
-                else:
+                pair = min(c, l - c)
+                if verdicts and pair not in full:  # a later class: its rank in F_p
+                    products = products or _root_products(l, p, b)
+                    full[pair] = _class_rank(products, l, p, c) == h
+                if not full.get(pair, True):  # rank below h
+                    verdicts[c] = every = every or tuple(combinations(range(1, l), h))
+                elif reference is not None:  # full rank, carried from the checked class
+                    verdicts[c] = _galois_map(reference[1], l, reference[0], c)
+                else:  # the first class, or the first of full rank: check it
                     system = build_congruence_system(
                         J.conjugate(pow(t, -1, l)), p, pow(b, t, p)
                     )
                     verdicts[c] = tuple(check_row_subsets(system))
+                    full[pair] = len(verdicts[c]) < comb(l - 1, h)
+                    if full[pair]:
+                        reference = (c, verdicts[c])
             dependent = verdicts[c]
             elapsed_ms = int((time.monotonic() - cell_start) * 1000)
             records.append(

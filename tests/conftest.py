@@ -5,12 +5,13 @@ that the residues at the split primes replaced, the determinant and
 shared-minor paths that the systematic-form check replaced, the Z[zeta]
 products that conditions (v) and (vi) read in F_p, Euclid's algorithm and
 the unit search on CycInts, the exhaustive modulus search and the
-element-by-element generator search, kept as oracles, and
-a record of which properties ran in this pytest run for the acceptance
-gate."""
+element-by-element generator search, and the scan with one row-subset
+check per Galois class, kept as oracles, and a record of which properties
+ran in this pytest run for the acceptance gate."""
 
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -18,9 +19,11 @@ from jacobicodes import (
     ConditionReport,
     CycInt,
     FieldSpec,
+    ScanRecord,
     build_code,
     build_congruence_system,
     build_log_table,
+    check_row_subsets,
     condition_index_set,
     divisible_by_int,
     jacobi_sum,
@@ -30,7 +33,7 @@ from jacobicodes import (
     solve_gauss,
     subfield_residue,
 )
-from jacobicodes.fields import _generates, is_prime
+from jacobicodes.fields import _generates, character_root, is_prime
 from jacobicodes.jacobi import _cyclic_convolutions, _unit_residues
 
 
@@ -60,13 +63,54 @@ def make_pipeline(p: int, l: int, alpha: int = 1):
 
 
 @lru_cache(maxsize=None)
-def class_system(l: int, p: int, c: int):
-    """The congruence system of the generators gamma^t with t = c mod l:
-    the conjugate sigma_(c^-1)(J) of the canonical J, with root b^c."""
-    table = build_log_table(FieldSpec(p=p, l=l))
+def class_system(l: int, p: int, c: int, alpha: int = 1):
+    """The congruence system of the generators gamma^t of F_(p^alpha) with
+    t = c mod l: the conjugate sigma_(c^-1)(J) of the canonical J, with
+    root b^c."""
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    table = build_log_table(spec)
     J = jacobi_sum(table).value
-    b = subfield_residue(table.generator ** ((p - 1) // l))
+    b = subfield_residue(table.generator ** ((spec.q - 1) // l))
     return build_congruence_system(J.conjugate(pow(c, -1, l)), p, pow(b, c, p))
+
+
+def class_scan_oracle(l: int, p_min: int, p_max: int, alpha: int = 1,
+                      generators: str = "first") -> list[ScanRecord]:
+    """``scan`` with one row-subset check per Galois class t mod l: class c
+    checks sigma_(1/t)(J) at the root b^t, unless its mirror class l - c was
+    checked first and lends its verdict with rows r -> l - r.  Records come
+    sorted, every elapsed_ms 0."""
+    records = []
+    for p in range(max(p_min, 2), p_max + 1):
+        if p % l != 1 or not is_prime(p):
+            continue
+        spec = FieldSpec(p=p, l=l, alpha=alpha)
+        table = build_log_table(spec)
+        b = character_root(table.generator)
+        J = jacobi_sum(table).value
+        powers = [1] if generators == "first" else [
+            t for t in range(1, spec.q - 1) if gcd(t, spec.q - 1) == 1
+        ]
+        verdicts = {}
+        for t in powers:
+            c = t % l
+            if c not in verdicts:
+                if l - c in verdicts:
+                    verdicts[c] = tuple(sorted(
+                        tuple(sorted(l - r for r in s)) for s in verdicts[l - c]
+                    ))
+                else:
+                    system = build_congruence_system(
+                        J.conjugate(pow(t, -1, l)), p, pow(b, t, p)
+                    )
+                    verdicts[c] = tuple(check_row_subsets(system))
+            dependent = verdicts[c]
+            records.append(ScanRecord(
+                l, p, alpha, (table.generator ** t).coeffs, t,
+                "exception" if dependent else "mds", dependent, 0,
+            ))
+    records.sort(key=ScanRecord.sort_key)
+    return records
 
 
 def dict_log_oracle(spec: FieldSpec, generator) -> dict:

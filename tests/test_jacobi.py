@@ -36,7 +36,7 @@ from jacobicodes import (
 from jacobicodes.cyclotomic import _euclid_start, _gcd
 
 from conftest import conditions_oracle, histogram_oracle, make_pipeline, primes_1_mod
-from test_properties import ORACLE_FIELDS, object_path
+from test_properties import ORACLE_FIELDS, object_path, oracle_powers
 
 
 def complex_jacobi_oracle(spec: FieldSpec, generator, i: int, j: int) -> complex:
@@ -348,6 +348,18 @@ def test_every_oracle_field_sums_without_a_walk(monkeypatch, p, l, alpha):
         assert jacobi_sum(table, i, j).value == want, (i, j)
 
 
+@pytest.mark.parametrize(
+    "p, l, alpha, t",
+    [(p, l, alpha, t) for p, l, alpha in ORACLE_FIELDS for t in oracle_powers(p**alpha)[1:]],
+)
+def test_every_oracle_generator_power_sums_like_the_object_path(p, l, alpha, t):
+    # every J(i, j) on the generator gamma^t, t > 1, against the
+    # element-object histogram; t = 1 is the test above
+    table, _, sums = object_path(p, l, alpha, t)
+    for (i, j), want in sums.items():
+        assert jacobi_sum(table, i, j).value == want, (i, j)
+
+
 @pytest.mark.parametrize("l", [13, 17, 23])
 def test_residues_need_no_walk_near_a_million(monkeypatch, l):
     # the first prime p = 1 mod l above 10^6: J from its residues, with no
@@ -390,14 +402,16 @@ def test_jacobi_sum_reads_no_log(p, alpha):
 )
 def test_prime_above_p_takes_no_cycint_product(monkeypatch, p, l, alpha):
     # Euclid, Stickelberger's product, the unit and the lift run on flat
-    # lists, the stalled root of F_36821 and its retry included; the one
-    # CycInt product left is the norm check J * conj(J) = q
+    # lists, the stalled root of F_36821 and its retry included; conditions
+    # (i) and (ii) already force the norm J * conj(J) = q, so no CycInt
+    # product is left
     table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
     products = []
     mul_real = CycInt.__mul__
     monkeypatch.setattr(CycInt, "__mul__", lambda x, y: products.append(y) or mul_real(x, y))
-    J = jacobi_sum(table)
-    assert products == [J.value.conjugate(-1)]
+    for i, j in ((1, 1), (2, 1), (l - 1, 1)):
+        jacobi_sum(table, i, j)
+    assert products == []
 
 
 def ladder_workload(monkeypatch):

@@ -327,19 +327,27 @@ def object_path(p: int, l: int, alpha: int, t: int):
     return build_log_table(spec, generator), index, sums
 
 
+def oracle_powers(q: int) -> list[int]:
+    """The powers t of the canonical generator whose tables the oracle
+    fields are checked on: those of 1, 7, 11, 13 prime to q - 1."""
+    return [t for t in (1, 7, 11, 13) if math.gcd(t, q - 1) == 1]
+
+
 @CASES
 @given(st.sampled_from(ORACLE_FIELDS), st.data())
 def test_integer_path_matches_object_path(field, data):
+    # one log lookup and one J(i, j) per case; every (i, j) of every
+    # (field, t) is compared once, in test_jacobi.py
     p, l, alpha = field
     q = p**alpha
-    t = data.draw(st.sampled_from([t for t in (1, 7, 11, 13) if math.gcd(t, q - 1) == 1]))
+    t = data.draw(st.sampled_from(oracle_powers(q)))
     table, index, sums = object_path(p, l, alpha, t)
     assert len(table) == q - 1
     code = data.draw(st.integers(min_value=1, max_value=q - 1))
     x = table.spec.element([code // p**k % p for k in range(alpha)])
     assert table.log(x) == index[x.coeffs]
-    for (i, j), want in sums.items():
-        assert jacobi_sum(table, i, j).value == want, (field, t, i, j)
+    i, j = data.draw(st.sampled_from(sorted(sums)))
+    assert jacobi_sum(table, i, j).value == sums[i, j], (field, t, i, j)
 
 
 # Extension fields whose element arithmetic the scalar and power paths use.

@@ -1,6 +1,7 @@
 """Prime scans, exception detection, and report serialization."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,6 +11,7 @@ from itertools import combinations
 import pytest
 
 import jacobicodes.fields as fields
+import jacobicodes.scanner as scanner
 from jacobicodes import (
     FieldSpec,
     ScanRecord,
@@ -17,6 +19,7 @@ from jacobicodes import (
     build_generator_matrix,
     build_log_table,
     check_row_subsets,
+    condition_index_set,
     find_primitive_element,
     jacobi_sum,
     report,
@@ -26,9 +29,9 @@ from jacobicodes import (
     write_report,
 )
 from jacobicodes.codes import _rref
-from jacobicodes.scanner import CSV_COLUMNS, _mirror
+from jacobicodes.scanner import CSV_COLUMNS, _class_rank, _galois_map, _root_products
 
-from conftest import class_system, det_mod, primes_1_mod
+from conftest import class_scan_oracle, class_system, det_mod, primes_1_mod
 
 
 def per_generator_records(l, p, alpha=1):
@@ -112,20 +115,20 @@ def test_mirror_class_is_the_mapped_class(c, rank):
     assert [len(_rref(build_generator_matrix(s), p)[1]) for s in systems] == [rank, rank]
     dependent = [tuple(check_row_subsets(s)) for s in systems]
     assert len(dependent[0]) == (0 if rank == 6 else 924)
-    assert _mirror(dependent[0], l) == dependent[1]
-    assert _mirror(dependent[1], l) == dependent[0]
+    assert _galois_map(dependent[0], l, c, l - c) == dependent[1]
+    assert _galois_map(dependent[1], l, l - c, c) == dependent[0]
 
 
 def test_mirror_maps_and_sorts_the_subsets():
-    assert _mirror(((1, 2, 4), (1, 3, 5)), 7) == ((2, 4, 6), (3, 5, 6))
+    assert _galois_map(((1, 2, 4), (1, 3, 5)), 7, 1, 6) == ((2, 4, 6), (3, 5, 6))
 
 
 @pytest.mark.parametrize("l", [7, 11, 13])
 def test_mirror_classes_share_their_column_space(l):
-    # the identity behind _mirror, checked directly: at full rank, class
-    # l - c's columns with rows r -> l - r span the same space as class c's
-    # (equal reduced row echelon forms of G = D^T); at lower rank, both
-    # classes have the same rank
+    # the identity behind the mirror case of _galois_map, checked directly:
+    # at full rank, class l - c's columns with rows r -> l - r span the same
+    # space as class c's (equal reduced row echelon forms of G = D^T); at
+    # lower rank, both classes have the same rank
     full = 0
     for p in primes_1_mod(l, 3, 500):
         for c in range(1, (l + 1) // 2):
@@ -137,6 +140,125 @@ def test_mirror_classes_share_their_column_space(l):
                 full += 1
                 assert own == other, (p, c)
     assert full > 0
+
+
+# Every class of the primes p = 1 mod l below 300 (alpha 1) and below 120
+# (alpha 2): the cases of the identities behind _class_rank and _galois_map.
+CLASS_FIELDS = [
+    (l, p, alpha)
+    for l, alpha in ((7, 1), (11, 1), (13, 1), (17, 1), (7, 2), (13, 2))
+    for p in primes_1_mod(l, 3, 300 if alpha == 1 else 120)
+]
+
+
+def class_matrices(l, p, alpha):
+    """G = D^T of every class c = 1..l-1, and the canonical root b."""
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    b = subfield_residue(build_log_table(spec).generator ** ((spec.q - 1) // l))
+    return b, {c: build_generator_matrix(class_system(l, p, c, alpha)) for c in range(1, l)}
+
+
+@pytest.mark.parametrize("l, p, alpha", CLASS_FIELDS)
+def test_class_rows_vanish_at_the_zeros_of_the_conjugate_sum(l, p, alpha):
+    # the rows of G_c lie in the kernel of [b^(c m r)], m in Z = -S(1) and
+    # r = 1..l-1: x(b^(c m)) = 0 for every row x = sum_r x_r zeta^r
+    b, matrices = class_matrices(l, p, alpha)
+    zeros = [-k % l for k in condition_index_set(l, 1)]
+    for c, G in matrices.items():
+        for m in zeros:
+            powers = [pow(b, c * m * r % l, p) for r in range(1, l)]
+            assert all(sum(x * y for x, y in zip(row, powers)) % p == 0 for row in G), (c, m)
+
+
+COLLAPSED = {(13, 79, 1): [3, 10], (13, 79, 2): [6, 7], (23, 277, 1): [11, 12]}
+
+
+@pytest.mark.parametrize("l, p, alpha", [*CLASS_FIELDS, (23, 277, 1)])
+def test_class_rank_in_f_p_matches_the_elimination(l, p, alpha):
+    b, matrices = class_matrices(l, p, alpha)
+    products = _root_products(l, p, b)
+    ranks = {c: _class_rank(products, l, p, c) for c in matrices}
+    assert ranks == {c: len(_rref(G, p)[1]) for c, G in matrices.items()}
+    collapsed = [c for c, rank in ranks.items() if rank < (l - 1) // 2]
+    assert collapsed == COLLAPSED.get((l, p, alpha), [])
+
+
+@pytest.mark.parametrize("l, p, alpha", CLASS_FIELDS)
+def test_full_rank_classes_share_one_column_space(l, p, alpha):
+    # for every pair of full-rank classes c0, c: G_c0 with each column r
+    # moved to the one _galois_map sends r to (r * c0 / c) spans the same
+    # space as G_c, so their reduced forms agree; no full-rank class in
+    # reach has a dependent subset, so this alone pins the map's direction
+    _, matrices = class_matrices(l, p, alpha)
+    reduced = {c: _rref(G, p) for c, G in matrices.items()}
+    full = [c for c in matrices if len(reduced[c][1]) == (l - 1) // 2]
+    for c0 in full:
+        for c in full:
+            moved = [[0] * (l - 1) for _ in matrices[c0]]
+            for r in range(1, l):
+                ((image,),) = _galois_map(((r,),), l, c0, c)
+                for row, source in zip(moved, matrices[c0]):
+                    row[image - 1] = source[r - 1]
+            assert _rref(moved, p) == reduced[c], (c0, c)
+    assert len(full) >= l - 3  # at most one mirror pair collapses here
+
+
+def zeroed(records):
+    return [dataclasses.replace(r, elapsed_ms=0) for r in records]
+
+
+@pytest.mark.parametrize(
+    "l, p_min, p_max, alpha, generators",
+    [
+        (13, 2, 3000, 1, "all"), (7, 2, 1500, 1, "all"), (11, 2, 1500, 1, "all"),
+        (17, 2, 700, 1, "all"), (3, 2, 999, 1, "first"), (5, 2, 999, 1, "first"),
+        (7, 2, 120, 2, "all"),
+    ],
+)
+def test_scan_matches_the_class_oracle(l, p_min, p_max, alpha, generators):
+    got = zeroed(scan(l, p_min, p_max, alpha=alpha, generators=generators))
+    want = class_scan_oracle(l, p_min, p_max, alpha, generators)
+    for fmt in ("text", "json", "csv"):
+        assert report(got, fmt) == report(want, fmt), fmt
+
+
+def test_scan_matches_the_class_oracle_where_ranks_collapse():
+    # l = 23, p = 277: classes 11 and 12 have rank 10 < 11, so each of their
+    # eight cells lists all C(22, 11) = 705432 subsets; the JSON report of
+    # those records runs to gigabytes, so the records themselves, which
+    # report() is a function of, are compared
+    got = zeroed(scan(23, 277, 277, generators="all"))
+    assert got == class_scan_oracle(23, 277, 277, 1, "all")
+    assert sum(r.status == "exception" for r in got) == 8
+
+
+def count_checks(monkeypatch):
+    calls = []
+    real = scanner.check_row_subsets
+    monkeypatch.setattr(
+        scanner, "check_row_subsets", lambda system: calls.append(system.b) or real(system)
+    )
+    return calls
+
+
+def test_a_prime_runs_one_row_subset_check(monkeypatch):
+    calls = count_checks(monkeypatch)
+    scan(13, 79, 79, generators="all")
+    assert len(calls) == 1
+    calls.clear()
+    scan(13, 2, 400)
+    assert len(calls) == len(primes_1_mod(13, 2, 400))
+
+
+def test_a_collapsed_first_class_hands_the_check_to_the_next(monkeypatch):
+    # at p = 79, class 3 = 29 mod 13 has rank 5 < 6: a sweep that meets it
+    # first checks it, then checks class 1, and reads the rest off class 1
+    calls = count_checks(monkeypatch)
+    powers = [29, *(t for t in scanner._generator_powers(79, "all") if t != 29)]
+    monkeypatch.setattr(scanner, "_generator_powers", lambda q, policy: powers)
+    got = zeroed(scan(13, 79, 79, generators="all"))
+    assert len(calls) == 2 and calls[0] == pow(calls[1], 29, 79)  # roots b^29, b
+    assert got == class_scan_oracle(13, 79, 79, 1, "all")
 
 
 def test_scan_mds_records_agree_with_code_builder():
