@@ -3,14 +3,15 @@ and the MDS error-correcting codes built from them.
 
 The pipeline, end to end:
 
-1. ``fields`` builds F_q = F_{p^alpha} with a canonical generator and a
-   discrete-log table, walked on its first lookup.
+1. ``fields`` builds F_q = F_{p^alpha} with a canonical generator, proved
+   to generate F_q*, and reads characters of order l off its root
+   gamma^((q-1)/l) in F_p, with no discrete log.
 2. ``jacobi`` computes the Jacobi sum, a cyclotomic integer in Z[zeta_l],
-   and checks the six arithmetic conditions that pin it down.  It reads
-   no log table and makes no pass over F_q: for l = 3 and 5 it comes from
-   the prime above p (Euclid in ``cyclotomic``, Stickelberger's theorem),
-   otherwise from its residues at the primes above p (Stickelberger's
-   congruence), and the Hasse-Davenport lift carries it to F_q.
+   and checks the six arithmetic conditions that pin it down.  It makes no
+   pass over F_q: for l = 3 and 5 it comes from the prime above p (Euclid
+   in ``cyclotomic``, Stickelberger's theorem), otherwise from its residues
+   at the primes above p (Stickelberger's congruence), and the
+   Hasse-Davenport lift carries it to F_q.
 3. ``diophantine`` solves the quadratic-form systems (order 3 and 5) whose
    integer solutions are exactly the conjugates of the Jacobi sum, reading
    them off those conjugates, then selects the one belonging to the chosen
@@ -60,9 +61,8 @@ from .diophantine import (
     solve_dickson,
     solve_gauss,
 )
-from .errors import BudgetError, InputError, IntegrityError, JacobiCodesError
+from .errors import InputError, IntegrityError, JacobiCodesError
 from .fields import (
-    DEFAULT_TABLE_BUDGET,
     FieldElement,
     FieldSpec,
     LogTable,
@@ -88,11 +88,9 @@ from .scanner import ScanRecord, ScanSummary, report, scan, summarize, write_rep
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError",
     "CongruenceSystem",
     "ConditionReport",
     "CycInt",
-    "DEFAULT_TABLE_BUDGET",
     "DeterminantSuite",
     "DicksonSolution",
     "FieldElement",

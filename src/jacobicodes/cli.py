@@ -11,8 +11,8 @@ Subcommands:
   verify-example  re-derive the F_61 worked example and compare every value
 
 Exit codes: 0 success, 1 assertion, integrity or other internal failure,
-2 usage error (bad input).  No subcommand walks a discrete-log table, so
-none takes a table budget.
+2 usage error (bad input).  Every subcommand works from the generator and
+its root in F_p, with no discrete-log table, so none takes a size budget.
 """
 
 from __future__ import annotations

@@ -16,10 +16,6 @@ class IntegrityError(JacobiCodesError):
     """
 
 
-class BudgetError(JacobiCodesError):
-    """A log-table walk would exceed the table's configured size budget."""
-
-
 class InputError(JacobiCodesError, ValueError):
     """An argument outside the domain a public function accepts: a composite
     p, a character order that does not divide p - 1, an empty prime range,

@@ -1,34 +1,25 @@
-"""Arithmetic in F_p and F_{p^alpha}, discrete-log tables, and
+"""Arithmetic in F_p and F_{p^alpha}, proved generators of F_q*, and
 multiplicative characters of odd prime order.
 
 Elements are coefficient tuples (c_0, ..., c_(alpha-1)) over the prime
 subfield.  Extension fields reduce modulo a monic irreducible polynomial
 that is chosen deterministically (lexicographically least, coefficients
-compared low-degree first), so generators and log tables are reproducible
-from one run to the next.
+compared low-degree first), so generators are reproducible from one run
+to the next.
 
-Each element also has one integer code, c_0 + c_1 p + ... +
-c_(alpha-1) p^(alpha-1), which for alpha = 1 is the residue itself.  A
-log table is a flat list indexed by that code.  It is walked on its first
-lookup: a caller that needs only the generator, as every Jacobi sum does,
-pays nothing O(q).
-
-For alpha > 1 the table is built one F_p*-line at a time.  With
-N = (q-1)/(p-1) and c = gamma^N, the norm of gamma, in F_p*,
-gamma^(m + N k) = c^k gamma^m: walking the N line representatives gamma^m
-by the matrix of multiplication by gamma gives every element, and the
-digits of c^k gamma^m are rotations of the powers of c in F_p.
+No discrete log is kept.  A character chi of order l with chi(gamma) =
+zeta_l is read off the root b = gamma^((q-1)/l) in F_p: chi(v) = zeta_l^e
+exactly when v^((q-1)/l) = b^e, and v^((q-1)/l) is one determinant and
+one power in F_p (``character_root``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import mul
 from typing import ClassVar
 
-from .errors import BudgetError, InputError
-
-DEFAULT_TABLE_BUDGET = 10_000_000
+from .errors import InputError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -479,20 +470,6 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-def multiplicative_order(x: FieldElement) -> int:
-    """The order of x in the multiplicative group, via the prime factors
-    of q - 1."""
-    if not x:
-        raise ValueError("0 has no multiplicative order")
-    n = x.spec.q - 1
-    order = n
-    one = x.spec.one
-    for r in prime_factors(n):
-        while order % r == 0 and x ** (order // r) == one:
-            order //= r
-    return order
-
-
 def _norm(x: FieldElement) -> int:
     """The norm x^((q-1)/(p-1)) of x to F_p: x itself for alpha = 1, the
     determinant of the matrix of multiplication by x otherwise."""
@@ -598,142 +575,50 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 
 
-def _code(coeffs, p: int) -> int:
-    """The integer code c_0 + c_1 p + ... + c_(alpha-1) p^(alpha-1) of the
-    element with these coefficients; the residue itself for alpha = 1."""
-    code = 0
-    for c in reversed(coeffs):
-        code = code * p + c
-    return code
-
-
 class LogTable:
-    """Discrete logarithms to a fixed generator, as one flat list indexed by
-    element code: logs[code] is the log of the element with that code, and
-    slot 0 (the zero element) is unused.
+    """A proved generator of F_q*: the handle that Jacobi sums and
+    characters are taken to, with len() = q - 1.  The generator is checked
+    on the prime factors of q - 1 (see ``_generates``) unless
+    ``find_primitive_element`` returned it; InputError if it does not
+    generate F_q*."""
 
-    A table made with logs = None walks the powers of its generator on the
-    first read of ``logs`` (by ``log`` or ``character_exponent``) and keeps
-    the list; until then it holds no O(q) data.  Such
-    a table checks its generator on the prime factors of q - 1 (see
-    ``_generates``), unless ``find_primitive_element`` returned it, and
-    raises InputError if it does not generate F_q*.  A table from
-    ``build_log_table`` raises BudgetError at that first read if the walk
-    would exceed the budget."""
+    __slots__ = ("spec", "generator")
 
-    __slots__ = ("spec", "generator", "_logs", "_budget")
-
-    def __init__(self, spec: FieldSpec, generator: FieldElement, logs: list[int] | None):
-        if logs is None and not generator._proved_generator and not _generates(generator):
+    def __init__(self, spec: FieldSpec, generator: FieldElement):
+        if not generator._proved_generator and not _generates(generator):
             raise InputError(f"{generator} does not generate the multiplicative group")
         self.spec = spec
         self.generator = generator
-        self._logs = logs
-        self._budget = None
-
-    @property
-    def logs(self) -> list[int]:
-        if self._logs is None:
-            if self._budget is not None and self.spec.q - 1 > self._budget:
-                raise BudgetError(
-                    f"log table needs {self.spec.q - 1} entries, budget is {self._budget}"
-                )
-            self._logs = _walk(self.spec, self.generator)
-        return self._logs
-
-    def log(self, x: FieldElement) -> int:
-        if not isinstance(x, FieldElement) or x.spec != self.spec:
-            raise ValueError("element does not belong to this table's field")
-        if not x:
-            raise ValueError("0 has no discrete logarithm")
-        return self.logs[_code(x.coeffs, self.spec.p)]
 
     def __len__(self) -> int:
         return self.spec.q - 1
 
 
-def build_log_table(
-    spec: FieldSpec,
-    generator: FieldElement | None = None,
-    budget: int = DEFAULT_TABLE_BUDGET,
-) -> LogTable:
-    """The log table of generator, the canonical one by default, walked on
-    its first lookup (see ``LogTable``).  Raises InputError if the element
-    provided belongs to another field or does not generate F_q*; the
-    generator is tested on the prime factors of q - 1 (see ``_generates``),
-    so none of this walks the field.  The budget binds where the table is
-    walked: its first lookup raises BudgetError if the table would exceed
-    budget entries, and a caller that never looks a log up is never
-    refused."""
+def build_log_table(spec: FieldSpec, generator: FieldElement | None = None) -> LogTable:
+    """The table of generator, the canonical one by default.  Raises
+    InputError if the element provided belongs to another field or does
+    not generate F_q*; the test runs on the prime factors of q - 1, so
+    nothing here is O(q)."""
     if generator is None:
         generator = find_primitive_element(spec)
     if generator.spec != spec:
         raise InputError("generator belongs to a different field")
-    table = LogTable(spec, generator, None)
-    table._budget = budget
-    return table
+    return LogTable(spec, generator)
 
 
-def _walk(spec: FieldSpec, generator: FieldElement) -> list[int]:
-    """logs[code(g^e)] = e for 0 <= e < q - 1: by successive multiplication
-    of residues for alpha = 1, one F_p*-line at a time otherwise (see
-    ``_fill_lines``).  g must generate F_q*."""
-    p = spec.p
-    logs = [0] * spec.q
-    if spec.alpha == 1:
-        g = generator.coeffs[0]
-        x = 1
-        for m in range(p - 1):
-            logs[x] = m
-            x = x * g % p
-    else:
-        _fill_lines(logs, generator.coeffs, spec.modulus, p)
-    return logs
-
-
-def _fill_lines(logs: list[int], g, modulus: tuple[int, ...], p: int) -> None:
-    """Fill logs[code(g^e)] = e for 0 <= e < q - 1, alpha > 1, g a
-    generator of F_q*.
-
-    With N = (q-1)/(p-1) and c = g^N the norm of g, which generates F_p*,
-    g^(m + N k) = c^k g^m, so the N walked powers y = g^m fix every entry:
-    digit i of c^k y is powc[(plog[y_i] + k) % (p - 1)], with powc[k] = c^k
-    and plog its inverse, a slice of powc doubled.  The p - 1 codes of a line
-    are a sum of such slices, one per nonzero digit.
-    """
-    n, alpha = len(logs) - 1, len(modulus) - 1
-    N = n // (p - 1)
-    rows = _mul_matrix(g, modulus, p)
-    c = _det(rows, p)
-    powc = [1] * (p - 1)
-    for k in range(1, p - 1):
-        powc[k] = powc[k - 1] * c % p
-    plog = [0] * p
-    for k, v in enumerate(powc):
-        plog[v] = k
-    scaled = [[p**i * v for v in powc] * 2 for i in range(alpha)]
-    y = [1] + [0] * (alpha - 1)
-    for m in range(N):
-        codes = None
-        for ring, d in zip(scaled, y):
-            if d:
-                part = ring[plog[d]:plog[d] + p - 1]
-                codes = part if codes is None else map(add, codes, part)
-        any(map(logs.__setitem__, codes, range(m, n, N)))
-        y = _matvec(rows, y, p)
-
-
-def character_exponent(table: LogTable, v: FieldElement, l: int | None = None) -> int:
-    """Exponent e with chi(v) = zeta_l^e for the character chi sending the
-    table's generator to zeta_l.  Defined for nonzero v only."""
+def character_exponent(table: LogTable, v: FieldElement) -> int:
+    """The exponent e in range(l) with chi(v) = zeta_l^e, chi the character
+    of order l sending the table's generator to zeta_l: the e with
+    b^e = v^((q-1)/l), b the generator's root (``character_root``), found
+    among the l powers of b.  Defined for nonzero v of the table's field
+    only."""
     spec = table.spec
-    if l is None:
-        l = spec.l
-    if (spec.q - 1) % l != 0:
-        raise ValueError(f"l = {l} does not divide q - 1 = {spec.q - 1}")
+    if not isinstance(v, FieldElement) or v.spec != spec:
+        raise ValueError("element does not belong to this table's field")
     if not v:
         raise ValueError("the character is not defined at 0")
-    return table.log(v) % l
+    b, root = character_root(table.generator), character_root(v)
+    return next(e for e in range(spec.l) if pow(b, e, spec.p) == root)
 
 
 def subfield_residue(x: FieldElement) -> int:

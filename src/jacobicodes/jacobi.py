@@ -9,7 +9,7 @@ two linear congruences mod l, a non-divisibility constraint, and one
 generator-dependent divisibility by p -- cut the Galois orbit of J(1, n)
 down to the single sum attached to a specific generator.
 
-No sum reads a log table.  With b the root gamma^((q-1)/l) in F_p,
+No sum takes a discrete log.  With b the root gamma^((q-1)/l) in F_p,
 p splits in Z[zeta_l] into the l - 1 primes (p, zeta - b^m), and the sum
 J_p(1, n) over F_p is read in one of two ways.  For l = 3 and 5,
 Euclid's algorithm gives pi = gcd(p, zeta - b), a prime above p, started
@@ -69,7 +69,7 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     """J(i, j) for the character sending the table's generator to zeta_l.
 
     For i + j = 0 mod l it is -1.  Otherwise J(1, j/i) comes from the root
-    b of the table's generator, with no log lookup: for l in {3, 5} from
+    b of the table's generator, with no discrete log: for l in {3, 5} from
     the prime above p by Stickelberger's theorem, certified by
     ``verify_conditions`` at b; for other l, or when Euclid's algorithm
     stalls at b, b^2, ..., b^(l-1) alike, from its residues at the split

@@ -24,7 +24,9 @@ from math import comb, gcd
 
 from .codes import _rref, build_congruence_system, check_row_subsets
 from .errors import InputError
-from .fields import FieldSpec, build_log_table, character_root, is_prime
+from .fields import (
+    FieldSpec, _matvec, _mul_matrix, build_log_table, character_root, is_prime,
+)
 from .jacobi import condition_index_set, jacobi_sum
 
 __all__ = [
@@ -194,20 +196,21 @@ def scan(
     """Scan primes p in [p_min, p_max] with p = 1 mod l.
 
     For each prime, the canonical generator gamma, the Jacobi sum J (from
-    the root of gamma, with no log table walked; see ``jacobi_sum``) and
-    the root b = gamma^((q-1)/l) are computed once.  Other
-    generators are powers gamma^t with gcd(t, q-1) = 1 (policy "all") or
-    just gamma itself (policy "first").  The sum for gamma^t is the Galois
-    conjugate sigma_(t^-1 mod l)(J) and its root is b^t, so the congruence
-    system and its verdict depend only on the class c = t mod l.  The
-    first class computed is checked (``check_row_subsets``).  Every later
-    class c gets its rank in F_p with no Jacobi sum (``_class_rank``, once
-    per mirror pair c, l - c): below (l-1)/2 every row subset is dependent,
-    and at full rank its dependent subsets are those of the checked class
-    c0 with every row r mapped to r * c0 / c mod l (see ``_galois_map``).
-    If the first class has the lower rank, the next full-rank class is
-    checked instead, so a prime costs at most two checks, and policy
-    "first" exactly one.
+    the root of gamma; see ``jacobi_sum``) and the root
+    b = gamma^((q-1)/l) are computed once.  Other generators are powers
+    gamma^t with gcd(t, q-1) = 1 (policy "all") or just gamma itself
+    (policy "first"), each reached from the last one built, gamma^t', by
+    one product with gamma^(t - t'), whose matrix is built once per gap.
+    The sum for gamma^t is the Galois conjugate sigma_(t^-1 mod l)(J) and
+    its root is b^t, so the congruence system and its verdict depend only
+    on the class c = t mod l.  The first class computed is checked
+    (``check_row_subsets``).  Every later class c gets its rank in F_p
+    with no Jacobi sum (``_class_rank``, once per mirror pair c, l - c):
+    below (l-1)/2 every row subset is dependent, and at full rank its
+    dependent subsets are those of the checked class c0 with every row r
+    mapped to r * c0 / c mod l (see ``_galois_map``).  If the first class
+    has the lower rank, the next full-rank class is checked instead, so a
+    prime costs at most two checks, and policy "first" exactly one.
 
     Cells that start after ``deadline_s`` seconds of wall-clock time are
     emitted with status "skipped" rather than dropped.  Records come back
@@ -235,6 +238,7 @@ def scan(
         reference = None  # a full-rank class and its checked verdict
         every = ()  # the verdict of a rank-deficient class, once built
         products: list[list[int]] = []
+        gaps: dict[int, list[list[int]]] = {}  # the matrix of gamma^gap, by gap
         for t in _generator_powers(spec.q, generators):
             cell_start = time.monotonic()
             if out_of_time():
@@ -246,6 +250,7 @@ def scan(
                 table = build_log_table(spec)
                 b = character_root(table.generator)
                 J = jacobi_sum(table).value
+                last, power = 0, [1] + [0] * (alpha - 1)  # gamma^last
             c = t % l
             if c not in verdicts:
                 pair = min(c, l - c)
@@ -266,9 +271,15 @@ def scan(
                         reference = (c, verdicts[c])
             dependent = verdicts[c]
             elapsed_ms = int((time.monotonic() - cell_start) * 1000)
+            gap = t - last
+            if gap not in gaps:
+                gaps[gap] = _mul_matrix(  # F_p is F_p[x]/(x) for alpha = 1
+                    (table.generator ** gap).coeffs, spec.modulus or (0, 1), p
+                )
+            last, power = t, _matvec(gaps[gap], power, p)
             records.append(
                 ScanRecord(
-                    l, p, alpha, (table.generator ** t).coeffs, t,
+                    l, p, alpha, tuple(power), t,
                     "exception" if dependent else "mds",
                     dependent, elapsed_ms,
                 )

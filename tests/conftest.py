@@ -1,7 +1,8 @@
-"""Shared fixtures: cached pipelines so tests do not rebuild log tables, the
-element-object paths that the integer and prime-field paths replaced (log
-table, Jacobi sum, power loop, minimum distance), the log-table histogram
-that the residues at the split primes replaced, the determinant and
+"""Shared fixtures: cached pipelines so tests do not rebuild them, the
+element-object paths that the integer and prime-field paths replaced
+(discrete logs, Jacobi sum, power loop, minimum distance), the
+multiplicative order that ``_generates`` replaced, the discrete-log
+histogram that the residues at the split primes replaced, the determinant and
 shared-minor paths that the systematic-form check replaced, the Z[zeta]
 products that conditions (v) and (vi) read in F_p, Euclid's algorithm and
 the unit search on CycInts, the exhaustive modulus search and the
@@ -33,7 +34,7 @@ from jacobicodes import (
     solve_gauss,
     subfield_residue,
 )
-from jacobicodes.fields import _generates, character_root, is_prime
+from jacobicodes.fields import _generates, character_root, is_prime, prime_factors
 from jacobicodes.jacobi import _cyclic_convolutions, _unit_residues
 
 
@@ -113,6 +114,7 @@ def class_scan_oracle(l: int, p_min: int, p_max: int, alpha: int = 1,
     return records
 
 
+@lru_cache(maxsize=8)
 def dict_log_oracle(spec: FieldSpec, generator) -> dict:
     """log_generator(x) for every nonzero x, keyed by x's coefficient tuple
     and filled by successive FieldElement multiplication."""
@@ -122,6 +124,20 @@ def dict_log_oracle(spec: FieldSpec, generator) -> dict:
         index[x.coeffs] = m
         x = x * generator
     return index
+
+
+def multiplicative_order(x) -> int:
+    """The order of x in the multiplicative group, via the prime factors
+    of q - 1."""
+    if not x:
+        raise ValueError("0 has no multiplicative order")
+    n = x.spec.q - 1
+    order = n
+    one = x.spec.one
+    for r in prime_factors(n):
+        while order % r == 0 and x ** (order // r) == one:
+            order //= r
+    return order
 
 
 def elements_jacobi_oracle(spec: FieldSpec, index: dict, i: int, j: int) -> CycInt:
@@ -137,23 +153,18 @@ def elements_jacobi_oracle(spec: FieldSpec, index: dict, i: int, j: int) -> CycI
 
 
 def histogram_oracle(table, i: int, j: int) -> CycInt:
-    """J(i, j) by one pass over the element codes 1..q-1 of F_q, the
-    character exponent of chi^i(v) * chi^j(v + 1) histogrammed from the
-    table's walked logs."""
+    """J(i, j) by one pass over the nonzero x of F_q, the character
+    exponent of chi^i(x) * chi^j(x + 1) histogrammed from the
+    ``dict_log_oracle`` logs of the table's generator; x + 1 raises the
+    constant coefficient, and x = -1, where x + 1 = 0, has no log."""
     spec = table.spec
     l, p = spec.l, spec.p
+    index = dict_log_oracle(spec, table.generator)
     hist = [0] * l
-    logs = table.logs
-    for v in range(1, spec.q):
-        # adding 1 raises the lowest base-p digit of the code, p - 1 wrapping
-        # to 0; v = p - 1 is the code of -1, where v + 1 = 0
-        if v % p == p - 1:
-            if v == p - 1:
-                continue
-            w = v - (p - 1)
-        else:
-            w = v + 1
-        hist[(i * logs[v] + j * logs[w]) % l] += 1
+    for x, m in index.items():
+        y = ((x[0] + 1) % p, *x[1:])
+        if y in index:
+            hist[(i * m + j * index[y]) % l] += 1
     return CycInt.from_raw(l, hist)
 
 

@@ -1,13 +1,14 @@
 """Finite fields: primality, irreducible moduli, canonical generators,
-log tables."""
+generator tables and the characters read off their roots."""
 
 import itertools
+import tracemalloc
+from math import gcd
 
 import pytest
 
 import jacobicodes.fields as fields
 from jacobicodes import (
-    BudgetError,
     FieldSpec,
     InputError,
     build_log_table,
@@ -16,12 +17,20 @@ from jacobicodes import (
     find_irreducible_poly,
     find_primitive_element,
     is_prime,
+    jacobi_sum,
     poly_is_irreducible,
     subfield_residue,
 )
-from jacobicodes.fields import LogTable, multiplicative_order, prime_factors
+from jacobicodes.fields import LogTable, prime_factors
 
-from conftest import _root_walk, dict_log_oracle, modulus_search_oracle, primitive_search_oracle
+from conftest import (
+    _root_walk,
+    dict_log_oracle,
+    modulus_search_oracle,
+    multiplicative_order,
+    primitive_search_oracle,
+)
+from test_properties import ORACLE_FIELDS
 
 # F_61 and extension fields of 2 to 5 digits, with N = (q-1)/(p-1) lines
 LINE_FIELDS = ((61, 5, 1), (7, 3, 2), (31, 3, 2), (13, 3, 3), (11, 5, 3), (7, 3, 4),
@@ -176,7 +185,7 @@ def test_found_generator_is_checked_once(monkeypatch):
         checks.clear()
     spec = FieldSpec(p=61, l=5)
     with pytest.raises(InputError, match="^13 does not generate the multiplicative group$"):
-        LogTable(spec, spec.element(13), None)
+        LogTable(spec, spec.element(13))
 
 
 def test_field_spec_validation():
@@ -259,16 +268,6 @@ def test_extension_arithmetic_against_polynomial_model():
     assert (a * a.inverse()).coeffs == (1, 0)
 
 
-def test_log_table_inverts_exponentiation():
-    spec = FieldSpec(p=61, l=5)
-    table = build_log_table(spec)
-    g = table.generator
-    for k in (0, 1, 7, 33, 59):
-        assert table.log(g**k) == k
-    with pytest.raises(Exception):
-        table.log(spec.zero)
-
-
 def test_character_exponent_multiplicative():
     spec = FieldSpec(p=31, l=5)
     table = build_log_table(spec)
@@ -281,25 +280,18 @@ def test_character_exponent_multiplicative():
 
 
 def test_power_view():
-    # a table built on gamma^t: t * log_(gamma^t)(x) = log_gamma(x) mod q - 1
+    # a table built on gamma^t: its character chi' sends gamma^t to zeta,
+    # so chi'^t = chi and t * e'(x) = e(x) mod l for the exponents
     spec = FieldSpec(p=61, l=5)
     table = build_log_table(spec)
     view = build_log_table(spec, table.generator**7)
     assert view.generator == table.generator**7
-    assert view.log(view.generator) == 1
+    assert character_exponent(view, view.generator) == 1
     for v in range(1, 61):
         x = spec.element(v)
-        assert view.log(x) * 7 % 60 == table.log(x)
+        assert character_exponent(view, x) * 7 % 5 == character_exponent(table, x)
     with pytest.raises(ValueError):
         build_log_table(spec, table.generator**6)  # gcd(6, 60) != 1
-
-
-def test_log_table_length_and_range():
-    for p, l, alpha in ((61, 5, 1), (7, 3, 2), (13, 3, 3), (7, 3, 4)):
-        spec = FieldSpec(p=p, l=l, alpha=alpha)
-        table = build_log_table(spec)
-        assert len(table) == spec.q - 1
-        assert sorted(table.logs[1:]) == list(range(spec.q - 1))
 
 
 def test_log_table_rejects_non_generators():
@@ -311,14 +303,17 @@ def test_log_table_rejects_non_generators():
                 build_log_table(spec, x)
 
 
-@pytest.mark.parametrize("p, l, alpha", LINE_FIELDS)
+@pytest.mark.parametrize("p, l, alpha", sorted(set(LINE_FIELDS) | set(ORACLE_FIELDS)))
 def test_log_table_matches_successive_multiplication(p, l, alpha):
+    # the character exponent of every nonzero x, on gamma and on one other
+    # generator, is its log by successive multiplication, mod l
     spec = FieldSpec(p=p, l=l, alpha=alpha)
     gamma = find_primitive_element(spec)
-    want = [0] * spec.q
-    for coeffs, m in dict_log_oracle(spec, gamma).items():
-        want[sum(c * p**i for i, c in enumerate(coeffs))] = m
-    assert build_log_table(spec, gamma).logs == want
+    t = next(t for t in (7, 11, 13, 17) if gcd(t, spec.q - 1) == 1)
+    for generator in (gamma, gamma**t):
+        table = build_log_table(spec, generator)
+        for coeffs, m in dict_log_oracle(spec, generator).items():
+            assert character_exponent(table, spec.element(coeffs)) == m % l, (generator, coeffs)
 
 
 def test_log_table_rejects_generators_of_the_norm_alone():
@@ -336,15 +331,18 @@ def test_log_table_rejects_generators_of_the_norm_alone():
 
 @pytest.mark.parametrize("p, l, alpha", [f for f in LINE_FIELDS if f[2] > 1])
 def test_log_table_multiplies_once_per_line(monkeypatch, p, l, alpha):
+    # a table and a character read take fewer products in F_q than the
+    # field has F_p*-lines, the least a walk over F_q would take
     spec = FieldSpec(p=p, l=l, alpha=alpha)
     gamma = find_primitive_element(spec)
     lines = (spec.q - 1) // (p - 1)
+    x = spec.element([1] * alpha)
+    want = dict_log_oracle(spec, gamma)[x.coeffs] % l
     steps = []
 
     def spy(real):
         def step(*args):
             steps.append(real.__name__)
-            assert len(steps) <= lines + alpha, "multiplied past one step per line"
             return real(*args)
         return step
 
@@ -355,10 +353,8 @@ def test_log_table_multiplies_once_per_line(monkeypatch, p, l, alpha):
     # multiplications per bit, for each prime of q - 1 not dividing p - 1
     above = [r for r in prime_factors(spec.q - 1) if (p - 1) % r]
     assert len(steps) <= 2 * spec.q.bit_length() * len(above)
+    assert character_exponent(table, x) == want
     assert len(steps) < lines
-    steps.clear()
-    assert len(table.logs) == spec.q
-    assert len(steps) >= lines - 1
 
 
 @pytest.mark.parametrize("p, l, alpha", [(61, 5, 1), (7, 3, 2), (11, 5, 3), (7, 3, 4)])
@@ -369,13 +365,13 @@ def test_generator_check_is_the_order(p, l, alpha):
 
 
 def test_lazy_log_table_checks_its_generator(monkeypatch):
-    # 13 has order 3 in F_61*: a lazy table of it would answer wrong logs
+    # 13 has order 3 in F_61*: a table of it would read wrong characters
     spec = FieldSpec(p=61, l=5)
     x = spec.element(13)
     assert multiplicative_order(x) == 3
     with pytest.raises(InputError, match="^13 does not generate the multiplicative group$"):
-        LogTable(spec, x, None)
-    assert LogTable(spec, spec.element(2), None).log(spec.element(4)) == 2
+        LogTable(spec, x)
+    assert character_exponent(LogTable(spec, spec.element(2)), spec.element(4)) == 2
 
     # build_log_table leaves the check to the table: one test per table
     calls = []
@@ -399,24 +395,35 @@ def test_primitive_element_is_the_least_generator():
 
 
 def test_log_rejects_foreign_elements():
+    # the character of a table is defined on the nonzero elements of its
+    # own field alone
     table = build_log_table(FieldSpec(p=61, l=5))
     for x in (FieldSpec(p=61, l=3).element(2), FieldSpec(p=11, l=5).element(2), 2):
         with pytest.raises(ValueError, match="does not belong"):
-            table.log(x)
+            character_exponent(table, x)
     ext = build_log_table(FieldSpec(p=7, l=3, alpha=2))
     with pytest.raises(ValueError, match="does not belong"):
-        ext.log(FieldSpec(p=7, l=3, alpha=2, modulus=(3, 1, 1)).element([1, 1]))
-    with pytest.raises(ValueError, match="0 has no"):
-        ext.log(ext.spec.zero)
+        character_exponent(ext, FieldSpec(p=7, l=3, alpha=2, modulus=(3, 1, 1)).element([1, 1]))
+    with pytest.raises(ValueError, match="^the character is not defined at 0$"):
+        character_exponent(ext, ext.spec.zero)
+    with pytest.raises(TypeError):
+        character_exponent(ext, ext.spec.one, l=3)
 
 
-def test_budget_and_generator_validation():
-    spec = FieldSpec(p=61, l=5)
-    table = build_log_table(spec, budget=10)  # the budget binds at the walk
-    with pytest.raises(BudgetError, match="^log table needs 60 entries, budget is 10$"):
-        table.log(spec.element(4))
-    with pytest.raises(ValueError):
-        build_log_table(spec, spec.element(13))  # 13 has order 3 mod 61
+def test_a_table_past_ten_million_holds_no_o_q_data():
+    # a walk over F_10000141 would hold ten million logs, about 80 MB; the
+    # table, J and a character read from the roots fit in 64 KB
+    tracemalloc.start()
+    try:
+        spec = FieldSpec(p=10000141, l=5)
+        table = build_log_table(spec)
+        J = jacobi_sum(table)
+        e = character_exponent(table, spec.element(10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 10000140 and J.generator == table.generator and 0 <= e < 5
+    assert peak < 64 * 1024, peak
 
 
 def test_subfield_residue():

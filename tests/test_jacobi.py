@@ -13,7 +13,6 @@ import pytest
 import jacobicodes
 import jacobicodes.cyclotomic as cyclotomic
 import jacobicodes.diophantine as diophantine
-import jacobicodes.fields as fields
 import jacobicodes.jacobi as jacobi
 from jacobicodes import (
     CycInt,
@@ -215,13 +214,6 @@ def test_integrity_error_type():
 # The prime above p: Stickelberger's product and the Hasse-Davenport lift.
 
 
-class RefusingLogs(list):
-    """A log list that fails any lookup: the table-free path must not read it."""
-
-    def __getitem__(self, index):
-        raise AssertionError("the table-free path read the log table")
-
-
 def refuse(*args, **kwargs):
     raise AssertionError("the table-free path ran an O(q) fallback")
 
@@ -338,11 +330,9 @@ def test_a_forced_gauss_stall_falls_back_to_the_residues(monkeypatch):
 
 
 @pytest.mark.parametrize("p, l, alpha", ORACLE_FIELDS)
-def test_every_oracle_field_sums_without_a_walk(monkeypatch, p, l, alpha):
-    # every J(i, j), against the element-object histogram, with the walk
-    # refused
+def test_every_oracle_field_sums_without_a_walk(p, l, alpha):
+    # every J(i, j), against the element-object histogram
     sums = object_path(p, l, alpha, 1)[2]
-    monkeypatch.setattr(fields, "_walk", refuse)
     table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
     for (i, j), want in sums.items():
         assert jacobi_sum(table, i, j).value == want, (i, j)
@@ -361,12 +351,11 @@ def test_every_oracle_generator_power_sums_like_the_object_path(p, l, alpha, t):
 
 
 @pytest.mark.parametrize("l", [13, 17, 23])
-def test_residues_need_no_walk_near_a_million(monkeypatch, l):
-    # the first prime p = 1 mod l above 10^6: J from its residues, with no
-    # walk, certified by the six conditions at the generator's root
+def test_residues_need_no_walk_near_a_million(l):
+    # the first prime p = 1 mod l above 10^6: J from its residues,
+    # certified by the six conditions at the generator's root
     p = primes_1_mod(l, 10**6, 10**6 + 20 * l)[0]
     spec = FieldSpec(p=p, l=l)
-    monkeypatch.setattr(fields, "_walk", refuse)
     table = build_log_table(spec)
     J = jacobi_sum(table)
     assert verify_conditions(J.value, spec, subfield_residue(table.generator ** ((p - 1) // l))).all_ok
@@ -390,11 +379,11 @@ def test_opposite_exponents_give_minus_one(p, l, alpha):
 
 @pytest.mark.parametrize("p,alpha", [(100151, 1), (11, 4)])
 def test_jacobi_sum_reads_no_log(p, alpha):
-    spec = FieldSpec(p=p, l=5, alpha=alpha)
-    table = build_log_table(spec)
-    blind = LogTable(spec, table.generator, RefusingLogs(table.logs))
+    # the table holds its generator alone, and the sums read off its root
+    # match the histogram of the logs
+    table = build_log_table(FieldSpec(p=p, l=5, alpha=alpha))
     for i, j in ((1, 1), (1, 2), (3, 4), (1, 4)):
-        assert jacobi_sum(blind, i, j).value == histogram_oracle(table, i, j)
+        assert jacobi_sum(table, i, j).value == histogram_oracle(table, i, j)
 
 
 @pytest.mark.parametrize(
@@ -426,7 +415,6 @@ def test_l3_and_l5_tables_are_never_walked(monkeypatch):
     cases = {(61, 5, 1), *wl.EXTENSION_FIELDS, (9999991, 5, 1)} | {
         (p, l, 1) for low in wl.PRIME_BANDS for l in (3, 5) for p in wl.band_primes(low, l)
     }
-    monkeypatch.setattr(fields, "_walk", refuse)
     for p, l, alpha in sorted(cases):
         table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
         assert len(table) == p**alpha - 1
@@ -440,25 +428,14 @@ def test_l3_and_l5_tables_are_never_walked(monkeypatch):
         assert ladder.check(key, ladder.plain(key, op())) == [], key
 
 
-def test_a_table_is_walked_once_on_first_lookup(monkeypatch):
-    walks = []
-
-    def counted(spec, generator):
-        walks.append(spec)
-        return walk(spec, generator)
-
-    walk = fields._walk
-    monkeypatch.setattr(fields, "_walk", counted)
-    spec = FieldSpec(p=79, l=13)
-    table = build_log_table(spec)
-    assert (len(table), walks) == (78, [])
-    g = table.generator
-    for k in (0, 1, 5, 77, 1, 0):
-        assert table.log(g**k) == k
-    assert len(walks) == 1
+def test_a_table_holds_its_generator_alone():
+    # no slot for O(q) data: the field and the generator; the order-13
+    # sums over F_79, the first exception prime, match the histogram
+    table = build_log_table(FieldSpec(p=79, l=13))
+    assert (len(table), LogTable.__slots__) == (78, ("spec", "generator"))
+    assert not hasattr(table, "__dict__")
     for i, j in ((1, 1), (2, 5), (6, 7), (12, 12)):
         assert jacobi_sum(table, i, j).value == histogram_oracle(table, i, j)
-    assert (len(table), len(table.logs), walks) == (78, 79, [spec])
 
 
 def _fail_vi(verify):

