@@ -22,15 +22,7 @@ The pipeline, end to end:
    row-subset independence fails.
 """
 
-from .cyclotomic import (
-    CycInt,
-    abs_square,
-    conjugate,
-    divide_by_one_minus_zeta,
-    divisible_by_int,
-    divisible_by_lambda_power,
-    residue_mod_lambda,
-)
+from .cyclotomic import CycInt, conjugate
 from .codes import (
     CongruenceSystem,
     DeterminantSuite,
@@ -67,7 +59,6 @@ from .fields import (
     FieldSpec,
     LogTable,
     build_log_table,
-    character_exponent,
     character_root,
     find_irreducible_poly,
     find_primitive_element,
@@ -109,12 +100,10 @@ __all__ = [
     "SelectionResult",
     "a_to_dickson",
     "a_to_gauss",
-    "abs_square",
     "build_code",
     "build_congruence_system",
     "build_generator_matrix",
     "build_log_table",
-    "character_exponent",
     "character_root",
     "check_row_subsets",
     "condition_index_set",
@@ -123,9 +112,6 @@ __all__ = [
     "decode_single_error",
     "determinant_suite",
     "dickson_to_a",
-    "divide_by_one_minus_zeta",
-    "divisible_by_int",
-    "divisible_by_lambda_power",
     "encode",
     "find_irreducible_poly",
     "find_primitive_element",
@@ -136,7 +122,6 @@ __all__ = [
     "min_distance",
     "poly_is_irreducible",
     "report",
-    "residue_mod_lambda",
     "scan",
     "select_solution",
     "solve_dickson",

@@ -7,24 +7,46 @@ b gives, coordinate by coordinate in the zeta-power basis, a system of
 l - 1 polynomial congruences in t of degree (l-1)/2 that all vanish at
 t = b.  The matrix D of their non-constant coefficients is the transpose
 of a generator matrix G for an MDS code when every maximal row minor of D
-is nonzero mod p.  When that fails is a criterion on fixed elements of
-Z[zeta_l] (see ``scanner._galois_map``).  At full rank, the code of the
-class with root b_c is {x : x(b_c^m) = 0 for m in Z = -S(1)}, so its
-parity checks are the rows m in Z of the order-l Fourier matrix at
-zeta -> b_c, and a k-subset S of columns is dependent iff the Fourier
-minor M_T on those rows and the columns T outside S vanishes at b_c.
-Chebotarev's theorem on the minors of the prime-order Fourier matrix makes
-every M_T nonzero, so a full-rank failure needs p | N(M_T), which holds
-for finitely many p.  Rank collapse is one fixed element, the determinant
-delta_l of [sigma_m(E_j)] (m outside Z, E_j the coefficients of
-prod_k (t - zeta^(1/k))), vanishing at b_c; that delta_l is nonzero, so
-that collapse too needs p | N(delta_l), is still open for general l.
+is nonzero mod p.
 
-That test runs on the systematic form.  One Gauss-Jordan reduction of the
-k x n matrix G gives its rank and, at full rank, [I | P] up to the order of
-the columns; a k-column subset of G is dependent exactly when a square
-minor of P vanishes (MacWilliams-Sloane, The Theory of Error-Correcting
-Codes, ch. 11), and a rank below k makes every subset dependent.
+Full rank implies MDS.  Let h = (l-1)/2 and E_j the coefficient of t^j in
+E(t) = prod_(k=1..h) (t - zeta^(1/k)), so that row j of G is
+C_j = conj(H) * E_j mod p in Z[zeta]/p = F_p^(l-1), coordinate r = 1..l-1
+for zeta^r.  S(1) = ``condition_index_set(l, 1)`` is {1, ..., h}, since
+2k mod l > k exactly when k <= h, so Z = -S(1) = {h+1, ..., l-1} is a run
+of h consecutive exponents.
+
+- p = 1 mod l splits into the l - 1 primes (p, zeta - b^e), and Z[zeta]/p
+  is the product of their residue fields F_p, x -> x(b^e) =
+  sum_r x_r b^(e r).  At the prime e the congruences read
+  conj(H)(b^e) * prod_k (b - b^(e/k)) = 0, and the product is nonzero for
+  e outside S(1), so conj(H)(b^e) = 0 for e in Z.  By Stickelberger,
+  conj(H) lies in exactly h of these primes (Ireland and Rosen, ch. 14),
+  so it is nonzero at b^e for e in S(1).
+- So every row of G lies in W = {x : x(b^m) = 0 for m in Z}.  A
+  parity-check matrix of W has the entries b^(m r), m in Z and
+  r = 1..l-1: column r is (b^r)^(h+1) times (1, b^r, ..., (b^r)^(h-1)),
+  and the nodes b^r are distinct and nonzero because b has order l.  Any
+  h columns are then a Vandermonde matrix times a nonzero diagonal, so W
+  is a generalized Reed-Solomon code of dimension h and distance h + 1
+  (MacWilliams-Sloane, The Theory of Error-Correcting Codes, ch. 10 s. 8
+  and ch. 11; Roth, Introduction to Coding Theory, ch. 5).
+- At rank h the row space of G is W, so the code is MDS.  Below rank h
+  every h-subset of columns is dependent.  A class therefore fails only by
+  rank collapse: its rank is that of [E_j(b^m)] over j = 1..h and m in
+  S(1), the nonzero conj(H)(b^m) only scaling its columns, so it collapses
+  exactly when the determinant delta_l of [sigma_m(E_j)] vanishes at its
+  root (``scanner._class_rank``).  Whether delta_l is nonzero for every
+  l, so that collapse needs p | N(delta_l) and holds for finitely many p,
+  is still open.
+
+The proof uses only that G vanishes at the b^m, m in Z, and that b has
+order l, not that H is a Jacobi sum.  So ``check_row_subsets`` and
+``build_code`` take the rank of G in one Gauss-Jordan reduction and
+certify those two facts at ``system.b`` in h^2 (l-1) products
+(``_grs_certificate``).  A hand-built system that fails the certificate
+is checked by the definition, one k x k rank per k-subset, as ``is_mds``
+checks any G.
 """
 
 from __future__ import annotations
@@ -165,112 +187,34 @@ def build_generator_matrix(system: CongruenceSystem) -> list[list[int]]:
     ]
 
 
-@lru_cache(maxsize=4)
-def _laplace_schedule(k: int, w: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """The order in which ``_zero_minors`` grows the minors of any k x w
-    matrix, kept for the last few shapes.
-
-    row_masks[m] lists the m-row masks in increasing order, and a mask's
-    place in that list is its rank; col_masks[m] likewise for the columns.
-    rows[m] holds one entry per m-row mask R, in rank order: the pairs
-    (r, rank of R without r) for the rows r of R whose cofactor sign
-    (-1)^(i + m - 1) is +1 (i the position of r in R), then those whose sign
-    is -1.  cols[m] holds one pair per m-column mask C, in rank order: its
-    last column c and the offset of the minors on C without c among the
-    minors one size smaller.  That is k * 2^(k-1) pairs and one pair per
-    column mask, not one object per Laplace term."""
-
-    def by_size(n: int) -> tuple[list[list[int]], dict[int, int]]:
-        masks: list[list[int]] = [[] for _ in range(n + 1)]
-        for mask in range(1 << n):
-            masks[mask.bit_count()].append(mask)
-        return masks, {mask: i for sized in masks for i, mask in enumerate(sized)}
-
-    row_masks, row_rank = by_size(k)
-    col_masks, col_rank = by_size(w)
-    rows: list[tuple] = [()]
-    cols: list[tuple] = [()]
-    for m in range(1, min(k, w) + 1):
-        entries = []
-        for R in row_masks[m]:
-            terms = [(r, row_rank[R ^ (1 << r)]) for r in range(k) if R >> r & 1]
-            first, second = tuple(terms[0::2]), tuple(terms[1::2])
-            entries.append((first, second) if m % 2 else (second, first))
-        rows.append(tuple(entries))
-        height = len(row_masks[m - 1])
-        last = [C.bit_length() - 1 for C in col_masks[m]]
-        cols.append(tuple(
-            (c, col_rank[C ^ (1 << c)] * height) for C, c in zip(col_masks[m], last)
-        ))
-    return tuple(map(tuple, row_masks)), tuple(map(tuple, col_masks)), tuple(rows), tuple(cols)
+def _grs_certificate(system: CongruenceSystem, g: list[list[int]]) -> bool:
+    """Whether system.b has order exactly l mod p and every row x of
+    G = D^T vanishes at b^m for m in Z = {k+1, ..., l-1}, that is
+    G H^T = 0 mod p with H[m][r] = b^(m r) and r = 1..l-1 (row i of D is
+    the coefficient of zeta^(i+1)).  Then G spans a subcode of the
+    generalized Reed-Solomon code ker H (see the module docstring):
+    k^2 (l-1) products, every b^(m r) read from b^0..b^(l-1)."""
+    l, p = system.l, system.p
+    powers = [pow(system.b, e, p) for e in range(l)]
+    if powers[-1] * system.b % p != 1 or len(set(powers)) < l:
+        return False
+    return not any(
+        sum(x * powers[m * r % l] for r, x in enumerate(row, 1)) % p
+        for m in range(system.k + 1, l)
+        for row in g
+    )
 
 
-def _zero_minors(P: list[list[int]], p: int) -> list[tuple[int, int]]:
-    """The (row mask, column mask) pairs of the square minors of the k x w
-    matrix P that vanish mod p.
-
-    Each m x m minor is expanded along its last column c into the
-    (m-1) x (m-1) minors on C without c, computed once for all the larger
-    minors that share them: about k * C(k + w - 1, k - 1) products in all.
-    Only two sizes are kept, each in one flat list indexed by the ranks of
-    its masks (column rank times the number of m-row masks, plus row rank),
-    so at most 2 C(k, k/2) C(w, w/2) minors are held at once, and the zeros
-    of each size are recorded as it is finished.
-    """
-    k, w = len(P), len(P[0])
-    row_masks, col_masks, rows, cols = _laplace_schedule(k, w)
-    columns = [list(col) for col in zip(*P)]
-    zeros = []
-    smaller = [1]  # the empty minor
-    for m in range(1, min(k, w) + 1):
-        minors = []
-        for c, below in cols[m]:
-            column = columns[c]
-            for plus, minus in rows[m]:
-                total = 0
-                for r, rank in plus:
-                    total += column[r] * smaller[below + rank]
-                for r, rank in minus:
-                    total -= column[r] * smaller[below + rank]
-                minors.append(total % p)
-        height = len(row_masks[m])
-        index = -1
-        while True:
-            try:
-                index = minors.index(0, index + 1)
-            except ValueError:
-                break
-            zeros.append((row_masks[m][index % height], col_masks[m][index // height]))
-        smaller = minors
-    return zeros
-
-
-def _dependent_columns(
-    reduced: list[list[int]], pivots: list[int], p: int
-) -> list[tuple[int, ...]]:
-    """Every k-column subset of a k x n matrix that is dependent mod p, as
-    1-based index tuples in lexicographic order, given the matrix's reduced
-    row echelon form and pivot columns (see ``_rref``).
-
-    At rank below k every subset is dependent, with no minor computed.  At
-    full rank, let P be the k x (n-k) block of the free (non-pivot) columns.
-    Eliminating the unit columns a subset S picks among the pivots leaves
-    the minor of P on the pivot rows missing from S and the free columns in
-    S, so S is dependent iff that minor vanishes; the pivots need not be
-    the first k columns.
-    """
-    k, n = len(reduced), len(reduced[0])
-    if len(pivots) < k:
-        return list(combinations(range(1, n + 1), k))
-    free = [c for c in range(n) if c not in pivots]
-    dependent = []
-    for R, C in _zero_minors([[row[c] for c in free] for row in reduced], p):
-        dependent.append(tuple(sorted(
-            [pivots[r] + 1 for r in range(k) if not R >> r & 1]
-            + [free[j] + 1 for j in range(len(free)) if C >> j & 1]
-        )))
-    dependent.sort()
-    return dependent
+def _dependent_subsets(G: list[list[int]], p: int):
+    """The k-column subsets of the k x n matrix G that are dependent mod p,
+    as 1-based index tuples in lexicographic order, by the definition: one
+    k x k rank per subset, C(n, k) of them, yielded one at a time so that a
+    caller that needs only the first stops there."""
+    k = len(G)
+    columns = list(zip(*G))
+    for subset in combinations(range(len(columns)), k):
+        if len(_rref([columns[c] for c in subset], p)[1]) < k:
+            yield tuple(c + 1 for c in subset)
 
 
 def check_row_subsets(system: CongruenceSystem) -> list[tuple[int, ...]]:
@@ -278,12 +222,20 @@ def check_row_subsets(system: CongruenceSystem) -> list[tuple[int, ...]]:
     as 1-based index tuples in lexicographic order.  Empty means every
     subset is independent, the MDS case.
 
-    The rows of D are the columns of G = D^T, so one reduction of G decides
-    them all: a rank below k makes every subset dependent, and at full rank
-    only the square minors of G's systematic block are computed (see
-    ``_dependent_columns``)."""
-    reduced, pivots = _rref(build_generator_matrix(system), system.p)
-    return _dependent_columns(reduced, pivots, system.p)
+    The rows of D are the columns of G = D^T.  A rank of G below k makes
+    every subset dependent.  At rank k, a system whose root has order l and
+    whose G vanishes at the nodes b^m, m in Z, as every system built at the
+    root of a generator does, generates a generalized Reed-Solomon code, so
+    no subset is dependent (``_grs_certificate`` and the module docstring).
+    A system that fails that certificate is checked by the definition, one
+    k x k rank per subset (see ``is_mds``)."""
+    p, k = system.p, system.k
+    g = build_generator_matrix(system)
+    if len(_rref(g, p)[1]) < k:
+        return list(combinations(range(1, system.n + 1), k))
+    if _grs_certificate(system, g):
+        return []
+    return list(_dependent_subsets(g, p))
 
 
 @dataclass(frozen=True)
@@ -293,20 +245,20 @@ class MdsResult:
 
 
 def is_mds(G: list[list[int]], p: int) -> MdsResult:
-    """Whether every k columns of the k x n matrix G are independent mod p.
-    Returns the first dependent column subset (1-based) as witness when not.
-    Rank-deficient G is rejected outright with ValueError: rank G < k
-    exactly when every k x k minor vanishes."""
+    """Whether every k columns of the k x n matrix G are independent mod p,
+    by the definition: one k x k rank per k-subset in lexicographic order,
+    C(n, k) of them, stopping at the first dependent subset, which is
+    returned (1-based) as witness.  Rank-deficient G is rejected outright
+    with ValueError: rank G < k exactly when every k x k minor vanishes.
+    G alone has no root to certify, so this holds for any G; a congruence
+    system is decided in O(k^2 l) by ``check_row_subsets``."""
     k, n = len(G), len(G[0])
     if k > n:
         raise InputError("generator matrix must have k <= n")
-    reduced, pivots = _rref(G, p)
-    if len(pivots) < k:
+    if len(_rref(G, p)[1]) < k:
         raise ValueError("generator matrix is rank-deficient mod p")
-    dependent = _dependent_columns(reduced, pivots, p)
-    if dependent:
-        return MdsResult(False, dependent[0])
-    return MdsResult(True, None)
+    witness = next(_dependent_subsets(G, p), None)
+    return MdsResult(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +381,11 @@ def build_code(system: CongruenceSystem, field: FieldSpec | None = None) -> Line
     """The [l-1, (l-1)/2] code generated by D transposed.  Requires the MDS
     property: a rank below k, or a dependent column subset, raises
     IntegrityError naming the cell and the rank or the witness, since either
-    is exactly an exceptional (p, generator) pair.  G is reduced
-    once; its reduced form is G_std, whose pivots are the first k columns
-    once every k columns are independent.  G_std * H^T = 0 is checked mod p."""
+    is exactly an exceptional (p, generator) pair.  G is reduced once, for
+    its rank and for G_std; at rank k the code is MDS when the system passes
+    ``_grs_certificate``, and otherwise the first dependent subset is looked
+    for by the definition, as in ``check_row_subsets``.  G_std's pivots are
+    then the first k columns, and G_std * H^T = 0 is checked mod p."""
     if field is not None and (field.p != system.p or field.l != system.l):
         raise InputError("field does not match the congruence system")
     cell = _cell(system.l, system.p, None if field is None else field.alpha)
@@ -442,11 +396,12 @@ def build_code(system: CongruenceSystem, field: FieldSpec | None = None) -> Line
         raise IntegrityError(
             f"{cell}: generator matrix has rank {len(pivots)} < k = {k} mod p: code is not MDS"
         )
-    dependent = _dependent_columns(g_std, pivots, p)
-    if dependent:
-        raise IntegrityError(
-            f"{cell}: dependent column subset {dependent[0]}: code is not MDS"
-        )
+    if not _grs_certificate(system, g):
+        witness = next(_dependent_subsets(g, p), None)
+        if witness is not None:
+            raise IntegrityError(
+                f"{cell}: dependent column subset {witness}: code is not MDS"
+            )
     h = _parity_check(g_std, p)
     if any(sum(map(mul, row, hrow)) % p for row in g_std for hrow in h):
         raise IntegrityError(f"{cell}: G_std * H^T != 0 mod p")

@@ -195,55 +195,6 @@ def conjugate(x: CycInt, i: int) -> CycInt:
     return x.conjugate(i)
 
 
-def abs_square(x: CycInt) -> int | None:
-    """x times its complex conjugate, when that product is a rational
-    integer; None when it is not."""
-    return (x * x.conjugate(-1)).as_rational_int()
-
-
-def residue_mod_lambda(x: CycInt) -> int:
-    """The image of x in Z[zeta]/(1 - zeta) = Z/l, namely sum(c_i) mod l."""
-    return sum(x.coeffs) % x.l
-
-
-def divide_by_one_minus_zeta(x: CycInt) -> CycInt:
-    """Exact quotient x / (1 - zeta).
-
-    Uses the factorization l = prod_(i=1..l-1) (1 - zeta^i): multiplying x by
-    prod_(i=2..l-1) (1 - zeta^i) and dividing every coefficient by l is exact
-    precisely when (1 - zeta) divides x.  Raises ValueError otherwise.
-    """
-    l = x.l
-    if residue_mod_lambda(x) != 0:
-        raise ValueError("element is not divisible by (1 - zeta)")
-    prod = x
-    one = CycInt.from_int(l, 1)
-    for i in range(2, l):
-        prod = prod * (one - CycInt.zeta(l, i))
-    if any(c % l for c in prod.coeffs):
-        raise AssertionError("inexact division despite residue 0 mod lambda")
-    return CycInt(l, (c // l for c in prod.coeffs))
-
-
-def divisible_by_lambda_power(x: CycInt, k: int) -> bool:
-    """Whether (1 - zeta)^k divides x, for k in {1, 2}."""
-    if k not in (1, 2):
-        raise ValueError("only k = 1 and k = 2 are supported")
-    if residue_mod_lambda(x) != 0:
-        return False
-    if k == 1:
-        return True
-    return residue_mod_lambda(divide_by_one_minus_zeta(x)) == 0
-
-
-def divisible_by_int(x: CycInt, m: int) -> bool:
-    """Whether the rational integer m divides x elementwise, i.e. every
-    normal-form coefficient."""
-    if m == 0:
-        raise ValueError("divisibility by 0 is not defined")
-    return all(c % m == 0 for c in x.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Euclid's algorithm in Z[zeta_l], on flat integer lists.
 #

@@ -606,21 +606,6 @@ def build_log_table(spec: FieldSpec, generator: FieldElement | None = None) -> L
     return LogTable(spec, generator)
 
 
-def character_exponent(table: LogTable, v: FieldElement) -> int:
-    """The exponent e in range(l) with chi(v) = zeta_l^e, chi the character
-    of order l sending the table's generator to zeta_l: the e with
-    b^e = v^((q-1)/l), b the generator's root (``character_root``), found
-    among the l powers of b.  Defined for nonzero v of the table's field
-    only."""
-    spec = table.spec
-    if not isinstance(v, FieldElement) or v.spec != spec:
-        raise ValueError("element does not belong to this table's field")
-    if not v:
-        raise ValueError("the character is not defined at 0")
-    b, root = character_root(table.generator), character_root(v)
-    return next(e for e in range(spec.l) if pow(b, e, spec.p) == root)
-
-
 def subfield_residue(x: FieldElement) -> int:
     """The integer residue of an element lying in the prime subfield."""
     if any(x.coeffs[1:]):

@@ -6,8 +6,9 @@ generators whose row matrix loses rank on some subset.  The scanner walks
 a prime range, builds the congruence system for one generator or for all
 of them, and records which row subsets (if any) vanish: one prime's
 generators gamma^t fall into the Galois classes t mod l, one class is
-checked, and the others are read off it.  Records are deterministic for
-a fixed input range; only the elapsed-time field varies between runs.
+checked, and every other class is decided by its rank in F_p.  Records
+are deterministic for a fixed input range; only the elapsed-time field
+varies between runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 
 from .codes import _rref, build_congruence_system, check_row_subsets
 from .errors import InputError
@@ -53,12 +54,12 @@ class ScanRecord:
     passed before the cell started; such cells carry an all-zero generator
     placeholder and the planned power t).
 
-    A prime runs one row-subset check, on its first class t mod l (two if
-    that class has rank below (l-1)/2, the second on the next full-rank
-    class), and every other class is read off it by the Galois action, so
-    elapsed_ms is paid by the cell that runs a check (the first also pays
-    for the prime's generator and Jacobi sum).  Every other cell pays at
-    most for one rank in F_p and its own bookkeeping, and usually reads 0.
+    A prime runs one row-subset check, on its first class t mod l, and
+    every other class takes its verdict from its rank in F_p: none at full
+    rank, every subset below.  So elapsed_ms is paid by the cell that runs
+    the check, which also pays for the prime's generator and Jacobi sum.
+    Every other cell pays at most for one rank in F_p and its own
+    bookkeeping, and usually reads 0.
     """
 
     l: int
@@ -117,52 +118,10 @@ def _generator_powers(q: int, policy: str) -> list[int]:
     raise InputError(f"unknown generator policy {policy!r}")
 
 
-def _galois_map(dependent, l: int, c0: int, c: int) -> tuple[tuple[int, ...], ...]:
-    """The dependent row subsets of a full-rank class c, given those of a
-    full-rank class c0: every row index r mapped to r * c0 / c mod l, in
-    lexicographic order again.  The mirror class c = l - c0 maps r to l - r.
-
-    Why it holds.  Let h = (l-1)/2, J the canonical sum with root b, and
-    E_j the coefficient of t^j in E(t) = prod_(k=1..h) (t - zeta^(1/k)).
-    Class c has the sum H = sigma_(1/c)(J) and the root b^c, and its
-    columns are C_j = conj(H) * E_j mod p, j = 1..h.  A row subset is
-    dependent iff the columns, restricted to its rows, span less than h
-    dimensions, so the verdict depends only on the column space V_c in
-    Z[zeta]/p = F_p^(l-1), row r the coordinate of zeta^r.
-
-    - p splits into the l - 1 primes (p, zeta - b^e), and Z[zeta]/p is the
-      product of their residue fields F_p, x -> x(b^e).  At e = c m,
-      conj(H)(b^(c m)) = conj(J)(b^m), which vanishes exactly for m in
-      Z = -S(1), S(1) = condition_index_set(l, 1): condition (vi) for J at
-      b puts conj(J) in the primes e outside S(1), and by Stickelberger
-      conj(J) lies in exactly h of them (Ireland and Rosen, ch. 14).
-    - So V_c lies in W_c = {x : x(b^(c m)) = 0 for m in Z}, of dimension
-      h, and the rank of class c is that of [E_j(b^(c m))] over j = 1..h
-      and m outside Z, the nonzero conj(J)(b^m) only scaling its columns
-      (``_class_rank``).  At full rank, V_c = W_c.
-    - With x = sum_r x_r zeta^r, x(b^(c m)) = sum_r x_r b^(c m r).  The
-      vector y with y_(r c / c0) = x_r has y(b^(c0 m)) = x(b^(c m)), so
-      r -> r c / c0 carries W_c onto W_c0: rows S of class c are dependent
-      iff rows S c / c0 of class c0 are, and the dependent subsets of c
-      are those of c0 times c0 / c.
-    - Classes c and l - c have one rank.  Class l - c has the sum conj(H)
-      and the root b^-c, so its polynomial is H * E(t).  sigma_-1, which
-      only permutes the rows, r -> l - r, turns it into
-      conj(H) * prod_k (t - zeta^(-1/k)) = u * conj(H) * t^h E(1/t), u the
-      unit prod_k (-zeta^(-1/k)), whose columns are u * C_(h-1), ...,
-      u * C_0.  As b != 0, the root relation sum_j b^(c j) C_j = 0 puts
-      C_0 in span(C_1..C_h) and C_h in span(C_0..C_(h-1)), so both spans
-      are one space.
-    - At a lower rank, every subset is dependent.
-    """
-    u = c0 * pow(c, -1, l) % l
-    return tuple(sorted(tuple(sorted(r * u % l for r in s)) for s in dependent))
-
-
 def _root_products(l: int, p: int, b: int) -> list[list[int]]:
     """Row e holds E_1(b^e), ..., E_h(b^e) mod p for e = 0..l-1, where
     E_j(b^e) is the t^j coefficient of prod_(k=1..h) (t - b^(e/k)): the
-    coefficients of E(t) (see ``_galois_map``) at the prime (p, zeta - b^e),
+    coefficients of E(t) (see ``codes``) at the prime (p, zeta - b^e),
     computed in F_p."""
     h = (l - 1) // 2
     powers = [pow(b, e, p) for e in range(l)]
@@ -180,8 +139,9 @@ def _root_products(l: int, p: int, b: int) -> list[list[int]]:
 def _class_rank(products: list[list[int]], l: int, p: int, c: int) -> int:
     """The rank mod p of class c's generator matrix, read in F_p with no
     Jacobi sum: the rank of the h x h matrix [E_j(b^(c m))], j = 1..h and
-    m outside Z = -S(1), that is m in S(1) (see ``_galois_map``), its rows
-    taken from ``_root_products``."""
+    m outside Z = -S(1), that is m in S(1) (see the ``codes`` module
+    docstring), its rows taken from ``_root_products``.  Rank h makes the
+    class MDS, and a lower rank makes every row subset dependent."""
     return len(_rref([products[c * m % l] for m in condition_index_set(l, 1)], p)[1])
 
 
@@ -204,13 +164,11 @@ def scan(
     The sum for gamma^t is the Galois conjugate sigma_(t^-1 mod l)(J) and
     its root is b^t, so the congruence system and its verdict depend only
     on the class c = t mod l.  The first class computed is checked
-    (``check_row_subsets``).  Every later class c gets its rank in F_p
-    with no Jacobi sum (``_class_rank``, once per mirror pair c, l - c):
-    below (l-1)/2 every row subset is dependent, and at full rank its
-    dependent subsets are those of the checked class c0 with every row r
-    mapped to r * c0 / c mod l (see ``_galois_map``).  If the first class
-    has the lower rank, the next full-rank class is checked instead, so a
-    prime costs at most two checks, and policy "first" exactly one.
+    (``check_row_subsets``), so a prime costs exactly one check.  Every
+    later class c gets its rank in F_p with no Jacobi sum (``_class_rank``,
+    once per mirror pair c, l - c): full rank makes it MDS, a generalized
+    Reed-Solomon code (see the ``codes`` module docstring), and below
+    (l-1)/2 every row subset is dependent.
 
     Cells that start after ``deadline_s`` seconds of wall-clock time are
     emitted with status "skipped" rather than dropped.  Records come back
@@ -233,9 +191,7 @@ def scan(
             continue
         spec = FieldSpec(p=p, l=l, alpha=alpha)
         table = None
-        verdicts: dict[int, tuple[tuple[int, ...], ...]] = {}
         full: dict[int, bool] = {}  # by mirror pair, min(c, l - c)
-        reference = None  # a full-rank class and its checked verdict
         every = ()  # the verdict of a rank-deficient class, once built
         products: list[list[int]] = []
         gaps: dict[int, list[list[int]]] = {}  # the matrix of gamma^gap, by gap
@@ -252,24 +208,21 @@ def scan(
                 J = jacobi_sum(table).value
                 last, power = 0, [1] + [0] * (alpha - 1)  # gamma^last
             c = t % l
-            if c not in verdicts:
-                pair = min(c, l - c)
-                if verdicts and pair not in full:  # a later class: its rank in F_p
-                    products = products or _root_products(l, p, b)
-                    full[pair] = _class_rank(products, l, p, c) == h
-                if not full.get(pair, True):  # rank below h
-                    verdicts[c] = every = every or tuple(combinations(range(1, l), h))
-                elif reference is not None:  # full rank, carried from the checked class
-                    verdicts[c] = _galois_map(reference[1], l, reference[0], c)
-                else:  # the first class, or the first of full rank: check it
+            pair = min(c, l - c)
+            if pair not in full:
+                if not full:  # the first class: check it
                     system = build_congruence_system(
                         J.conjugate(pow(t, -1, l)), p, pow(b, t, p)
                     )
-                    verdicts[c] = tuple(check_row_subsets(system))
-                    full[pair] = len(verdicts[c]) < comb(l - 1, h)
-                    if full[pair]:
-                        reference = (c, verdicts[c])
-            dependent = verdicts[c]
+                    every = tuple(check_row_subsets(system))
+                    full[pair] = not every
+                else:  # a later mirror pair: its rank in F_p
+                    products = products or _root_products(l, p, b)
+                    full[pair] = _class_rank(products, l, p, c) == h
+            if full[pair]:
+                dependent = ()
+            else:
+                dependent = every = every or tuple(combinations(range(1, l), h))
             elapsed_ms = int((time.monotonic() - cell_start) * 1000)
             gap = t - last
             if gap not in gaps:

@@ -2,13 +2,15 @@
 element-object paths that the integer and prime-field paths replaced
 (discrete logs, Jacobi sum, power loop, minimum distance), the
 multiplicative order that ``_generates`` replaced, the discrete-log
-histogram that the residues at the split primes replaced, the determinant and
-shared-minor paths that the systematic-form check replaced, the Z[zeta]
-products that conditions (v) and (vi) read in F_p, Euclid's algorithm and
-the unit search on CycInts, the exhaustive modulus search and the
-element-by-element generator search, and the scan with one row-subset
-check per Galois class, kept as oracles, and a record of which properties
-ran in this pytest run for the acceptance gate."""
+histogram that the residues at the split primes replaced, the determinant,
+shared-minor and systematic-minor paths that the certificate of a
+generalized Reed-Solomon code replaced, the Z[zeta] products that
+conditions (v) and (vi) read in F_p, Euclid's algorithm and the unit search
+on CycInts, the exhaustive modulus search and the element-by-element
+generator search, and the scan with one row-subset check per Galois class,
+kept as oracles; the Z[zeta] divisibility tests and the character exponent
+that only the tests use; and a record of which properties ran in this
+pytest run for the acceptance gate."""
 
 from functools import lru_cache
 from itertools import combinations, product
@@ -19,14 +21,15 @@ import pytest
 from jacobicodes import (
     ConditionReport,
     CycInt,
+    FieldElement,
     FieldSpec,
     ScanRecord,
     build_code,
     build_congruence_system,
+    build_generator_matrix,
     build_log_table,
-    check_row_subsets,
+    character_root,
     condition_index_set,
-    divisible_by_int,
     jacobi_sum,
     poly_is_irreducible,
     select_solution,
@@ -34,7 +37,8 @@ from jacobicodes import (
     solve_gauss,
     subfield_residue,
 )
-from jacobicodes.fields import _generates, character_root, is_prime, prime_factors
+from jacobicodes.codes import _rref
+from jacobicodes.fields import _generates, is_prime, prime_factors
 from jacobicodes.jacobi import _cyclic_convolutions, _unit_residues
 
 
@@ -78,9 +82,9 @@ def class_system(l: int, p: int, c: int, alpha: int = 1):
 def class_scan_oracle(l: int, p_min: int, p_max: int, alpha: int = 1,
                       generators: str = "first") -> list[ScanRecord]:
     """``scan`` with one row-subset check per Galois class t mod l: class c
-    checks sigma_(1/t)(J) at the root b^t, unless its mirror class l - c was
-    checked first and lends its verdict with rows r -> l - r.  Records come
-    sorted, every elapsed_ms 0."""
+    checks sigma_(1/t)(J) at the root b^t by ``systematic_minors_oracle``,
+    unless its mirror class l - c was checked first and lends its verdict
+    with rows r -> l - r.  Records come sorted, every elapsed_ms 0."""
     records = []
     for p in range(max(p_min, 2), p_max + 1):
         if p % l != 1 or not is_prime(p):
@@ -104,7 +108,9 @@ def class_scan_oracle(l: int, p_min: int, p_max: int, alpha: int = 1,
                     system = build_congruence_system(
                         J.conjugate(pow(t, -1, l)), p, pow(b, t, p)
                     )
-                    verdicts[c] = tuple(check_row_subsets(system))
+                    verdicts[c] = tuple(systematic_minors_oracle(
+                        build_generator_matrix(system), p
+                    ))
             dependent = verdicts[c]
             records.append(ScanRecord(
                 l, p, alpha, (table.generator ** t).coeffs, t,
@@ -251,6 +257,178 @@ def vanishing_minors_oracle(rows, k: int, p: int) -> list[tuple[int, ...]]:
         for mask, minor in minors.items()
         if not minor
     ]
+
+
+@lru_cache(maxsize=4)
+def _laplace_schedule(k: int, w: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The order in which ``_zero_minors`` grows the minors of any k x w
+    matrix, kept for the last few shapes.
+
+    row_masks[m] lists the m-row masks in increasing order, and a mask's
+    place in that list is its rank; col_masks[m] likewise for the columns.
+    rows[m] holds one entry per m-row mask R, in rank order: the pairs
+    (r, rank of R without r) for the rows r of R whose cofactor sign
+    (-1)^(i + m - 1) is +1 (i the position of r in R), then those whose sign
+    is -1.  cols[m] holds one pair per m-column mask C, in rank order: its
+    last column c and the offset of the minors on C without c among the
+    minors one size smaller.  That is k * 2^(k-1) pairs and one pair per
+    column mask, not one object per Laplace term."""
+
+    def by_size(n: int) -> tuple[list[list[int]], dict[int, int]]:
+        masks: list[list[int]] = [[] for _ in range(n + 1)]
+        for mask in range(1 << n):
+            masks[mask.bit_count()].append(mask)
+        return masks, {mask: i for sized in masks for i, mask in enumerate(sized)}
+
+    row_masks, row_rank = by_size(k)
+    col_masks, col_rank = by_size(w)
+    rows: list[tuple] = [()]
+    cols: list[tuple] = [()]
+    for m in range(1, min(k, w) + 1):
+        entries = []
+        for R in row_masks[m]:
+            terms = [(r, row_rank[R ^ (1 << r)]) for r in range(k) if R >> r & 1]
+            first, second = tuple(terms[0::2]), tuple(terms[1::2])
+            entries.append((first, second) if m % 2 else (second, first))
+        rows.append(tuple(entries))
+        height = len(row_masks[m - 1])
+        last = [C.bit_length() - 1 for C in col_masks[m]]
+        cols.append(tuple(
+            (c, col_rank[C ^ (1 << c)] * height) for C, c in zip(col_masks[m], last)
+        ))
+    return tuple(map(tuple, row_masks)), tuple(map(tuple, col_masks)), tuple(rows), tuple(cols)
+
+
+def _zero_minors(P: list[list[int]], p: int) -> list[tuple[int, int]]:
+    """The (row mask, column mask) pairs of the square minors of the k x w
+    matrix P that vanish mod p.
+
+    Each m x m minor is expanded along its last column c into the
+    (m-1) x (m-1) minors on C without c, computed once for all the larger
+    minors that share them: about k * C(k + w - 1, k - 1) products in all.
+    Only two sizes are kept, each in one flat list indexed by the ranks of
+    its masks (column rank times the number of m-row masks, plus row rank),
+    so at most 2 C(k, k/2) C(w, w/2) minors are held at once, and the zeros
+    of each size are recorded as it is finished.
+    """
+    k, w = len(P), len(P[0])
+    row_masks, col_masks, rows, cols = _laplace_schedule(k, w)
+    columns = [list(col) for col in zip(*P)]
+    zeros = []
+    smaller = [1]  # the empty minor
+    for m in range(1, min(k, w) + 1):
+        minors = []
+        for c, below in cols[m]:
+            column = columns[c]
+            for plus, minus in rows[m]:
+                total = 0
+                for r, rank in plus:
+                    total += column[r] * smaller[below + rank]
+                for r, rank in minus:
+                    total -= column[r] * smaller[below + rank]
+                minors.append(total % p)
+        height = len(row_masks[m])
+        index = -1
+        while True:
+            try:
+                index = minors.index(0, index + 1)
+            except ValueError:
+                break
+            zeros.append((row_masks[m][index % height], col_masks[m][index // height]))
+        smaller = minors
+    return zeros
+
+
+def systematic_minors_oracle(G, p: int) -> list[tuple[int, ...]]:
+    """Every k-column subset of the k x n matrix G that is dependent mod p,
+    as 1-based index tuples in lexicographic order, from G's reduced row
+    echelon form.
+
+    At rank below k every subset is dependent, with no minor computed.  At
+    full rank, let P be the k x (n-k) block of the free (non-pivot) columns.
+    Eliminating the unit columns a subset S picks among the pivots leaves
+    the minor of P on the pivot rows missing from S and the free columns in
+    S, so S is dependent iff that minor vanishes (MacWilliams-Sloane,
+    ch. 11); the pivots need not be the first k columns.  Fast enough for
+    every class at l = 23, where ``vanishing_minors_oracle`` is not.
+    """
+    reduced, pivots = _rref(G, p)
+    k, n = len(reduced), len(reduced[0])
+    if len(pivots) < k:
+        return list(combinations(range(1, n + 1), k))
+    free = [c for c in range(n) if c not in pivots]
+    dependent = []
+    for R, C in _zero_minors([[row[c] for c in free] for row in reduced], p):
+        dependent.append(tuple(sorted(
+            [pivots[r] + 1 for r in range(k) if not R >> r & 1]
+            + [free[j] + 1 for j in range(len(free)) if C >> j & 1]
+        )))
+    dependent.sort()
+    return dependent
+
+
+def abs_square(x: CycInt) -> int | None:
+    """x times its complex conjugate, when that product is a rational
+    integer; None when it is not."""
+    return (x * x.conjugate(-1)).as_rational_int()
+
+
+def residue_mod_lambda(x: CycInt) -> int:
+    """The image of x in Z[zeta]/(1 - zeta) = Z/l, namely sum(c_i) mod l."""
+    return sum(x.coeffs) % x.l
+
+
+def divide_by_one_minus_zeta(x: CycInt) -> CycInt:
+    """Exact quotient x / (1 - zeta).
+
+    Uses the factorization l = prod_(i=1..l-1) (1 - zeta^i): multiplying x by
+    prod_(i=2..l-1) (1 - zeta^i) and dividing every coefficient by l is exact
+    precisely when (1 - zeta) divides x.  Raises ValueError otherwise.
+    """
+    l = x.l
+    if residue_mod_lambda(x) != 0:
+        raise ValueError("element is not divisible by (1 - zeta)")
+    prod = x
+    one = CycInt.from_int(l, 1)
+    for i in range(2, l):
+        prod = prod * (one - CycInt.zeta(l, i))
+    if any(c % l for c in prod.coeffs):
+        raise AssertionError("inexact division despite residue 0 mod lambda")
+    return CycInt(l, (c // l for c in prod.coeffs))
+
+
+def divisible_by_lambda_power(x: CycInt, k: int) -> bool:
+    """Whether (1 - zeta)^k divides x, for k in {1, 2}."""
+    if k not in (1, 2):
+        raise ValueError("only k = 1 and k = 2 are supported")
+    if residue_mod_lambda(x) != 0:
+        return False
+    if k == 1:
+        return True
+    return residue_mod_lambda(divide_by_one_minus_zeta(x)) == 0
+
+
+def divisible_by_int(x: CycInt, m: int) -> bool:
+    """Whether the rational integer m divides x elementwise, i.e. every
+    normal-form coefficient."""
+    if m == 0:
+        raise ValueError("divisibility by 0 is not defined")
+    return all(c % m == 0 for c in x.coeffs)
+
+
+def character_exponent(table, v: FieldElement) -> int:
+    """The exponent e in range(l) with chi(v) = zeta_l^e, chi the character
+    of order l sending the table's generator to zeta_l: the e with
+    b^e = v^((q-1)/l), b the generator's root (``character_root``), found
+    among the l powers of b.  Defined for nonzero v of the table's field
+    only."""
+    spec = table.spec
+    if not isinstance(v, FieldElement) or v.spec != spec:
+        raise ValueError("element does not belong to this table's field")
+    if not v:
+        raise ValueError("the character is not defined at 0")
+    b, root = character_root(table.generator), character_root(v)
+    return next(e for e in range(spec.l) if pow(b, e, spec.p) == root)
 
 
 def conditions_oracle(candidate, spec: FieldSpec, b: int, n: int = 1) -> ConditionReport:

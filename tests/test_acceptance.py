@@ -6,14 +6,12 @@ import time
 
 from jacobicodes import (
     FieldSpec,
-    abs_square,
     build_code,
     build_congruence_system,
     build_log_table,
     check_row_subsets,
     decode_single_error,
     determinant_suite,
-    divisible_by_lambda_power,
     encode,
     is_mds,
     jacobi_sum,
@@ -27,7 +25,12 @@ from jacobicodes import (
     syndrome,
 )
 
-from conftest import PROPERTY_OUTCOMES, primes_1_mod
+from conftest import (
+    PROPERTY_OUTCOMES,
+    abs_square,
+    divisible_by_lambda_power,
+    primes_1_mod,
+)
 
 
 def build_pipeline(p, l, alpha=1):

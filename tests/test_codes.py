@@ -37,6 +37,7 @@ from conftest import (
     fq_min_distance_oracle,
     make_pipeline,
     primes_1_mod,
+    systematic_minors_oracle,
     vanishing_minors_oracle,
 )
 
@@ -155,14 +156,44 @@ def test_check_row_subsets_matches_shared_minors_in_every_class(l, p):
         assert check_row_subsets(system) == vanishing_minors_oracle(system.D, system.k, p), c
 
 
+@pytest.mark.parametrize("l, p", [*ORACLE_PRIMES, (23, 277)])
+def test_every_class_passes_the_grs_certificate(l, p):
+    # every class's G vanishes at the nodes b^m, m in Z, of a root b of
+    # order l, so at full rank its code is the generalized Reed-Solomon code
+    # they define: MDS, as the systematic minors confirm
+    full = 0
+    for c in range(1, l):
+        system = class_system(l, p, c)
+        G = build_generator_matrix(system)
+        assert codes_module._grs_certificate(system, G), c
+        if len(codes_module._rref(G, p)[1]) == system.k:
+            full += 1
+            assert check_row_subsets(system) == [] == systematic_minors_oracle(G, p), c
+    assert full >= l - 3  # at most one mirror pair collapses here
+
+
+def test_a_root_of_order_one_certifies_nothing():
+    # b = 1 is no root of order 5: G's rows sum to 0 mod 7, so they vanish
+    # at every node 1^m, yet columns 1 and 3 are dependent, which the
+    # definition finds
+    system = CongruenceSystem(l=5, p=7, b=1, D=((1, 0), (0, 1), (2, 0), (4, 6)), rhs=(0,) * 4)
+    G = build_generator_matrix(system)
+    assert all(sum(row) % 7 == 0 for row in G)
+    assert not codes_module._grs_certificate(system, G)
+    assert check_row_subsets(system) == [(1, 3)] == systematic_minors_oracle(G, 7)
+    with pytest.raises(IntegrityError, match=r"dependent column subset \(1, 3\)"):
+        build_code(system)
+
+
 def test_square_minors_keep_two_sizes():
-    # one l = 19 class: k = w = 9, at most 2 * C(9, 4)^2 = 31 752 minors
-    # held at once, where one slot per (row mask, column mask) was 2^18
-    system = class_system(19, 191, 1)
-    expected = check_row_subsets(system)  # the schedule is cached from here on
+    # the systematic-minor oracle on one l = 19 class: k = w = 9, at most
+    # 2 * C(9, 4)^2 = 31 752 minors held at once, where one slot per
+    # (row mask, column mask) was 2^18
+    G = build_generator_matrix(class_system(19, 191, 1))
+    expected = systematic_minors_oracle(G, 191)  # the schedule is cached from here on
     tracemalloc.start()
     try:
-        assert check_row_subsets(system) == expected
+        assert systematic_minors_oracle(G, 191) == expected
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,9 +203,8 @@ def test_square_minors_keep_two_sizes():
 def test_systematic_minors_find_pivots_past_the_leading_block():
     # G's first two columns are dependent, so its pivots are columns 1 and 3
     G = [[1, 2, 0, 1], [1, 2, 1, 3]]
-    reduced, pivots = codes_module._rref(G, 7)
-    assert pivots == [0, 2]
-    assert codes_module._dependent_columns(reduced, pivots, 7) == [(1, 2)]
+    assert codes_module._rref(G, 7)[1] == [0, 2]
+    assert systematic_minors_oracle(G, 7) == [(1, 2)]
     assert is_mds(G, 7).witness == (1, 2)
 
 

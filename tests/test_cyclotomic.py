@@ -5,18 +5,20 @@ import cmath
 
 import pytest
 
-from jacobicodes import (
-    CycInt,
+from jacobicodes import CycInt, conjugate
+from jacobicodes.cyclotomic import _cofactor_norm, _euclid_start, _gcd
+
+from conftest import (
     abs_square,
-    conjugate,
+    div_round_oracle,
     divide_by_one_minus_zeta,
     divisible_by_int,
     divisible_by_lambda_power,
+    gcd_oracle,
+    norm_oracle,
+    primes_1_mod,
     residue_mod_lambda,
 )
-from jacobicodes.cyclotomic import _cofactor_norm, _euclid_start, _gcd
-
-from conftest import div_round_oracle, gcd_oracle, norm_oracle, primes_1_mod
 
 
 def as_complex(x: CycInt) -> complex:

@@ -12,7 +12,6 @@ from jacobicodes import (
     FieldSpec,
     InputError,
     build_log_table,
-    character_exponent,
     character_root,
     find_irreducible_poly,
     find_primitive_element,
@@ -25,6 +24,7 @@ from jacobicodes.fields import LogTable, prime_factors
 
 from conftest import (
     _root_walk,
+    character_exponent,
     dict_log_oracle,
     modulus_search_oracle,
     multiplicative_order,

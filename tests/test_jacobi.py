@@ -24,7 +24,6 @@ from jacobicodes import (
     build_log_table,
     condition_index_set,
     conjugate_solutions,
-    divisible_by_lambda_power,
     jacobi_sum,
     select_solution,
     solve_dickson,
@@ -34,7 +33,13 @@ from jacobicodes import (
 )
 from jacobicodes.cyclotomic import _euclid_start, _gcd
 
-from conftest import conditions_oracle, histogram_oracle, make_pipeline, primes_1_mod
+from conftest import (
+    conditions_oracle,
+    divisible_by_lambda_power,
+    histogram_oracle,
+    make_pipeline,
+    primes_1_mod,
+)
 from test_properties import ORACLE_FIELDS, object_path, oracle_powers
 
 

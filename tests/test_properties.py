@@ -16,16 +16,12 @@ from jacobicodes import (
     CycInt,
     FieldSpec,
     ScanRecord,
-    abs_square,
     build_log_table,
-    character_exponent,
     conjugate,
     conjugate_solutions,
     decode_single_error,
     determinant_suite,
     dickson_to_a,
-    divide_by_one_minus_zeta,
-    divisible_by_lambda_power,
     encode,
     find_primitive_element,
     gauss_to_a,
@@ -34,7 +30,6 @@ from jacobicodes import (
     is_mds,
     jacobi_sum,
     report,
-    residue_mod_lambda,
     solve_dickson,
     solve_gauss,
     subfield_residue,
@@ -42,19 +37,24 @@ from jacobicodes import (
     to_standard_form,
     verify_conditions,
 )
-from jacobicodes.codes import _dependent_columns, _rref
 from jacobicodes.fields import prime_factors
 from jacobicodes.jacobi import _fix_unit
 
 from conftest import (
+    abs_square,
+    character_exponent,
     conditions_oracle,
     det_mod,
     dict_log_oracle,
     div_round_oracle,
+    divide_by_one_minus_zeta,
+    divisible_by_lambda_power,
     elements_jacobi_oracle,
     make_pipeline,
     norm_oracle,
     pow_loop_oracle,
+    residue_mod_lambda,
+    systematic_minors_oracle,
     unit_search_oracle,
     vanishing_minors_oracle,
 )
@@ -599,7 +599,25 @@ def test_systematic_minors_match_shared_minors(case):
     # systematic block vanish are the row subsets with a vanishing minor
     rows, k, p = case
     G = [[row[j] for row in rows] for j in range(k)]
-    assert _dependent_columns(*_rref(G, p), p) == vanishing_minors_oracle(rows, k, p)
+    assert systematic_minors_oracle(G, p) == vanishing_minors_oracle(rows, k, p)
+
+
+@CASES
+@given(minor_matrix())
+def test_is_mds_names_the_first_dependent_subset(case):
+    # the definition, one rank per column subset of G = rows^T, against the
+    # shared-minor expansion: a rank below k, where every subset is
+    # dependent, is rejected, and otherwise the witness is the first
+    # dependent subset
+    rows, k, p = case
+    G = [[row[j] for row in rows] for j in range(k)]
+    dependent = vanishing_minors_oracle(rows, k, p)
+    if len(dependent) == math.comb(len(rows), k):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            is_mds(G, p)
+        return
+    result = is_mds(G, p)
+    assert (result.ok, result.witness) == (not dependent, (dependent or [None])[0])
 
 
 @CASES

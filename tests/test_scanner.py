@@ -30,7 +30,7 @@ from jacobicodes import (
     write_report,
 )
 from jacobicodes.codes import _rref
-from jacobicodes.scanner import CSV_COLUMNS, _class_rank, _galois_map, _root_products
+from jacobicodes.scanner import CSV_COLUMNS, _class_rank, _root_products
 
 from conftest import class_scan_oracle, class_system, det_mod, primes_1_mod
 
@@ -110,23 +110,18 @@ def test_scan_by_class_matches_per_generator_path(l, p, alpha):
 
 @pytest.mark.parametrize("c, rank", [(1, 6), (3, 5)])
 def test_mirror_class_is_the_mapped_class(c, rank):
-    # p = 79, l = 13: classes 1 and 12 have full rank; 3 and 10 collapse
+    # p = 79, l = 13: classes 1 and 12 have full rank, so no subset is
+    # dependent; 3 and 10 collapse, so every subset is
     l, p = 13, 79
     systems = [class_system(l, p, c), class_system(l, p, l - c)]
     assert [len(_rref(build_generator_matrix(s), p)[1]) for s in systems] == [rank, rank]
     dependent = [tuple(check_row_subsets(s)) for s in systems]
-    assert len(dependent[0]) == (0 if rank == 6 else 924)
-    assert _galois_map(dependent[0], l, c, l - c) == dependent[1]
-    assert _galois_map(dependent[1], l, l - c, c) == dependent[0]
-
-
-def test_mirror_maps_and_sorts_the_subsets():
-    assert _galois_map(((1, 2, 4), (1, 3, 5)), 7, 1, 6) == ((2, 4, 6), (3, 5, 6))
+    assert [len(d) for d in dependent] == [0 if rank == 6 else 924] * 2
 
 
 @pytest.mark.parametrize("l", [7, 11, 13])
 def test_mirror_classes_share_their_column_space(l):
-    # the identity behind the mirror case of _galois_map, checked directly:
+    # the identity behind the mirror pairs of _class_rank, checked directly:
     # at full rank, class l - c's columns with rows r -> l - r span the same
     # space as class c's (equal reduced row echelon forms of G = D^T); at
     # lower rank, both classes have the same rank
@@ -144,7 +139,8 @@ def test_mirror_classes_share_their_column_space(l):
 
 
 # Every class of the primes p = 1 mod l below 300 (alpha 1) and below 120
-# (alpha 2): the cases of the identities behind _class_rank and _galois_map.
+# (alpha 2): the cases of the identities behind _class_rank and the
+# generalized Reed-Solomon code of each class.
 CLASS_FIELDS = [
     (l, p, alpha)
     for l, alpha in ((7, 1), (11, 1), (13, 1), (17, 1), (7, 2), (13, 2))
@@ -187,9 +183,8 @@ def test_class_rank_in_f_p_matches_the_elimination(l, p, alpha):
 @pytest.mark.parametrize("l, p, alpha", CLASS_FIELDS)
 def test_full_rank_classes_share_one_column_space(l, p, alpha):
     # for every pair of full-rank classes c0, c: G_c0 with each column r
-    # moved to the one _galois_map sends r to (r * c0 / c) spans the same
-    # space as G_c, so their reduced forms agree; no full-rank class in
-    # reach has a dependent subset, so this alone pins the map's direction
+    # moved to r * c0 / c mod l spans the same space as G_c, so their
+    # reduced forms agree: both are the code of the nodes b^(c m), m in Z
     _, matrices = class_matrices(l, p, alpha)
     reduced = {c: _rref(G, p) for c, G in matrices.items()}
     full = [c for c in matrices if len(reduced[c][1]) == (l - 1) // 2]
@@ -197,7 +192,7 @@ def test_full_rank_classes_share_one_column_space(l, p, alpha):
         for c in full:
             moved = [[0] * (l - 1) for _ in matrices[c0]]
             for r in range(1, l):
-                ((image,),) = _galois_map(((r,),), l, c0, c)
+                image = r * c0 * pow(c, -1, l) % l
                 for row, source in zip(moved, matrices[c0]):
                     row[image - 1] = source[r - 1]
             assert _rref(moved, p) == reduced[c], (c0, c)
@@ -274,14 +269,15 @@ def test_an_extension_scan_takes_one_power_per_gap(monkeypatch):
         assert r.generator == (gamma[r.p] ** r.power).coeffs, r
 
 
-def test_a_collapsed_first_class_hands_the_check_to_the_next(monkeypatch):
+def test_a_collapsed_first_class_is_the_only_check(monkeypatch):
     # at p = 79, class 3 = 29 mod 13 has rank 5 < 6: a sweep that meets it
-    # first checks it, then checks class 1, and reads the rest off class 1
+    # first checks it, and every later class, full-rank or not, takes its
+    # verdict from its rank alone
     calls = count_checks(monkeypatch)
     powers = [29, *(t for t in scanner._generator_powers(79, "all") if t != 29)]
     monkeypatch.setattr(scanner, "_generator_powers", lambda q, policy: powers)
     got = zeroed(scan(13, 79, 79, generators="all"))
-    assert len(calls) == 2 and calls[0] == pow(calls[1], 29, 79)  # roots b^29, b
+    assert calls == [pow(3, 6 * 29, 79)]  # the root b^29, with gamma = 3 and b = 3^(78/13)
     assert got == class_scan_oracle(13, 79, 79, 1, "all")
 
 
