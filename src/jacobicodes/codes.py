@@ -41,20 +41,20 @@ of h consecutive exponents.
   is still open.
 
 The proof uses only that G vanishes at the b^m, m in Z, and that b has
-order l, not that H is a Jacobi sum.  So ``check_row_subsets`` and
-``build_code`` take the rank of G in one Gauss-Jordan reduction and
+order l, not that H is a Jacobi sum.  So ``check_row_subsets`` takes the
+rank of G by forward elimination alone (``_rank``), ``build_code`` by the
+Gauss-Jordan reduction that also gives its systematic form, and both
 certify those two facts at ``system.b`` in h^2 (l-1) products
 (``_grs_certificate``).  A hand-built system that fails the certificate
-is checked by the definition, one k x k rank per k-subset, as ``is_mds``
-checks any G.
+is checked by the definition, one k x k ``_rank`` per k-subset, as
+``is_mds`` checks any G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
-from operator import mul
+from operator import mul, sub
 
 import random
 
@@ -88,7 +88,9 @@ __all__ = [
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """The reduced row echelon form of rows mod p, with its pivot columns.
-    Each pivot is 1 and the only nonzero entry of its column."""
+    Each pivot is 1 and the only nonzero entry of its column.  Only
+    ``build_code`` and ``to_standard_form``, which keep the reduced form,
+    call it; a rank alone comes from ``_rank``."""
     m = [[c % p for c in row] for row in rows]
     nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
@@ -108,6 +110,30 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
         if len(pivots) == nrows:
             break
     return m, pivots
+
+
+def _rank(rows: list[list[int]], p: int) -> int:
+    """The rank of rows mod p, by forward elimination alone: each pivot row
+    clears the rows below it by cross-multiplication, with no pivot made 1
+    and no row above touched, and the pass stops at full row rank."""
+    m = [[c % p for c in row] for row in rows]
+    nrows = len(m)
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        lead = top[col]
+        for r in range(rank + 1, nrows):
+            factor = m[r][col]
+            if factor:
+                m[r] = [(lead * c - factor * d) % p for c, d in zip(m[r], top)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +160,6 @@ class CongruenceSystem:
         return (self.l - 1) // 2
 
 
-@lru_cache(maxsize=16)
-def _root_product(l: int) -> tuple[CycInt, ...]:
-    """The coefficients of prod_(k=1..(l-1)/2) (t - zeta^(1/k)) in Z[zeta],
-    of t^0 first.  The product does not depend on J, so it is kept per l."""
-    poly = [CycInt.from_int(l, 1)]
-    for k in range(1, (l - 1) // 2 + 1):
-        root = CycInt.zeta(l, pow(k, -1, l))
-        shifted = [CycInt.zero(l)] + poly
-        scaled = [c * root for c in poly] + [CycInt.zero(l)]
-        poly = [s - t for s, t in zip(shifted, scaled)]
-    return tuple(poly)
-
-
 def _expand(J: CycInt, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Expand conj(J) * prod_(k=1..(l-1)/2) (t - zeta^(1/k)) into a
     polynomial in t with coefficients in Z[zeta], and read off one congruence
@@ -155,11 +168,23 @@ def _expand(J: CycInt, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
     Returns (D, rhs) mod p.  Row i (for zeta^i), with C_j the coefficient of
     t^j, is sum_j C_j[i] * t^j = -C_0[i]: D holds C_1..C_((l-1)/2) and rhs
     holds -C_0.
+
+    The product is one flat list over Z[x]/(x^l - 1), the coefficient of
+    t^j x^e at e (h + 1) + j, h = (l-1)/2.  Times t is a shift by one place,
+    since t^h is still free, and times x^a a cyclic rotation by a (h + 1)
+    places, so each factor costs one rotation and one ``map(sub)``.  The
+    normal form subtracts each C_j's x^0 coefficient once, at the end.
     """
-    conj = J.conjugate(-1)
-    poly = [conj * e for e in _root_product(J.l)]
-    D = tuple(zip(*(tuple(c % p for c in C.coeffs) for C in poly[1:])))
-    rhs = tuple(-c % p for c in poly[0].coeffs)
+    l = J.l
+    width = (l - 1) // 2 + 1  # t^0..t^h of one power of x
+    poly = [0] * (l * width)
+    poly[width::width] = J.conjugate(-1).coeffs
+    for k in range(1, width):
+        s = pow(k, -1, l) * width
+        poly = list(map(sub, [0, *poly[:-1]], poly[-s:] + poly[:-s]))
+    flat = [c % p for c in map(sub, poly, poly[:width] * l)]
+    D = tuple(tuple(flat[e + 1:e + width]) for e in range(width, l * width, width))
+    rhs = tuple(-c % p for c in flat[width::width])
     return D, rhs
 
 
@@ -171,7 +196,7 @@ def build_congruence_system(J: CycInt, p: int, b: int) -> CongruenceSystem:
     b %= p
     powers = [pow(b, j, p) for j in range(1, len(D[0]) + 1)]
     for i, (row, r) in enumerate(zip(D, rhs)):
-        if sum(c * t for c, t in zip(row, powers)) % p != r:
+        if sum(map(mul, row, powers)) % p != r:
             raise IntegrityError(
                 f"{_cell(J.l, p)}: congruence row {i + 1} does not vanish at b = {b} mod {p}"
             )
@@ -193,16 +218,13 @@ def _grs_certificate(system: CongruenceSystem, g: list[list[int]]) -> bool:
     G H^T = 0 mod p with H[m][r] = b^(m r) and r = 1..l-1 (row i of D is
     the coefficient of zeta^(i+1)).  Then G spans a subcode of the
     generalized Reed-Solomon code ker H (see the module docstring):
-    k^2 (l-1) products, every b^(m r) read from b^0..b^(l-1)."""
+    k^2 (l-1) products, each row of H read once from b^0..b^(l-1)."""
     l, p = system.l, system.p
     powers = [pow(system.b, e, p) for e in range(l)]
     if powers[-1] * system.b % p != 1 or len(set(powers)) < l:
         return False
-    return not any(
-        sum(x * powers[m * r % l] for r, x in enumerate(row, 1)) % p
-        for m in range(system.k + 1, l)
-        for row in g
-    )
+    nodes = [[powers[m * r % l] for r in range(1, l)] for m in range(system.k + 1, l)]
+    return not any(sum(map(mul, row, node)) % p for node in nodes for row in g)
 
 
 def _dependent_subsets(G: list[list[int]], p: int):
@@ -213,7 +235,7 @@ def _dependent_subsets(G: list[list[int]], p: int):
     k = len(G)
     columns = list(zip(*G))
     for subset in combinations(range(len(columns)), k):
-        if len(_rref([columns[c] for c in subset], p)[1]) < k:
+        if _rank([columns[c] for c in subset], p) < k:
             yield tuple(c + 1 for c in subset)
 
 
@@ -231,7 +253,7 @@ def check_row_subsets(system: CongruenceSystem) -> list[tuple[int, ...]]:
     k x k rank per subset (see ``is_mds``)."""
     p, k = system.p, system.k
     g = build_generator_matrix(system)
-    if len(_rref(g, p)[1]) < k:
+    if _rank(g, p) < k:
         return list(combinations(range(1, system.n + 1), k))
     if _grs_certificate(system, g):
         return []
@@ -255,7 +277,7 @@ def is_mds(G: list[list[int]], p: int) -> MdsResult:
     k, n = len(G), len(G[0])
     if k > n:
         raise InputError("generator matrix must have k <= n")
-    if len(_rref(G, p)[1]) < k:
+    if _rank(G, p) < k:
         raise ValueError("generator matrix is rank-deficient mod p")
     witness = next(_dependent_subsets(G, p), None)
     return MdsResult(witness is None, witness)

@@ -73,7 +73,7 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     the prime above p by Stickelberger's theorem, certified by
     ``verify_conditions`` at b; for other l, or when Euclid's algorithm
     stalls at b, b^2, ..., b^(l-1) alike, from its residues at the split
-    primes (``_residue_sum``, one pass of about p products mod p), certified
+    primes (``_residue_sum``, one pass of about p/2 products mod p), certified
     by the norm identity J * conj(J) = q, which any correct sum must
     satisfy.  Either way the Hasse-Davenport lift gives the sum over F_q.
     Conditions (i) and (ii) force that norm on a Euclid result, and
@@ -157,17 +157,12 @@ def _residue_sum(l: int, p: int, alpha: int, b: int, n: int) -> CycInt:
     only the power x^(l f) survives the sum, so the residue is 0 when
     A + B < l and -C(B f, (l-A) f) mod p otherwise, f being even:
     Stickelberger's congruence.  The binomials need only the factorials
-    (k f)!, k < l, kept from one pass of products up to (l-1) f.  The
-    inverse transform at b (``_coefficients``) gives J_p mod p, and as each
-    |a_k| is below sqrt(2p) < p/2 for p > 8 (Parseval on the counts behind
-    J_p; the sums over F_7 have |a_k| <= 2), the symmetric lift is J_p.
+    (k f)!, k < l (``_factorials``).  The inverse transform at b
+    (``_coefficients``) gives J_p mod p, and as each |a_k| is below
+    sqrt(2p) < p/2 for p > 8 (Parseval on the counts behind J_p; the sums
+    over F_7 have |a_k| <= 2), the symmetric lift is J_p.
     """
-    f = (p - 1) // l
-    facts, acc = [1] * l, 1  # facts[k] = (k f)! mod p
-    for k in range(1, l):
-        for x in range((k - 1) * f + 1, k * f + 1):
-            acc = acc * x % p
-        facts[k] = acc
+    facts = _factorials(l, p)
     values = []
     for m in range(1, l):
         s = m + m * n % l  # A + B
@@ -177,6 +172,23 @@ def _residue_sum(l: int, p: int, alpha: int, b: int, n: int) -> CycInt:
     powers = [pow(b, e, p) for e in range(l)]
     coeffs = _coefficients(values, powers, p)
     return _lift([0, *(c - p if c > p // 2 else c for c in coeffs)], alpha)
+
+
+def _factorials(l: int, p: int) -> list[int]:
+    """(k f)! mod p for k = 0..l-1, f = (p-1)/l.  One pass of products gives
+    them up to h f, h = (l-1)/2, about p/2 products.  Wilson's theorem,
+    n! (p-1-n)! = (-1)^(n+1) mod p at n = k f, gives the rest: f is even,
+    so (k f)! = -((l-k) f)!^-1 for k > h."""
+    f = (p - 1) // l
+    h = (l - 1) // 2
+    facts, acc = [1] * l, 1
+    for k in range(1, h + 1):
+        for x in range((k - 1) * f + 1, k * f + 1):
+            acc = acc * x % p
+        facts[k] = acc
+    for k in range(h + 1, l):
+        facts[k] = -pow(facts[l - k], -1, p) % p
+    return facts
 
 
 def _lift(jp: list[int], alpha: int) -> CycInt:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .codes import _rref, build_congruence_system, check_row_subsets
+from .codes import _rank, build_congruence_system, check_row_subsets
 from .errors import InputError
 from .fields import (
     FieldSpec, _matvec, _mul_matrix, build_log_table, character_root, is_prime,
@@ -142,7 +142,7 @@ def _class_rank(products: list[list[int]], l: int, p: int, c: int) -> int:
     m outside Z = -S(1), that is m in S(1) (see the ``codes`` module
     docstring), its rows taken from ``_root_products``.  Rank h makes the
     class MDS, and a lower rank makes every row subset dependent."""
-    return len(_rref([products[c * m % l] for m in condition_index_set(l, 1)], p)[1])
+    return _rank([products[c * m % l] for m in condition_index_set(l, 1)], p)
 
 
 def scan(

@@ -7,8 +7,9 @@ shared-minor and systematic-minor paths that the certificate of a
 generalized Reed-Solomon code replaced, the Z[zeta] products that
 conditions (v) and (vi) read in F_p, Euclid's algorithm and the unit search
 on CycInts, the exhaustive modulus search and the element-by-element
-generator search, and the scan with one row-subset check per Galois class,
-kept as oracles; the Z[zeta] divisibility tests and the character exponent
+generator search, the scan with one row-subset check per Galois class,
+the congruence system expanded by CycInt products, and the factorials of
+the residue sum by one plain pass, kept as oracles; the Z[zeta] divisibility tests and the character exponent
 that only the tests use; and a record of which properties ran in this
 pytest run for the acceptance gate."""
 
@@ -118,6 +119,41 @@ def class_scan_oracle(l: int, p_min: int, p_max: int, alpha: int = 1,
             ))
     records.sort(key=ScanRecord.sort_key)
     return records
+
+
+@lru_cache(maxsize=None)
+def _root_product(l: int) -> tuple[CycInt, ...]:
+    """The coefficients of prod_(k=1..(l-1)/2) (t - zeta^(1/k)) in Z[zeta],
+    of t^0 first, by CycInt products."""
+    poly = [CycInt.from_int(l, 1)]
+    for k in range(1, (l - 1) // 2 + 1):
+        root = CycInt.zeta(l, pow(k, -1, l))
+        shifted = [CycInt.zero(l)] + poly
+        scaled = [c * root for c in poly] + [CycInt.zero(l)]
+        poly = [s - t for s, t in zip(shifted, scaled)]
+    return tuple(poly)
+
+
+def expand_oracle(J: CycInt, p: int):
+    """``codes._expand`` by CycInt products: conj(J) times each coefficient
+    of ``_root_product``, read off as (D, rhs) mod p, D holding the t^1..t^h
+    coefficients by zeta-power row and rhs minus the t^0 one."""
+    poly = [J.conjugate(-1) * e for e in _root_product(J.l)]
+    D = tuple(zip(*(tuple(c % p for c in C.coeffs) for C in poly[1:])))
+    rhs = tuple(-c % p for c in poly[0].coeffs)
+    return D, rhs
+
+
+def factorials_oracle(l: int, p: int) -> list[int]:
+    """(k f)! mod p for k = 0..l-1, f = (p-1)/l, by one pass of products up
+    to (l-1) f."""
+    f = (p - 1) // l
+    facts, acc = [1] * l, 1
+    for k in range(1, l):
+        for x in range((k - 1) * f + 1, k * f + 1):
+            acc = acc * x % p
+        facts[k] = acc
+    return facts
 
 
 @lru_cache(maxsize=8)

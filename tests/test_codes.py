@@ -1,6 +1,7 @@
 """Congruence systems, MDS generator matrices, the determinant suite, and
 single-error decoding."""
 
+import sys
 import tracemalloc
 from itertools import combinations, product
 
@@ -25,6 +26,7 @@ from jacobicodes import (
     is_mds,
     jacobi_sum,
     min_distance,
+    scan,
     subfield_residue,
     syndrome,
     to_standard_form,
@@ -34,12 +36,15 @@ from jacobicodes.codes import _expand
 
 from conftest import (
     class_system,
+    expand_oracle,
     fq_min_distance_oracle,
     make_pipeline,
     primes_1_mod,
     systematic_minors_oracle,
     vanishing_minors_oracle,
 )
+from test_properties import ORACLE_FIELDS
+from test_scanner import zeroed
 
 
 def det_mod(rows, p):
@@ -93,6 +98,15 @@ def test_congruence_system_matches_coefficient_formulas():
         a1, a2 = pipe["J"].coeffs
         assert pipe["system"].D == ((a2 % p,), (a1 % p,))
         assert pipe["system"].rhs == (-a1 % p, (a2 - a1) % p)
+
+
+@pytest.mark.parametrize("p, l, alpha", ORACLE_FIELDS)
+def test_expand_matches_the_cycint_products_on_every_oracle_field(p, l, alpha):
+    # the rotations of the flat product against CycInt products, on every
+    # conjugate of each oracle field's J(1, 1)
+    J = jacobi_sum(build_log_table(FieldSpec(p=p, l=l, alpha=alpha))).value
+    for c in range(1, l):
+        assert _expand(J.conjugate(c), p) == expand_oracle(J.conjugate(c), p), c
 
 
 def test_order3_rows_are_proportional():
@@ -206,6 +220,29 @@ def test_systematic_minors_find_pivots_past_the_leading_block():
     assert codes_module._rref(G, 7)[1] == [0, 2]
     assert systematic_minors_oracle(G, 7) == [(1, 2)]
     assert is_mds(G, 7).witness == (1, 2)
+
+
+def test_ranks_take_no_reduced_form(monkeypatch):
+    # every question that needs only a rank (the scan's class ranks,
+    # is_mds's rank test and subsets, check_row_subsets on every class)
+    # is answered by forward elimination: with the reduced row echelon form
+    # made to raise, each returns what it returned before
+    swept = zeroed(scan(13, 2, 200, generators="all"))
+    systems = [class_system(l, p, c) for l, p in ORACLE_PRIMES for c in range(1, l)]
+    verdicts = [check_row_subsets(system) for system in systems]
+
+    def refuse(*args):
+        raise AssertionError("a rank took the reduced row echelon form")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jacobicodes") and hasattr(module, "_rref"):
+            monkeypatch.setattr(module, "_rref", refuse)
+    assert zeroed(scan(13, 2, 200, generators="all")) == swept
+    assert sum(r.status == "exception" for r in swept) == 4  # p = 79
+    with pytest.raises(ValueError, match="rank-deficient"):
+        is_mds([[1, 2, 3], [2, 4, 6]], 7)
+    assert is_mds([[1, 1, 0, 0], [2, 2, 1, 1]], 61).witness == (1, 2)
+    assert [check_row_subsets(system) for system in systems] == verdicts
 
 
 # ---------------------------------------------------------------------------

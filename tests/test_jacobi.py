@@ -5,6 +5,7 @@ they replaced, and the cell named by every IntegrityError."""
 
 import cmath
 import importlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from jacobicodes.cyclotomic import _euclid_start, _gcd
 from conftest import (
     conditions_oracle,
     divisible_by_lambda_power,
+    factorials_oracle,
     histogram_oracle,
     make_pipeline,
     primes_1_mod,
@@ -380,6 +382,33 @@ def test_opposite_exponents_give_minus_one(p, l, alpha):
     for i in range(1, l):
         assert jacobi_sum(table, i, l - i).value == histogram_oracle(table, i, l - i)
         assert jacobi_sum(table, i, l - i).value == CycInt.from_int(l, -1)
+
+
+# the first prime p = 1 mod l above 10^5 for each l, and p = 1000039 for l = 13
+WILSON_FIELDS = [(l, primes_1_mod(l, 10**5, 10**5 + 40 * l)[0]) for l in (5, 7, 13, 23)] + [
+    (13, 1000039)
+]
+
+
+@pytest.mark.parametrize("l", [5, 7, 13, 23])
+def test_wilsons_reflection_gives_every_factorial(l):
+    # the pass up to h f, and (k f)! = -((l-k) f)!^-1 beyond, against
+    # math.factorial at every p = 1 mod l below 3000
+    for p in primes_1_mod(l, 3, 3000):
+        f = (p - 1) // l
+        assert jacobi._factorials(l, p) == [math.factorial(k * f) % p for k in range(l)], p
+
+
+@pytest.mark.parametrize("l, p", WILSON_FIELDS)
+def test_wilsons_reflection_keeps_the_plain_pass(monkeypatch, l, p):
+    # equal factorials, and equal J(1, n) from the residues, against one
+    # plain pass of products up to (l-1) f
+    assert jacobi._factorials(l, p) == factorials_oracle(l, p)
+    b = subfield_residue(build_log_table(FieldSpec(p=p, l=l)).generator ** ((p - 1) // l))
+    sums = [jacobi._residue_sum(l, p, 1, b, n) for n in (1, 2, l - 2)]
+    monkeypatch.setattr(jacobi, "_factorials", factorials_oracle)
+    assert [jacobi._residue_sum(l, p, 1, b, n) for n in (1, 2, l - 2)] == sums
+    assert all((J * J.conjugate(-1)).as_rational_int() == p for J in sums)
 
 
 @pytest.mark.parametrize("p,alpha", [(100151, 1), (11, 4)])

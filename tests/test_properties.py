@@ -37,6 +37,7 @@ from jacobicodes import (
     to_standard_form,
     verify_conditions,
 )
+from jacobicodes.codes import _expand, _rank, _rref
 from jacobicodes.fields import prime_factors
 from jacobicodes.jacobi import _fix_unit
 
@@ -50,6 +51,7 @@ from conftest import (
     divide_by_one_minus_zeta,
     divisible_by_lambda_power,
     elements_jacobi_oracle,
+    expand_oracle,
     make_pipeline,
     norm_oracle,
     pow_loop_oracle,
@@ -640,3 +642,51 @@ def test_standard_form_matches_inverse_of_leading_block(case):
         (sum(Y[i][t] * g_std[t][j] for t in range(k)) - G[i][j]) % p == 0
         for i in range(k) for j in range(len(rows))
     )
+
+
+@st.composite
+def rank_matrix(draw):
+    """(rows, p): a tall, wide or square matrix mod p in {2, 3, 7, 79}, of
+    full or lower rank as a product of two random factors, or all zero, or
+    with a multiple of one row repeated, or 1 x 1."""
+    p = draw(st.sampled_from((2, 3, 7, 79)))
+    entry = st.integers(min_value=-2 * p, max_value=2 * p)
+    shape = draw(st.sampled_from(("tall", "wide", "square", "zero", "duplicate row", "1 x 1")))
+    small = draw(st.integers(min_value=1, max_value=6))
+    large = draw(st.integers(min_value=small + 1, max_value=8))
+    nrows, ncols = {"tall": (large, small), "wide": (small, large), "1 x 1": (1, 1)}.get(
+        shape, (small, draw(st.integers(min_value=1, max_value=8)))
+    )
+    if shape == "zero":
+        return [[0] * ncols for _ in range(nrows)], p
+    inner = draw(st.integers(min_value=1, max_value=max(nrows, ncols)))
+    left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                          min_size=inner, max_size=inner))
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    if shape == "duplicate row":
+        source = draw(st.integers(min_value=0, max_value=nrows - 1))
+        scale = draw(entry)
+        at = draw(st.integers(min_value=0, max_value=nrows))
+        rows.insert(at, [scale * c for c in rows[source]])
+    return rows, p
+
+
+@CASES
+@given(rank_matrix())
+def test_forward_elimination_rank_matches_the_reduced_form(case):
+    rows, p = case
+    assert _rank(rows, p) == len(_rref(rows, p)[1])
+
+
+@CASES
+@given(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23)), st.data())
+def test_expand_matches_the_cycint_products(l, data):
+    # small, negative and very large coefficients, reduced mod small and
+    # large p alike
+    coeff = st.one_of(st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=-10**30, max_value=10**30))
+    J = CycInt(l, data.draw(st.lists(coeff, min_size=l - 1, max_size=l - 1)))
+    p = data.draw(st.sampled_from((2, 3, 7, 79, 1000039)))
+    assert _expand(J, p) == expand_oracle(J, p)
