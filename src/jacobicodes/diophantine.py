@@ -33,6 +33,8 @@ from .jacobi import (
     _failed_conditions,
     _prime_sum,
     _residue_sum,
+    _values_at,
+    condition_index_set,
     conjugate_solutions,
     verify_conditions,
 )
@@ -328,38 +330,91 @@ def select_solution(
     (see ``character_root``); the caller never passes it.  Every candidate
     must pass the generator-independent conditions, and exactly one may pass
     the generator-dependent one; anything else raises IntegrityError.  An
-    empty list, or solutions of the other order's system, raise InputError.
+    empty list, anything but solutions of this field's system, or solutions
+    for another (q, p), raise InputError.
+
+    The solutions of one system are the Galois conjugates sigma_k(H) of one
+    vector H, and conditions (i) to (v) hold for all of them or for none.
+    So when every vector is a conjugate of the first (an index permutation,
+    ``conjugate_solutions``), H is
+    evaluated at the b^e once: sigma_k(H) passes (vi) iff H(b^(-m k)) = 0
+    for every m outside S(1), as sigma_k(H)(b^e) = H(b^(k e)).  One
+    ``verify_conditions`` then runs, on the one candidate that passes, or on
+    the first vector when the count is not 1.  Any other list is checked
+    candidate by candidate.
     """
     l = spec.l
     p = spec.p
     if not solutions:
         raise InputError("no candidate solutions given")
-    first = solutions[0]
-    expected_l = 3 if isinstance(first, GaussSolution) else 5
-    if l != expected_l:
-        raise InputError(f"field has l = {l}, solutions are for l = {expected_l}")
+    vectors = [_vector(sol, spec) for sol in solutions]
     b = character_root(gamma)
     cell = _cell(l, p, spec.alpha, gamma)
-    passing = []
-    for sol in solutions:
-        a = gauss_to_a(sol) if l == 3 else dickson_to_a(sol)
-        report = verify_conditions(CycInt(l, a), spec, b)
-        failed = [c for c in _failed_conditions(report) if c != "vi"]
-        if failed:
-            raise IntegrityError(
-                f"{cell}: candidate {a} fails generator-independent condition(s) "
-                f"{', '.join(failed)}"
-            )
-        if report.vi:
-            passing.append((sol, a))
+    passing = _orbit_passing(vectors, l, p, b)
+    if passing is None:
+        passing = [k for k, a in enumerate(vectors) if _check(a, spec, b, cell)]
+    else:
+        try:
+            _check(vectors[passing[0] if len(passing) == 1 else 0], spec, b, cell)
+        except IntegrityError:
+            # (i) to (v) fail on every conjugate: name the first, as the
+            # check of each candidate does
+            _check(vectors[0], spec, b, cell)
+            raise
     if len(passing) != 1:
         raise IntegrityError(
             f"{cell}: expected exactly one solution to pass the selection condition "
             f"(vi) at b = {b}, got {len(passing)} of {len(solutions)}"
         )
-    sol, a = passing[0]
+    sol, a = solutions[passing[0]], vectors[passing[0]]
     if l == 3:
         orientation = _orientation(sol.L - 3 * sol.M, sol.L + 3 * sol.M, b, l, p, cell)
     else:
         orientation = _orientation(sol.A - 10 * sol.B, sol.A + 10 * sol.B, b, l, p, cell)
     return SelectionResult(sol, tuple(a), b, orientation)
+
+
+def _vector(sol, spec: FieldSpec) -> tuple[int, ...]:
+    """The coefficient vector of a solution of the field's system, or an
+    InputError for anything else."""
+    if isinstance(sol, GaussSolution):
+        sol_l, to_a = 3, gauss_to_a
+    elif isinstance(sol, DicksonSolution):
+        sol_l, to_a = 5, dickson_to_a
+    else:
+        raise InputError(f"{sol!r} is not a Gauss or Dickson solution")
+    if sol_l != spec.l:
+        raise InputError(f"field has l = {spec.l}, solutions are for l = {sol_l}")
+    if (sol.q, sol.p) != (spec.q, spec.p):
+        raise InputError(
+            f"solution for q = {sol.q}, p = {sol.p} given for a field with "
+            f"q = {spec.q}, p = {spec.p}"
+        )
+    return to_a(sol)
+
+
+def _check(a, spec: FieldSpec, b: int, cell: str) -> bool:
+    """Whether the vector a passes the selection condition (vi) at b, or
+    IntegrityError when it fails one of (i) to (v)."""
+    report = verify_conditions(CycInt(spec.l, a), spec, b)
+    failed = [c for c in _failed_conditions(report) if c != "vi"]
+    if failed:
+        raise IntegrityError(
+            f"{cell}: candidate {a} fails generator-independent condition(s) "
+            f"{', '.join(failed)}"
+        )
+    return report.vi
+
+
+def _orbit_passing(vectors, l: int, p: int, b: int) -> list[int] | None:
+    """The indices of the vectors that pass (vi) at b, read off the values
+    of the first at the b^e, or None when some vector is not a Galois
+    conjugate of the first."""
+    # the i-th conjugate of H is sigma_(1/i)(H)
+    orbit = {a: pow(i, -1, l) for i, a in enumerate(conjugate_solutions(vectors[0]), start=1)}
+    ks = [orbit.get(tuple(a)) for a in vectors]
+    if None in ks:
+        return None
+    at = _values_at(vectors[0], [pow(b, e, p) for e in range(l)], p)
+    outside = [m for m in range(1, l) if m not in condition_index_set(l, 1)]
+    return [i for i, k in enumerate(ks) if not any(at[-m * k % l] for m in outside)]

@@ -9,7 +9,7 @@ to the next.
 
 No discrete log is kept.  A character chi of order l with chi(gamma) =
 zeta_l is read off the root b = gamma^((q-1)/l) in F_p: chi(v) = zeta_l^e
-exactly when v^((q-1)/l) = b^e, and v^((q-1)/l) is one determinant and
+exactly when v^((q-1)/l) = b^e, and v^((q-1)/l) is one resultant and
 one power in F_p (``character_root``).
 """
 
@@ -22,14 +22,18 @@ from typing import ClassVar
 from .errors import InputError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_4, the least strong pseudoprime to the bases 2, 3, 5 and 7
+_PSI_4 = 3215031751
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the first 13 prime bases; exact for
-    every n below psi_13 = 3317044064679887385961981 (about 3.317e24),
-    the least strong pseudoprime to all of them (Sorenson and Webster,
-    Math. Comp. 2017).  The first 12 bases alone pass the composite
-    psi_12 = 318665857834031151167461."""
+    """Deterministic Miller-Rabin.  Below psi_4 = 3215031751, the least
+    strong pseudoprime to the bases 2, 3, 5 and 7 (Jaeschke, Math. Comp.
+    1993), those four bases decide; from there on the first 13 prime bases
+    do, exact for every n below psi_13 = 3317044064679887385961981 (about
+    3.317e24), the least strong pseudoprime to all of them (Sorenson and
+    Webster, Math. Comp. 2017).  The first 12 bases alone pass the
+    composite psi_12 = 318665857834031151167461."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -39,7 +43,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for w in _MR_WITNESSES:
+    for w in _MR_WITNESSES[:4] if n < _PSI_4 else _MR_WITNESSES:
         x = pow(w, d, n)
         if x in (1, n - 1):
             continue
@@ -80,24 +84,17 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """The remainder of a by b mod p, trimmed; b trimmed and nonzero."""
+    n = len(b) - 1
     inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(0, len(a) - len(b) + 1)
     rem = list(a)
-    _poly_trim(rem)
-    while len(rem) >= len(b):
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead % p
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-        _poly_trim(rem)
-    return quot, rem
+    for top in range(len(rem) - 1, n - 1, -1):
+        factor = rem[top] * inv_lead % p
+        if factor:
+            for i in range(n):
+                rem[top - n + i] -= factor * b[i]
+    return _poly_trim([c % p for c in rem[:n]])
 
 
 def _poly_mulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
@@ -145,38 +142,16 @@ def _mul_matrix(g, modulus: tuple[int, ...], p: int) -> list[list[int]]:
 
 def _matvec(rows: list[list[int]], v: list[int], p: int) -> list[int]:
     """The matrix with these rows times the vector v, mod p: one
-    multiplication in F_q when the rows come from _mul_matrix."""
+    multiplication in F_q when the rows come from _mul_matrix, one
+    Frobenius map y -> y^p when they come from _frobenius_rows."""
     return [sum(map(mul, row, v)) % p for row in rows]
 
 
-def _det(rows: list[list[int]], p: int) -> int:
-    """The determinant mod p, by Gaussian elimination.  For the matrix of
-    multiplication by g it is the norm g^((q-1)/(p-1)) of g to F_p."""
-    a = list(rows)
-    det = 1
-    for i in range(len(a)):
-        pivot = next((r for r in range(i, len(a)) if a[r][i]), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            a[i], a[pivot] = a[pivot], a[i]
-            det = -det
-        det = det * a[i][i] % p
-        inv = pow(a[i][i], -1, p)
-        for r in range(i + 1, len(a)):
-            f = a[r][i] * inv % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[i])]
-    return det % p
-
-
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    _poly_trim(a)
-    _poly_trim(b)
+    a = _poly_trim([c % p for c in a])
+    b = _poly_trim([c % p for c in b])
     while b:
-        _, r = _poly_divmod(a, b, p)
-        a, b = b, r
+        a, b = b, _poly_rem(a, b, p)
     return a
 
 
@@ -217,12 +192,28 @@ def _has_root(coeffs: tuple[int, ...], p: int) -> bool:
     return len(_poly_gcd(frob, list(modulus), p)) > 1
 
 
+def _frobenius_rows(modulus: tuple[int, ...], p: int) -> list[list[int]]:
+    """The rows of the matrix of y -> y^p on coefficient vectors mod the
+    monic modulus, of degree at least 2.  c^p = c in F_p, so
+    (sum c_j x^j)^p = sum c_j x^(p j): column j is x^(p j), from x^p by
+    deg - 2 products."""
+    deg = len(modulus) - 1
+    xp = _poly_powmod([0, 1], p, modulus, p)
+    cols = [[1] + [0] * (deg - 1), xp]
+    for _ in range(deg - 2):
+        cols.append(_poly_mulmod(cols[-1], xp, modulus, p))
+    return [list(row) for row in zip(*cols)]
+
+
 def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Irreducibility of a monic polynomial over F_p.
 
-    Degrees 2 and 3 reduce to a root search; higher degrees use the
-    Frobenius-power gcd test: f of degree n is irreducible iff
-    x^(p^n) = x mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r | n.
+    Degrees 2 and 3 reduce to a root search; higher degrees use Rabin's
+    test: f of degree n is irreducible iff x^(p^n) = x mod f and
+    gcd(x^(p^(n/r)) - x, f) = 1 for every prime r | n.  x^p is taken once,
+    by repeated squaring, and each later x^(p^k) is one product with the
+    matrix of the Frobenius map y -> y^p (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 14.9).
     """
     deg = len(coeffs) - 1
     if deg < 1 or coeffs[-1] % p != 1:
@@ -232,18 +223,17 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     if deg <= 3:
         return not _has_root(coeffs, p)
     modulus = tuple(c % p for c in coeffs)
-    x = [0, 1]
-    frob = _poly_powmod(x, p**deg, modulus, p)
-    diff = [(frob[i] - x[i] if i < len(x) else frob[i]) % p for i in range(deg)]
-    if any(diff):
-        return False
-    for r in prime_factors(deg):
-        sub = _poly_powmod(x, p ** (deg // r), modulus, p)
-        diff = [(sub[i] - x[i] if i < len(x) else sub[i]) % p for i in range(deg)]
-        g = _poly_gcd(diff + [0], list(modulus), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    frob = _frobenius_rows(modulus, p)
+    x = [0, 1] + [0] * (deg - 2)
+    gcd_steps = {deg // r for r in prime_factors(deg)}
+    power = x
+    for k in range(1, deg + 1):
+        power = _matvec(frob, power, p)  # x^(p^k)
+        if k in gcd_steps:
+            diff = [(c - e) % p for c, e in zip(power, x)]
+            if len(_poly_gcd(diff, list(modulus), p)) > 1:
+                return False
+    return power == x
 
 
 def _lex_tuples(p: int, k: int, start: int = 0):
@@ -470,20 +460,46 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
+def _resultant(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p of trimmed polynomials over F_p, a of positive degree
+    and b nonzero: lc(a)^deg(b) times the product of b over the roots of a.
+    Euclid's algorithm in F_p[t] gives it, as
+    Res(a, b) = (-1)^(m n) lc(b)^(m - deg r) Res(b, r) with r = a mod b,
+    m = deg a and n = deg b, and Res(a, c) = c^m for a constant c
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 6.3)."""
+    res = 1
+    while len(b) > 1:
+        r = _poly_rem(a, b, p)
+        if not r:
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        res = res * pow(b[-1], m - len(r) + 1, p) * (-1 if m * n % 2 else 1)
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
 def _norm(x: FieldElement) -> int:
-    """The norm x^((q-1)/(p-1)) of x to F_p: x itself for alpha = 1, the
-    determinant of the matrix of multiplication by x otherwise."""
+    """The norm x^((q-1)/(p-1)) of x to F_p, the product of its conjugates:
+    x itself for alpha = 1, otherwise the resultant Res(f, x) of the modulus
+    f and x as a polynomial in t.  With x = t^v y and y(0) != 0 it is
+    N(t)^v Res(f, y), where N(t) = (-1)^alpha f(0) is the product of the
+    roots of f."""
     spec = x.spec
     if spec.alpha == 1:
         return x.coeffs[0]
-    return _det(_mul_matrix(x.coeffs, spec.modulus, spec.p), spec.p)
+    p, f = spec.p, spec.modulus
+    v = next((i for i, c in enumerate(x.coeffs) if c), None)
+    if v is None:
+        return 0
+    norm_t = -f[0] if spec.alpha % 2 else f[0]
+    return pow(norm_t, v, p) * _resultant(list(f), _poly_trim(list(x.coeffs[v:])), p) % p
 
 
 def character_root(x: FieldElement) -> int:
     """The root b = x^((q-1)/l) in F_p, l the field's character order.
 
     (q-1)/l = N (p-1)/l with N = (q-1)/(p-1), and x^N is the norm of x, so
-    b = Norm(x)^((p-1)/l): one determinant and one power in F_p, and no
+    b = Norm(x)^((p-1)/l): one resultant and one power in F_p, and no
     power in F_q."""
     spec = x.spec
     return pow(_norm(x), (spec.p - 1) // spec.l, spec.p)
@@ -498,17 +514,26 @@ def _generates(x: FieldElement) -> bool:
     """Whether x generates the multiplicative group: x^((q-1)/r) != 1 for
     every prime r | q - 1.
 
-    With c the norm x^((q-1)/(p-1)) of x, x^((q-1)/r) = c^((p-1)/r) for
-    each prime r | p - 1, so those primes are tested in F_p; only the primes
-    of (q-1)/(p-1) alone take a power in F_q."""
+    With c the norm x^N of x, N = (q-1)/(p-1), x^((q-1)/r) = c^((p-1)/r)
+    for each prime r | p - 1, so those primes are tested in F_p.  Every
+    other prime r divides N, and x^((q-1)/r) = z^(p-1) with z = x^(N/r),
+    which is 1 exactly when z lies in F_p: one power in F_q, to the
+    exponent N/r rather than (q-1)/r."""
     if not x:
         return False
     spec = x.spec
-    p, n = spec.p, spec.q - 1
-    factors, one = prime_factors(n), spec.one
+    p = spec.p
+    factors = prime_factors(spec.q - 1)
     return _generates_fp(_norm(x), p, [r for r in factors if (p - 1) % r == 0]) and all(
-        x ** (n // r) != one for r in factors if (p - 1) % r
+        _outside_fp(x, r) for r in factors if (p - 1) % r
     )
+
+
+def _outside_fp(y: FieldElement, r: int) -> bool:
+    """Whether y^(N/r) lies outside F_p, N = (q-1)/(p-1) and r a prime
+    divisor of N: whether y^((q-1)/r) != 1 (see ``_generates``)."""
+    spec = y.spec
+    return any((y ** ((spec.q - 1) // (spec.p - 1) // r)).coeffs[1:])
 
 
 def _proved(x: FieldElement) -> FieldElement:
@@ -528,7 +553,8 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
 
     - A prime r | q - 1 that does not divide p - 1 divides
       N = (q-1)/(p-1), so c^((q-1)/r) = 1 and x^((q-1)/r) = y^((q-1)/r):
-      the power in F_q depends on the line alone.
+      the test, whether y^(N/r) lies outside F_p, depends on the line
+      alone.
     - For r | p - 1 the test is on the norm c^alpha Norm(y) in F_p, and for
       r | gcd(alpha, p - 1) c^(alpha (p-1)/r) = 1, so it does not depend on
       c either.
@@ -541,8 +567,7 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
     t^2 + 1, the p - 1 multiples of t, whose norm is 1, cost one test.
     """
     p, alpha = spec.p, spec.alpha
-    n = spec.q - 1
-    factors = prime_factors(n)
+    factors = prime_factors(spec.q - 1)
     norm_primes = [r for r in factors if (p - 1) % r == 0]
     if alpha == 1:
         for x in spec.elements():
@@ -550,8 +575,7 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
                 return _proved(x)
         raise AssertionError("unreachable: the multiplicative group is cyclic")
     line_primes = [r for r in norm_primes if alpha % r == 0]
-    fq_exponents = [n // r for r in factors if (p - 1) % r]
-    one = spec.one
+    fq_primes = [r for r in factors if (p - 1) % r]
     for i in reversed(range(alpha)):
         # the norm of each line y = (0, ..., 0, 1, rest), by rest; None
         # when the line holds no generator
@@ -563,7 +587,7 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
                     y = FieldElement(spec, (0,) * i + (1,) + rest)
                     norm = _norm(y)
                     if not (_generates_fp(norm, p, line_primes)
-                            and all(y ** e != one for e in fq_exponents)):
+                            and all(_outside_fp(y, r) for r in fq_primes)):
                         norm = None
                     lines[rest] = norm
                 else:

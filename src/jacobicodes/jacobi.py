@@ -38,7 +38,7 @@ from operator import mul
 
 from .cyclotomic import CycInt, _conjugations, _euclid_start, _flat_mul, _gcd
 from .errors import InputError, IntegrityError, _cell
-from .fields import FieldElement, FieldSpec, LogTable, character_root
+from .fields import FieldElement, FieldSpec, LogTable, character_root, is_prime
 
 __all__ = [
     "JacobiSum",
@@ -310,10 +310,13 @@ def verify_conditions(
     root of unity mod p, p splits into the l - 1 primes (p, zeta - b^m), and
     Z[zeta]/p is the product of their residue fields F_p, zeta -> b^m (Ireland
     and Rosen, ch. 14).  So p divides X iff X(b^m) = 0 mod p for
-    m = 1..l-1.  H is evaluated at the b^e once, sigma_k(H)(b^m) is H(b^(km)),
-    and each product is a product of residues; the residues of (vi)'s product,
-    reported as ``diagnostics["vi_residues"]``, are read back by the inverse
-    transform (see ``_coefficients``).
+    m = 1..l-1.  H is evaluated at the b^e once (``_values_at``),
+    sigma_k(H)(b^m) is H(b^(km)), and (v)'s product is a product of
+    residues.  In (vi) the factor prod (b - b^(m/k)) vanishes exactly for
+    m in the index set, so (vi) holds iff H(b^(-m)) = 0 for every m outside
+    it.  When (vi) fails, the residues of its product are read back by the
+    inverse transform (see ``_coefficients``) and reported as
+    ``diagnostics["vi_residues"]``; when it holds they are all 0.
     """
     l = spec.l
     p = spec.p
@@ -347,18 +350,20 @@ def verify_conditions(
     diagnostics["iv_residue"] = residue_iv
 
     powers = [pow(b, e, p) for e in range(l)]
-    # at[e] = H(b^e) mod p
-    at = [sum(c * powers[e * k % l] for k, c in enumerate(a, start=1)) % p for e in range(l)]
+    at = _values_at(a, powers, p)
     index_set = condition_index_set(l, n)
     cond_v = any(prod(at[m * k % l] for k in index_set) % p for m in range(1, l))
 
-    inverses = [pow(k, -1, l) for k in index_set]
-    vi_values = [
-        at[-m % l] * prod(powers[1] - powers[m * k % l] for k in inverses) % p
-        for m in range(1, l)
-    ]
-    cond_vi = not any(vi_values)
-    diagnostics["vi_residues"] = _coefficients(vi_values, powers, p)
+    cond_vi = not any(at[-m % l] for m in range(1, l) if m not in index_set)
+    if cond_vi:
+        diagnostics["vi_residues"] = (0,) * (l - 1)
+    else:
+        inverses = [pow(k, -1, l) for k in index_set]
+        vi_values = [
+            at[-m % l] * prod(powers[1] - powers[m * k % l] for k in inverses) % p
+            for m in range(1, l)
+        ]
+        diagnostics["vi_residues"] = _coefficients(vi_values, powers, p)
 
     return ConditionReport(
         i=cond_i, ii=cond_ii, iii=cond_iii, iv=cond_iv, v=cond_v, vi=cond_vi,
@@ -366,9 +371,26 @@ def verify_conditions(
     )
 
 
+def _values_at(a: tuple[int, ...], powers: list[int], p: int) -> list[int]:
+    """H(b^e) mod p for e = 0..l-1, H = a_1 zeta + ... + a_(l-1) zeta^(l-1),
+    powers[e] = b^e and b an l-th root of unity mod p: Horner's rule at
+    each power."""
+    values = []
+    for x in powers:
+        acc = 0
+        for c in reversed(a):
+            acc = (acc + c) * x
+        values.append(acc % p)
+    return values
+
+
 def conjugate_solutions(a) -> list[tuple[int, ...]]:
     """The l - 1 Galois-conjugate coefficient vectors of a = (a_1, ...,
     a_(l-1)): the i-th is (a_(i*1 mod l), ..., a_(i*(l-1) mod l)), the
-    image of a under zeta -> zeta^(1/i).  The first entry is a itself."""
-    x = CycInt(len(a) + 1, a)
-    return [x.conjugate(pow(i, -1, x.l)).coeffs for i in range(1, x.l)]
+    image of a under zeta -> zeta^(1/i), an index permutation with no
+    CycInt built.  The first entry is a itself."""
+    l = len(a) + 1
+    if l < 3 or not is_prime(l):
+        raise ValueError(f"l = {l} is not an odd prime")
+    full = (0, *a)
+    return [tuple(full[i * j % l] for j in range(1, l)) for i in range(1, l)]

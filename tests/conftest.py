@@ -8,8 +8,11 @@ generalized Reed-Solomon code replaced, the Z[zeta] products that
 conditions (v) and (vi) read in F_p, Euclid's algorithm and the unit search
 on CycInts, the exhaustive modulus search and the element-by-element
 generator search, the scan with one row-subset check per Galois class,
-the congruence system expanded by CycInt products, and the factorials of
-the residue sum by one plain pass, kept as oracles; the Z[zeta] divisibility tests and the character exponent
+the congruence system expanded by CycInt products, the factorials of
+the residue sum by one plain pass, the selection that checks every
+candidate in full, the norm to F_p as a determinant, the irreducibility
+test by powers x^(p^k) taken by repeated squaring, and Miller-Rabin on
+all 13 bases for every n, kept as oracles; the Z[zeta] divisibility tests and the character exponent
 that only the tests use; and a record of which properties ran in this
 pytest run for the acceptance gate."""
 
@@ -24,6 +27,10 @@ from jacobicodes import (
     CycInt,
     FieldElement,
     FieldSpec,
+    GaussSolution,
+    InputError,
+    IntegrityError,
+    SelectionResult,
     ScanRecord,
     build_code,
     build_congruence_system,
@@ -31,16 +38,29 @@ from jacobicodes import (
     build_log_table,
     character_root,
     condition_index_set,
+    dickson_to_a,
+    gauss_to_a,
     jacobi_sum,
     poly_is_irreducible,
     select_solution,
     solve_dickson,
     solve_gauss,
     subfield_residue,
+    verify_conditions,
 )
 from jacobicodes.codes import _rref
-from jacobicodes.fields import _generates, is_prime, prime_factors
-from jacobicodes.jacobi import _cyclic_convolutions, _unit_residues
+from jacobicodes.diophantine import _orientation
+from jacobicodes.errors import _cell
+from jacobicodes.fields import (
+    _MR_WITNESSES,
+    _generates,
+    _mul_matrix,
+    _poly_gcd,
+    _poly_powmod,
+    is_prime,
+    prime_factors,
+)
+from jacobicodes.jacobi import _cyclic_convolutions, _failed_conditions, _unit_residues
 
 
 @lru_cache(maxsize=None)
@@ -576,6 +596,101 @@ def primitive_search_oracle(spec: FieldSpec):
     """The least generator of F_q*, every element in lexicographic order
     sent to ``_generates``."""
     return next(x for x in spec.elements() if _generates(x))
+
+
+def select_oracle(solutions, spec: FieldSpec, gamma) -> SelectionResult:
+    """``select_solution`` as one check of every candidate: the first to
+    fail one of conditions (i) to (v) is named in an IntegrityError, and
+    exactly one may pass (vi).  The system is read off the first solution,
+    so the solutions must all be of one system."""
+    l, p = spec.l, spec.p
+    if not solutions:
+        raise InputError("no candidate solutions given")
+    expected_l = 3 if isinstance(solutions[0], GaussSolution) else 5
+    if l != expected_l:
+        raise InputError(f"field has l = {l}, solutions are for l = {expected_l}")
+    b = character_root(gamma)
+    cell = _cell(l, p, spec.alpha, gamma)
+    passing = []
+    for sol in solutions:
+        a = gauss_to_a(sol) if l == 3 else dickson_to_a(sol)
+        report = verify_conditions(CycInt(l, a), spec, b)
+        failed = [c for c in _failed_conditions(report) if c != "vi"]
+        if failed:
+            raise IntegrityError(
+                f"{cell}: candidate {a} fails generator-independent condition(s) "
+                f"{', '.join(failed)}"
+            )
+        if report.vi:
+            passing.append((sol, a))
+    if len(passing) != 1:
+        raise IntegrityError(
+            f"{cell}: expected exactly one solution to pass the selection condition "
+            f"(vi) at b = {b}, got {len(passing)} of {len(solutions)}"
+        )
+    sol, a = passing[0]
+    if l == 3:
+        orientation = _orientation(sol.L - 3 * sol.M, sol.L + 3 * sol.M, b, l, p, cell)
+    else:
+        orientation = _orientation(sol.A - 10 * sol.B, sol.A + 10 * sol.B, b, l, p, cell)
+    return SelectionResult(sol, tuple(a), b, orientation)
+
+
+def field_norm_oracle(x: FieldElement) -> int:
+    """The norm of x to F_p: x for alpha = 1, otherwise the determinant of
+    the matrix of y -> x y."""
+    spec = x.spec
+    if spec.alpha == 1:
+        return x.coeffs[0]
+    return det_mod(_mul_matrix(x.coeffs, spec.modulus, spec.p), spec.p)
+
+
+def frobenius_power_oracle(coeffs, p: int) -> bool:
+    """Irreducibility of a monic polynomial f of degree n >= 2 over F_p:
+    x^(p^n) = x mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime
+    r | n, each power x^(p^k) taken by repeated squaring."""
+    deg = len(coeffs) - 1
+    modulus = tuple(c % p for c in coeffs)
+
+    def x_power_minus_x(k: int) -> list[int]:
+        power = _poly_powmod([0, 1], p**k, modulus, p)
+        power[1] -= 1
+        return [c % p for c in power]
+
+    return not any(x_power_minus_x(deg)) and all(
+        len(_poly_gcd(x_power_minus_x(deg // r), list(modulus), p)) == 1
+        for r in prime_factors(deg)
+    )
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Whether the odd n > 2 passes the strong (Miller-Rabin) test to every
+    base."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for w in bases:
+        x = pow(w, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def miller_rabin_13_oracle(n: int) -> bool:
+    """Primality by trial division by the first 13 primes, then the strong
+    test to all 13 as bases, for every n."""
+    if n < 2:
+        return False
+    if any(n % w == 0 for w in _MR_WITNESSES):
+        return n in _MR_WITNESSES
+    return strong_probable_prime(n, _MR_WITNESSES)
 
 
 def primes_1_mod(l: int, lo: int, hi: int) -> list[int]:

@@ -1,25 +1,33 @@
 """Quadratic-form solvers against an independent brute-force oracle, the
-coefficient transforms, and generator-specific selection."""
+coefficient transforms, and generator-specific selection, by the orbit
+against the check of every candidate."""
 
+from dataclasses import replace
 from math import isqrt
 
 import pytest
 
+import jacobicodes.diophantine as diophantine
+import jacobicodes.jacobi as jacobi
 from jacobicodes import (
     DicksonSolution,
+    FieldSpec,
     GaussSolution,
     InputError,
     IntegrityError,
+    SelectionResult,
     a_to_dickson,
     a_to_gauss,
+    conjugate_solutions,
     dickson_to_a,
+    find_primitive_element,
     gauss_to_a,
     select_solution,
     solve_dickson,
     solve_gauss,
 )
 
-from conftest import make_pipeline, primes_1_mod
+from conftest import make_pipeline, primes_1_mod, select_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +253,85 @@ def test_selection_rejects_caller_mistakes_as_input_errors(p61, p7):
         select_solution(solve_gauss(7), p61["spec"], p61["table"].generator)
     with pytest.raises(InputError, match="^field has l = 3, solutions are for l = 5$"):
         select_solution(solve_dickson(61), p7["spec"], p7["table"].generator)
+
+
+def test_selection_rejects_mixed_and_foreign_solutions(p61, p7):
+    spec, gamma = p61["spec"], p61["table"].generator
+    sols = list(p61["solutions"])
+    with pytest.raises(InputError, match="^field has l = 5, solutions are for l = 3$"):
+        select_solution(sols + solve_gauss(7)[:1], spec, gamma)
+    with pytest.raises(InputError, match="^field has l = 3, solutions are for l = 5$"):
+        select_solution(solve_gauss(7) + sols[:1], p7["spec"], p7["table"].generator)
+    with pytest.raises(InputError, match="^'X' is not a Gauss or Dickson solution$"):
+        select_solution(sols + ["X"], spec, gamma)
+    with pytest.raises(InputError, match="^None is not a Gauss or Dickson solution$"):
+        select_solution([None], spec, gamma)
+    with pytest.raises(InputError, match="^solution for q = 11, p = 11 given for a field "
+                                         "with q = 61, p = 61$"):
+        select_solution(solve_dickson(11), spec, gamma)
+    with pytest.raises(InputError, match="^solution for q = 3721, p = 61 given"):
+        select_solution([replace(s, q=61**2) for s in sols], spec, gamma)
+
+
+def test_worked_example_selection_checks_one_candidate(monkeypatch, p61):
+    checks, transforms = [], []
+    verify, coefficients = diophantine.verify_conditions, jacobi._coefficients
+    monkeypatch.setattr(diophantine, "verify_conditions",
+                        lambda *args: checks.append(args) or verify(*args))
+    monkeypatch.setattr(jacobi, "_coefficients",
+                        lambda *args: transforms.append(args) or coefficients(*args))
+    selection = select_solution(p61["solutions"], p61["spec"], p61["table"].generator)
+    assert selection == p61["selection"]
+    # 4 and 4 when every candidate was checked in full
+    assert (len(checks), len(transforms)) == (1, 0)
+
+
+def _outcome(select, solutions, spec, gamma):
+    try:
+        return select(solutions, spec, gamma)
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+
+
+SELECTION_FAILURES = ("fails generator-independent", "expected exactly one",
+                      "the root of no generator")
+
+
+def _kind(outcome) -> str:
+    if isinstance(outcome, SelectionResult):
+        return "selected"
+    return next((kind for kind in SELECTION_FAILURES if kind in outcome[1]), outcome[1])
+
+
+def _selection_lists(spec) -> list[list]:
+    """The solutions of the field's system, reversed, in part, with one
+    twice; orbits that fail (i) or (iii), J + c (1, ..., 1) for c = l and
+    1; and lists that are not one orbit."""
+    q, p, l = spec.q, spec.p, spec.l
+    sols = solve_gauss(q, p) if l == 3 else solve_dickson(q, p)
+    to_a, to_solution = (gauss_to_a, a_to_gauss) if l == 3 else (dickson_to_a, a_to_dickson)
+    lists = [sols, sols[::-1], sols[1:], sols[-1:], sols + sols[:1], sols[:1] + sols]
+    for c in (l, 1):
+        shifted = [to_solution([x + c for x in a], q, p)
+                   for a in conjugate_solutions(to_a(sols[0]))]
+        lists += [shifted, shifted[::-1], sols[:1] + shifted[1:], shifted + sols]
+    if l == 5:
+        lists.append(solve_dickson(q, p, apply_rejection=False))
+    return lists
+
+
+@pytest.mark.parametrize("l, alpha, p_max", [(3, 1, 400), (5, 1, 400), (3, 2, 60), (5, 2, 60)])
+def test_selection_by_the_orbit_matches_the_candidate_loop(l, alpha, p_max):
+    kinds = set()
+    for p in primes_1_mod(l, 3, p_max):
+        spec = FieldSpec(p=p, l=l, alpha=alpha)
+        gamma = find_primitive_element(spec)
+        lists = _selection_lists(spec)
+        for t in range(1, 60):
+            g = gamma**t
+            for sols in lists:
+                got = _outcome(select_solution, sols, spec, g)
+                assert got == _outcome(select_oracle, sols, spec, g), (p, t, sols)
+                kinds.add(_kind(got))
+    # every generator power t = 0 mod l has b = 1, the root of no generator
+    assert kinds == {"selected", *SELECTION_FAILURES}

@@ -2,6 +2,7 @@
 generator tables and the characters read off their roots."""
 
 import itertools
+import random
 import tracemalloc
 from math import gcd
 
@@ -26,9 +27,13 @@ from conftest import (
     _root_walk,
     character_exponent,
     dict_log_oracle,
+    field_norm_oracle,
+    frobenius_power_oracle,
+    miller_rabin_13_oracle,
     modulus_search_oracle,
     multiplicative_order,
     primitive_search_oracle,
+    strong_probable_prime,
 )
 from test_properties import ORACLE_FIELDS
 
@@ -57,6 +62,32 @@ def test_is_prime_edge_cases():
     assert not is_prime(318665857834031151167461)
 
 
+def test_four_bases_decide_below_a_million_as_thirteen_do():
+    assert [n for n in range(10**6) if is_prime(n) != miller_rabin_13_oracle(n)] == []
+
+
+# psi_1 to psi_7 and psi_9 (psi_8 = psi_7), psi_k the least strong
+# pseudoprime to the first k prime bases, with a factor each; the four
+# bases stop at psi_4
+STRONG_PSEUDOPRIMES = ((2047, 23), (1373653, 829), (25326001, 2251), (3215031751, 151),
+                       (2152302898747, 6763), (3474749660383, 1303),
+                       (341550071728321, 10670053), (3825123056546413051, 149491))
+
+
+@pytest.mark.parametrize("n, factor", STRONG_PSEUDOPRIMES)
+def test_strong_pseudoprimes_are_composite(n, factor):
+    assert n % factor == 0
+    assert not is_prime(n)
+    assert not miller_rabin_13_oracle(n)
+
+
+def test_psi_4_passes_the_four_bases():
+    # so from psi_4 on is_prime must take all 13 bases
+    assert fields._PSI_4 == 3215031751
+    assert strong_probable_prime(fields._PSI_4, (2, 3, 5, 7))
+    assert not is_prime(fields._PSI_4)
+
+
 def test_prime_factors():
     assert prime_factors(60) == [2, 3, 5]
     assert prime_factors(78) == [2, 3, 13]
@@ -72,6 +103,22 @@ def test_poly_is_irreducible():
     assert poly_is_irreducible((1, 1, 0, 0, 1), 2)  # x^4 + x + 1
     assert not poly_is_irreducible((1, 0, 1, 0, 1), 2)  # (x^2+x+1)^2
     assert poly_is_irreducible((1, 1, 1), 2)
+
+
+@pytest.mark.parametrize("p", [p for p in range(50) if is_prime(p)])
+def test_rabin_test_matches_the_power_test(p):
+    # every monic polynomial where there are at most 243, else a sample and
+    # the least irreducible one
+    rng = random.Random(p)
+    for deg in (4, 5, 6):
+        if p**deg <= 243:
+            tails = itertools.product(range(p), repeat=deg)
+        else:
+            tails = [tuple(rng.randrange(p) for _ in range(deg)) for _ in range(40)]
+            tails.append(find_irreducible_poly(p, deg)[:-1])
+        for tail in tails:
+            cand = tail + (1,)
+            assert poly_is_irreducible(cand, p) == frobenius_power_oracle(cand, p), cand
 
 
 def test_find_irreducible_poly_is_lex_least():
@@ -153,6 +200,45 @@ def test_large_p_modulus_search_walks_nothing(monkeypatch, p, alpha):
     assert find_irreducible_poly(p, alpha) == spec.modulus
     assert 1 <= len(tests) <= 2 * 5
     assert len(products) <= 2 * 500
+
+
+@pytest.mark.parametrize("p, l, alpha", [
+    (7, 3, 2), (31, 3, 2), (1000003, 3, 2), (7, 3, 3), (11, 5, 3), (1009, 3, 3),
+    (7, 3, 4), (11, 5, 4), (1000003, 3, 4), (7, 3, 5), (11, 5, 5),
+])
+def test_norm_is_the_determinant_of_multiplication(p, l, alpha):
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    t = spec.element([0, 1])
+    rng = random.Random(p * alpha)
+    for _ in range(60):
+        x = spec.element([rng.randrange(p) for _ in range(alpha)])
+        v = rng.randrange(1, alpha)
+        # x itself, t^v times its low part (no reduction by the modulus),
+        # and t^v x taken mod the modulus
+        for y in (x, spec.element((0,) * v + x.coeffs[: alpha - v]), t**v * x):
+            assert fields._norm(y) == field_norm_oracle(y), y
+    for v in range(alpha):
+        assert fields._norm(t**v) == field_norm_oracle(t**v)
+    assert fields._norm(spec.zero) == 0
+
+
+@pytest.mark.parametrize("args, products", [
+    ((11, 5, 4), 18), ((7, 3, 4), 16), ((1000003, 3, 4), 120),
+])
+def test_modulus_search_products(monkeypatch, args, products):
+    # x^p once and the Frobenius matrix per Rabin test: 66, 52 and 414
+    # products when each x^(p^k) was its own power
+    counted = _counting(monkeypatch, "_poly_mulmod")
+    FieldSpec(*args)
+    assert len(counted) <= products
+
+
+def test_primitive_search_products(monkeypatch):
+    # powers y^(N/r) rather than y^((q-1)/r): 58 products before
+    spec = FieldSpec(11, 5, 4)
+    counted = _counting(monkeypatch, "_poly_mulmod")
+    find_primitive_element(spec)
+    assert len(counted) <= 42
 
 
 def test_primitive_search_tests_a_line_once(monkeypatch):

@@ -493,8 +493,9 @@ def test_integrity_errors_name_their_cell(monkeypatch):
     with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: norm check failed"):
         jacobi_sum(table)
 
-    monkeypatch.setattr(diophantine, "verify_conditions", _fail_vi(verify_conditions))
-    with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: expected exactly one solution"):
+    # no value of H at the b^e vanishes, so no conjugate passes (vi)
+    monkeypatch.setattr(diophantine, "_values_at", lambda a, powers, p: [1] * len(powers))
+    with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: expected exactly one solution .* got 0 of 4$"):
         select_solution(solve_dickson(61), spec, gamma)
 
     monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: CycInt(5, (1, 0, 0, 0)))
