@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .cyclotomic import CycInt
 from .errors import InputError, IntegrityError, _cell
 from .fields import FieldElement, FieldSpec, character_root, is_prime
 from .jacobi import (
@@ -330,37 +329,41 @@ def select_solution(
     (see ``character_root``); the caller never passes it.  Every candidate
     must pass the generator-independent conditions, and exactly one may pass
     the generator-dependent one; anything else raises IntegrityError.  An
-    empty list, anything but solutions of this field's system, or solutions
-    for another (q, p), raise InputError.
+    empty sequence, anything but solutions of this field's system, or
+    solutions for another (q, p), raise InputError.
 
     The solutions of one system are the Galois conjugates sigma_k(H) of one
     vector H, and conditions (i) to (v) hold for all of them or for none.
-    So when every vector is a conjugate of the first (an index permutation,
-    ``conjugate_solutions``), H is
-    evaluated at the b^e once: sigma_k(H) passes (vi) iff H(b^(-m k)) = 0
-    for every m outside S(1), as sigma_k(H)(b^e) = H(b^(k e)).  One
-    ``verify_conditions`` then runs, on the one candidate that passes, or on
-    the first vector when the count is not 1.  Any other list is checked
-    candidate by candidate.
+    So one certificate per orbit decides every candidate: the first vector
+    H of each new orbit gets one ``verify_conditions`` for (i) to (v) and
+    one evaluation at the b^e, and its conjugates (index permutations,
+    ``conjugate_solutions``) are registered with their k.  sigma_k(H)
+    passes (vi) iff H(b^(-m k)) = 0 for every m outside S(1), as
+    sigma_k(H)(b^e) = H(b^(k e)).  The first candidate to fail (i) to (v)
+    is the first member of the first failing orbit, and is named.
     """
     l = spec.l
     p = spec.p
+    solutions = list(solutions)
     if not solutions:
         raise InputError("no candidate solutions given")
     vectors = [_vector(sol, spec) for sol in solutions]
     b = character_root(gamma)
     cell = _cell(l, p, spec.alpha, gamma)
-    passing = _orbit_passing(vectors, l, p, b)
-    if passing is None:
-        passing = [k for k, a in enumerate(vectors) if _check(a, spec, b, cell)]
-    else:
-        try:
-            _check(vectors[passing[0] if len(passing) == 1 else 0], spec, b, cell)
-        except IntegrityError:
-            # (i) to (v) fail on every conjugate: name the first, as the
-            # check of each candidate does
-            _check(vectors[0], spec, b, cell)
-            raise
+    powers = [pow(b, e, p) for e in range(l)]
+    outside = [m for m in range(1, l) if m not in condition_index_set(l, 1)]
+    orbits = {}  # sigma_k(H) -> (the values H(b^e), k)
+    passing = []
+    for index, a in enumerate(vectors):
+        if a not in orbits:
+            _check(a, spec, b, cell)
+            at = _values_at(a, powers, p)
+            # the i-th conjugate of H is sigma_(1/i)(H)
+            for i, c in enumerate(conjugate_solutions(a), start=1):
+                orbits[c] = (at, pow(i, -1, l))
+        at, k = orbits[a]
+        if not any(at[-m * k % l] for m in outside):
+            passing.append(index)
     if len(passing) != 1:
         raise IntegrityError(
             f"{cell}: expected exactly one solution to pass the selection condition "
@@ -371,7 +374,7 @@ def select_solution(
         orientation = _orientation(sol.L - 3 * sol.M, sol.L + 3 * sol.M, b, l, p, cell)
     else:
         orientation = _orientation(sol.A - 10 * sol.B, sol.A + 10 * sol.B, b, l, p, cell)
-    return SelectionResult(sol, tuple(a), b, orientation)
+    return SelectionResult(sol, a, b, orientation)
 
 
 def _vector(sol, spec: FieldSpec) -> tuple[int, ...]:
@@ -393,28 +396,11 @@ def _vector(sol, spec: FieldSpec) -> tuple[int, ...]:
     return to_a(sol)
 
 
-def _check(a, spec: FieldSpec, b: int, cell: str) -> bool:
-    """Whether the vector a passes the selection condition (vi) at b, or
-    IntegrityError when it fails one of (i) to (v)."""
-    report = verify_conditions(CycInt(spec.l, a), spec, b)
-    failed = [c for c in _failed_conditions(report) if c != "vi"]
+def _check(a: tuple[int, ...], spec: FieldSpec, b: int, cell: str) -> None:
+    """IntegrityError when the vector a fails one of (i) to (v)."""
+    failed = [c for c in _failed_conditions(verify_conditions(a, spec, b)) if c != "vi"]
     if failed:
         raise IntegrityError(
             f"{cell}: candidate {a} fails generator-independent condition(s) "
             f"{', '.join(failed)}"
         )
-    return report.vi
-
-
-def _orbit_passing(vectors, l: int, p: int, b: int) -> list[int] | None:
-    """The indices of the vectors that pass (vi) at b, read off the values
-    of the first at the b^e, or None when some vector is not a Galois
-    conjugate of the first."""
-    # the i-th conjugate of H is sigma_(1/i)(H)
-    orbit = {a: pow(i, -1, l) for i, a in enumerate(conjugate_solutions(vectors[0]), start=1)}
-    ks = [orbit.get(tuple(a)) for a in vectors]
-    if None in ks:
-        return None
-    at = _values_at(vectors[0], [pow(b, e, p) for e in range(l)], p)
-    outside = [m for m in range(1, l) if m not in condition_index_set(l, 1)]
-    return [i for i, k in enumerate(ks) if not any(at[-m * k % l] for m in outside)]

@@ -118,14 +118,18 @@ def _poly_mulmod(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -
 
 
 def _poly_powmod(base: list[int], e: int, modulus: tuple[int, ...], p: int) -> list[int]:
+    """base^e mod the monic modulus, for e >= 0 and a base of at most deg
+    coefficients, as a vector of deg residues: left-to-right binary powering
+    from base at the leading bit, one square per later bit and one product
+    per set bit."""
     deg = len(modulus) - 1
-    result = [1] + [0] * (deg - 1)
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, modulus, p)
-        acc = _poly_mulmod(acc, acc, modulus, p)
-        e >>= 1
+    if e == 0:
+        return [1] + [0] * (deg - 1)
+    result = [c % p for c in base] + [0] * (deg - len(base))
+    for bit in bin(e)[3:]:
+        result = _poly_mulmod(result, result, modulus, p)
+        if bit == "1":
+            result = _poly_mulmod(result, base, modulus, p)
     return result
 
 

@@ -320,20 +320,15 @@ def verify_conditions(
     """
     l = spec.l
     p = spec.p
-    if not isinstance(candidate, CycInt):
-        candidate = tuple(candidate)
-        if len(candidate) != l - 1:
-            raise InputError(f"candidate has order {len(candidate) + 1}, field expects {l}")
-        candidate = CycInt(l, candidate)
-    if candidate.l != l:
-        raise InputError(f"candidate has order {candidate.l}, field expects {l}")
+    a = candidate.coeffs if isinstance(candidate, CycInt) else tuple(candidate)
+    if len(a) != l - 1:
+        raise InputError(f"candidate has order {len(a) + 1}, field expects {l}")
     if not 1 <= n <= l - 2:
         raise InputError(f"n must lie in [1, {l - 2}]")
     if pow(b, l, p) != 1:
         raise InputError(f"b = {b} is not an l-th root of unity mod {p}")
     if b % p == 1:
         raise InputError(f"b = {b} is 1 mod {p}, the root of no generator")
-    a = candidate.coeffs
     diagnostics: dict = {}
 
     convs = _cyclic_convolutions(a, l)

@@ -113,9 +113,7 @@ def _primes_in(lo: int, hi: int):
 def _generator_powers(q: int, policy: str) -> list[int]:
     if policy == "first":
         return [1]
-    if policy == "all":
-        return [t for t in range(1, q - 1) if gcd(t, q - 1) == 1]
-    raise InputError(f"unknown generator policy {policy!r}")
+    return [t for t in range(1, q - 1) if gcd(t, q - 1) == 1]
 
 
 def _root_products(l: int, p: int, b: int) -> list[list[int]]:
@@ -172,13 +170,18 @@ def scan(
 
     Cells that start after ``deadline_s`` seconds of wall-clock time are
     emitted with status "skipped" rather than dropped.  Records come back
-    sorted by (l, p, alpha, generator).  An empty range (p_min > p_max) is
-    rejected.
+    sorted by (l, p, alpha, generator).  An empty range (p_min > p_max), an
+    unknown policy and alpha < 1 are rejected, whether or not the range holds
+    a prime.
     """
     if not is_prime(l) or l == 2:
         raise InputError(f"l = {l} must be an odd prime")
     if p_min > p_max:
         raise InputError(f"empty prime range: p_min = {p_min} > p_max = {p_max}")
+    if alpha < 1:
+        raise InputError("alpha must be >= 1")
+    if generators not in ("first", "all"):
+        raise InputError(f"unknown generator policy {generators!r}")
     started = time.monotonic()
     records: list[ScanRecord] = []
 

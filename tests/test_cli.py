@@ -247,6 +247,18 @@ def test_scan_empty_range_is_usage_error(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("p_min, p_max", [("20", "50"), ("53", "53")])
+def test_scan_bad_alpha_or_policy_is_usage_error(capsys, p_min, p_max):
+    # over a range with no prime = 1 mod 13 as over one with a prime
+    argv = ["scan", "--l", "13", "--p-min", p_min, "--p-max", p_max]
+    code, out, err = run(capsys, *argv, "--alpha", "0")
+    assert (code, out) == (2, "")
+    assert "usage error: alpha must be >= 1" in err
+    with pytest.raises(SystemExit) as exc:  # argparse's own choices
+        main([*argv, "--generators", "bogus"])
+    assert exc.value.code == 2
+
+
 def test_scan_out_resolves_env_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.RESULTS_DIR_ENV, str(tmp_path))
     code, out, err = run(

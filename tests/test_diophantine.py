@@ -10,6 +10,7 @@ import pytest
 import jacobicodes.diophantine as diophantine
 import jacobicodes.jacobi as jacobi
 from jacobicodes import (
+    CycInt,
     DicksonSolution,
     FieldSpec,
     GaussSolution,
@@ -284,6 +285,59 @@ def test_worked_example_selection_checks_one_candidate(monkeypatch, p61):
     assert selection == p61["selection"]
     # 4 and 4 when every candidate was checked in full
     assert (len(checks), len(transforms)) == (1, 0)
+
+
+def test_selection_certifies_each_orbit_once(monkeypatch, p61):
+    # one verify_conditions per distinct orbit, on its first member: the
+    # solutions, then J + (5, ..., 5) and its conjugates, which fail (i) and
+    # (ii); 5 when every candidate was checked until the first failure
+    spec, gamma, sols = p61["spec"], p61["table"].generator, list(p61["solutions"])
+    shifted = [a_to_dickson([x + 5 for x in a], 61, 61)
+               for a in conjugate_solutions(dickson_to_a(sols[0]))]
+    checks = []
+    verify = diophantine.verify_conditions
+    monkeypatch.setattr(diophantine, "verify_conditions",
+                        lambda *args: checks.append(args[0]) or verify(*args))
+    with pytest.raises(IntegrityError, match=r"candidate \(5, -1, 8, 7\) fails "
+                                             r"generator-independent condition\(s\) i, ii$"):
+        select_solution(sols + shifted, spec, gamma)
+    assert checks == [dickson_to_a(sols[0]), dickson_to_a(shifted[0])]
+    checks.clear()
+    select_solution(sols[::-1], spec, gamma)
+    assert checks == [dickson_to_a(sols[-1])]
+
+
+def test_selection_takes_any_iterable(p61):
+    spec, gamma, sols = p61["spec"], p61["table"].generator, list(p61["solutions"])
+    expected = select_solution(sols, spec, gamma)
+    assert select_solution(tuple(sols), spec, gamma) == expected
+    assert select_solution(iter(sols), spec, gamma) == expected
+    assert select_solution((s for s in sols), spec, gamma) == expected
+    with pytest.raises(InputError, match="^no candidate solutions given$"):
+        select_solution(iter([]), spec, gamma)
+
+
+def test_selection_builds_no_cycint(monkeypatch):
+    # every list of the oracle test below, at a field of each order and a
+    # square field, selects as before with CycInt construction made to raise,
+    # as ranks are checked with _rref made to raise in test_codes.py
+    fields = [FieldSpec(p=61, l=5), FieldSpec(p=13, l=3), FieldSpec(p=11, l=5, alpha=2)]
+    cases = []
+    for spec in fields:
+        gamma = find_primitive_element(spec)
+        for t in (1, 2, 3, 5, 7):
+            for sols in _selection_lists(spec):
+                g = gamma**t
+                cases.append((sols, spec, g, _outcome(select_solution, sols, spec, g)))
+
+    def refuse(*args):
+        raise AssertionError("selection built a CycInt")
+
+    monkeypatch.setattr(CycInt, "__init__", refuse)
+    monkeypatch.setattr(CycInt, "_new", classmethod(refuse))
+    for sols, spec, g, expected in cases:
+        assert _outcome(select_solution, sols, spec, g) == expected
+    assert {_kind(expected) for *_, expected in cases} == {"selected", *SELECTION_FAILURES}
 
 
 def _outcome(select, solutions, spec, gamma):

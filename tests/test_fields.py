@@ -32,6 +32,7 @@ from conftest import (
     miller_rabin_13_oracle,
     modulus_search_oracle,
     multiplicative_order,
+    pow_loop_oracle,
     primitive_search_oracle,
     strong_probable_prime,
 )
@@ -223,22 +224,42 @@ def test_norm_is_the_determinant_of_multiplication(p, l, alpha):
 
 
 @pytest.mark.parametrize("args, products", [
-    ((11, 5, 4), 18), ((7, 3, 4), 16), ((1000003, 3, 4), 120),
+    ((11, 5, 4), 14), ((7, 3, 4), 12), ((1000003, 3, 4), 112),
 ])
 def test_modulus_search_products(monkeypatch, args, products):
     # x^p once and the Frobenius matrix per Rabin test: 66, 52 and 414
-    # products when each x^(p^k) was its own power
+    # products when each x^(p^k) was its own power, and 18, 16 and 120 when
+    # each power started from 1 and squared past its last bit
     counted = _counting(monkeypatch, "_poly_mulmod")
     FieldSpec(*args)
     assert len(counted) <= products
 
 
+@pytest.mark.parametrize("p, l, alpha", [(7, 3, 2), (11, 5, 3), (7, 3, 4)])
+def test_powers_start_at_the_leading_bit(monkeypatch, p, l, alpha):
+    # a padded vector of residues for every e, e = 0 and 1 included, from
+    # one square per bit after the leading one and one product per later
+    # set bit
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    rng = random.Random(alpha)
+    bases = [[0, 1], [p + 1], *([rng.randrange(p) for _ in range(alpha)] for _ in range(5))]
+    for base in bases:
+        x = spec.element([c % p for c in base])
+        for e in [*range(40), rng.randrange(spec.q, spec.q**2)]:
+            want = list(pow_loop_oracle(x, e).coeffs)
+            counted = _counting(monkeypatch, "_poly_mulmod")
+            assert fields._poly_powmod(base, e, spec.modulus, p) == want, (base, e)
+            assert len(counted) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+            monkeypatch.undo()
+
+
 def test_primitive_search_products(monkeypatch):
-    # powers y^(N/r) rather than y^((q-1)/r): 58 products before
+    # powers y^(N/r) rather than y^((q-1)/r): 58 products before, and 42
+    # with a power started from 1 and squared past its last bit
     spec = FieldSpec(11, 5, 4)
     counted = _counting(monkeypatch, "_poly_mulmod")
     find_primitive_element(spec)
-    assert len(counted) <= 42
+    assert len(counted) <= 34
 
 
 def test_primitive_search_tests_a_line_once(monkeypatch):

@@ -162,10 +162,11 @@ def test_conditions_validation(p61):
         verify_conditions(a, spec, b=2)  # 2 is a generator, not an l-th root
     with pytest.raises(InputError):
         verify_conditions(a, spec, b=9, n=4)  # n must be <= l - 2
-    with pytest.raises(InputError):
-        verify_conditions((1, 2), spec, b=9)  # wrong order
-    with pytest.raises(InputError):
-        verify_conditions(CycInt(3, (1, 2)), spec, b=9)  # wrong order
+    # a tuple and a CycInt of the wrong order, through one length check
+    for wrong, order in (((1, 2), 3), (CycInt(3, (1, 2)), 3), ((1, 2, 3, 4, 5, 6), 7)):
+        with pytest.raises(InputError, match=f"^candidate has order {order}, field expects 5$"):
+            verify_conditions(wrong, spec, b=9)
+    assert verify_conditions(list(a), spec, b=9) == verify_conditions(CycInt(5, a), spec, b=9)
 
 
 def test_conditions_reject_b_equal_to_one(p61):

@@ -15,6 +15,7 @@ import jacobicodes.scanner as scanner
 from jacobicodes import (
     FieldElement,
     FieldSpec,
+    InputError,
     ScanRecord,
     build_congruence_system,
     build_generator_matrix,
@@ -340,6 +341,15 @@ def test_scan_rejects_bad_order():
 def test_scan_rejects_empty_range():
     with pytest.raises(ValueError):
         scan(5, 100, 10)
+
+
+@pytest.mark.parametrize("p_min, p_max", [(20, 50), (53, 53)])
+def test_scan_checks_policy_and_alpha_before_any_prime(p_min, p_max):
+    # 20..50 holds no prime = 1 mod 13, 53..53 holds one
+    with pytest.raises(InputError, match="^unknown generator policy 'bogus'$"):
+        scan(13, p_min, p_max, generators="bogus")
+    with pytest.raises(InputError, match="^alpha must be >= 1$"):
+        scan(13, p_min, p_max, alpha=0)
 
 
 def test_generator_label():
