@@ -10,10 +10,12 @@ The final non-divisibility cuts the solution set down to exactly four
 members, one per Galois conjugate of the Jacobi sum.
 
 Both solvers read their solutions off those conjugates, with no search:
-J(1, 1) comes from the prime above p (``jacobi._prime_sum``), or from its
-residues at the split primes (``jacobi._residue_sum``) in the rare field
-where Euclid's algorithm stalls at every root.  The (U, V) enumeration
-stays for ``apply_rejection=False``.
+J(1, 1) comes from ``jacobi._routed_sum``, the route that ``jacobi_sum``
+takes for l = 3 and 5: the residues at the split primes for l = 5 below
+p = 2800, otherwise the prime above p, with no Euclid step at l = 3, and
+the residues when Euclid stalls at every root.  Every route is certified
+by the six conditions at the root b.  The (U, V) enumeration stays for
+``apply_rejection=False``.
 
 Both systems translate to and from the cyclotomic coefficient vector
 (a_1, ..., a_(l-1)) by fixed unimodular-over-Z[1/2l] linear maps; the
@@ -29,13 +31,13 @@ from math import isqrt
 from .errors import InputError, IntegrityError, _cell
 from .fields import FieldElement, FieldSpec, character_root, is_prime
 from .jacobi import (
-    _failed_conditions,
-    _prime_sum,
-    _residue_sum,
+    _check_root,
+    _conditions,
+    _failed,
+    _routed_sum,
     _values_at,
     condition_index_set,
     conjugate_solutions,
-    verify_conditions,
 )
 
 __all__ = [
@@ -158,9 +160,9 @@ def solve_dickson(
 
 def _solve(l: int, q: int, p: int, apply_rejection: bool = True) -> list:
     """The body of ``solve_gauss`` (l = 3) and ``solve_dickson`` (l = 5):
-    the l - 1 solutions read off the conjugates of J(1, 1) from the prime
-    above p (``jacobi._prime_sum``), or from its residues when Euclid's
-    algorithm stalls at every root."""
+    the l - 1 solutions read off the conjugates of J(1, 1), which
+    ``jacobi._routed_sum`` gives by the cheaper exact route and certifies
+    by the six conditions at b."""
     alpha = _prime_power_check(q, p)
     if p % l != 1:
         raise InputError(f"p = {p} is not 1 mod {l}")
@@ -170,20 +172,17 @@ def _solve(l: int, q: int, p: int, apply_rejection: bool = True) -> list:
     while pow(x, (p - 1) // l, p) == 1:
         x += 1
     b = pow(x, (p - 1) // l, p)
-    J = _prime_sum(l, p, alpha, b, 1)
-    if J is None:
-        J = _residue_sum(l, p, alpha, b, 1)
-    cell = _cell(l, p, alpha)
+    J = _routed_sum(l, p, alpha, b, 1, (l, p, alpha))
     to_solution = a_to_gauss if l == 3 else a_to_dickson
     try:
         sols = [to_solution(a, q, p) for a in conjugate_solutions(J.coeffs)]
         for sol in sols:
             sol.validate()
     except ValueError as exc:
-        raise IntegrityError(f"{cell}: {exc}") from None
+        raise IntegrityError(f"{_cell(l, p, alpha)}: {exc}") from None
     if len(set(sols)) != l - 1:
         raise IntegrityError(
-            f"{cell}: expected exactly {l - 1} distinct solutions for q = {q}, found {len(set(sols))}"
+            f"{_cell(l, p, alpha)}: expected exactly {l - 1} distinct solutions for q = {q}, found {len(set(sols))}"
         )
     return sorted(sols, key=lambda s: -s.M if l == 3 else (s.X, s.U, s.V, s.W))
 
@@ -310,12 +309,14 @@ class SelectionResult:
     orientation: OrientationReport
 
 
-def _orientation(num: int, den: int, b: int, l: int, p: int, cell: str) -> OrientationReport:
+def _orientation(num: int, den: int, powers: list[int], p: int, where: tuple) -> OrientationReport:
+    """num / den mod p placed among the powers[e] = b^e and their negatives;
+    a den of 0 mod p raises IntegrityError naming the cell ``_cell(*where)``."""
     if den % p == 0:
-        raise IntegrityError(f"{cell}: ratio denominator vanishes mod p")
+        raise IntegrityError(f"{_cell(*where)}: ratio denominator vanishes mod p")
     ratio = num * pow(den, -1, p) % p
-    power = next((e for e in range(l) if pow(b, e, p) == ratio), None)
-    negated = next((e for e in range(l) if -pow(b, e, p) % p == ratio), None)
+    power = next((e for e, x in enumerate(powers) if x == ratio), None)
+    negated = next((e for e, x in enumerate(powers) if -x % p == ratio), None)
     return OrientationReport(ratio, power, negated)
 
 
@@ -335,9 +336,11 @@ def select_solution(
     The solutions of one system are the Galois conjugates sigma_k(H) of one
     vector H, and conditions (i) to (v) hold for all of them or for none.
     So one certificate per orbit decides every candidate: the first vector
-    H of each new orbit gets one ``verify_conditions`` for (i) to (v) and
-    one evaluation at the b^e, and its conjugates (index permutations,
-    ``conjugate_solutions``) are registered with their k.  sigma_k(H)
+    H of each new orbit gets one evaluation at the b^e, (i) to (v) are read
+    off it and off H (``jacobi._conditions``, the body of
+    ``verify_conditions``, with no inverse transform), and its conjugates
+    (index permutations, ``conjugate_solutions``) are registered with their
+    k.  sigma_k(H)
     passes (vi) iff H(b^(-m k)) = 0 for every m outside S(1), as
     sigma_k(H)(b^e) = H(b^(k e)).  The first candidate to fail (i) to (v)
     is the first member of the first failing orbit, and is named.
@@ -349,15 +352,22 @@ def select_solution(
         raise InputError("no candidate solutions given")
     vectors = [_vector(sol, spec) for sol in solutions]
     b = character_root(gamma)
-    cell = _cell(l, p, spec.alpha, gamma)
+    _check_root(b, l, p)
+    where = (l, p, spec.alpha, gamma)
     powers = [pow(b, e, p) for e in range(l)]
-    outside = [m for m in range(1, l) if m not in condition_index_set(l, 1)]
+    index_set = condition_index_set(l, 1)
+    outside = [m for m in range(1, l) if m not in index_set]
     orbits = {}  # sigma_k(H) -> (the values H(b^e), k)
     passing = []
     for index, a in enumerate(vectors):
         if a not in orbits:
-            _check(a, spec, b, cell)
             at = _values_at(a, powers, p)
+            failed = _failed(_conditions(a, spec.q, p, at, index_set)[0][:5])
+            if failed:
+                raise IntegrityError(
+                    f"{_cell(*where)}: candidate {a} fails generator-independent "
+                    f"condition(s) {', '.join(failed)}"
+                )
             # the i-th conjugate of H is sigma_(1/i)(H)
             for i, c in enumerate(conjugate_solutions(a), start=1):
                 orbits[c] = (at, pow(i, -1, l))
@@ -366,15 +376,15 @@ def select_solution(
             passing.append(index)
     if len(passing) != 1:
         raise IntegrityError(
-            f"{cell}: expected exactly one solution to pass the selection condition "
-            f"(vi) at b = {b}, got {len(passing)} of {len(solutions)}"
+            f"{_cell(*where)}: expected exactly one solution to pass the selection "
+            f"condition (vi) at b = {b}, got {len(passing)} of {len(solutions)}"
         )
     sol, a = solutions[passing[0]], vectors[passing[0]]
     if l == 3:
-        orientation = _orientation(sol.L - 3 * sol.M, sol.L + 3 * sol.M, b, l, p, cell)
+        num, den = sol.L - 3 * sol.M, sol.L + 3 * sol.M
     else:
-        orientation = _orientation(sol.A - 10 * sol.B, sol.A + 10 * sol.B, b, l, p, cell)
-    return SelectionResult(sol, a, b, orientation)
+        num, den = sol.A - 10 * sol.B, sol.A + 10 * sol.B
+    return SelectionResult(sol, a, b, _orientation(num, den, powers, p, where))
 
 
 def _vector(sol, spec: FieldSpec) -> tuple[int, ...]:
@@ -394,13 +404,3 @@ def _vector(sol, spec: FieldSpec) -> tuple[int, ...]:
             f"q = {spec.q}, p = {spec.p}"
         )
     return to_a(sol)
-
-
-def _check(a: tuple[int, ...], spec: FieldSpec, b: int, cell: str) -> None:
-    """IntegrityError when the vector a fails one of (i) to (v)."""
-    failed = [c for c in _failed_conditions(verify_conditions(a, spec, b)) if c != "vi"]
-    if failed:
-        raise IntegrityError(
-            f"{cell}: candidate {a} fails generator-independent condition(s) "
-            f"{', '.join(failed)}"
-        )

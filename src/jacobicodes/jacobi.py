@@ -11,22 +11,26 @@ down to the single sum attached to a specific generator.
 
 No sum takes a discrete log.  With b the root gamma^((q-1)/l) in F_p,
 p splits in Z[zeta_l] into the l - 1 primes (p, zeta - b^m), and the sum
-J_p(1, n) over F_p is read in one of two ways.  For l = 3 and 5,
-Euclid's algorithm gives pi = gcd(p, zeta - b), a prime above p, started
-at the element r - t zeta of that prime that a half-gcd on the integers
-(p, b) finds.  Stickelberger's theorem makes J_p(1, n) a unit times prod
-over k in S(n) of sigma_(1/k)(pi), S(n) = condition_index_set(l, n), and
-the unit is the one +-zeta^e with J = -1 mod (1 - zeta)^2, read off in
-closed form.  A stalled Euclid step at b is retried at b^2, ..., b^(l-1),
-whose sums are conjugates of the one for b, and the six conditions
-certify the result.  For other l, and the rare field where every root
-stalls, Stickelberger's congruence gives J_p(1, n) mod each split prime as
-a binomial coefficient mod p, and the inverse transform at b gives J_p;
-the norm identity certifies it.  The Hasse-Davenport lifting theorem gives
-J_q = -(-J_p)^alpha, and J(i, j) is sigma_i(J(1, j/i)).
-J(i, -i) = -chi^i(-1) = -1 for every odd l (Ireland and Rosen, A
-Classical Introduction to Modern Number Theory, ch. 11 and 14; Berndt,
-Evans and Williams, Gauss and Jacobi Sums, ch. 2 and 11).
+J_p(1, n) over F_p is read in one of two ways.  From the prime above p:
+Stickelberger's theorem makes J_p(1, n) a unit times prod over k in S(n)
+of sigma_(1/k)(pi), pi a prime above p and S(n) = condition_index_set(l,
+n), and the unit is the one +-zeta^e with J = -1 mod (1 - zeta)^2, read
+off in closed form.  pi is gcd(p, r - t zeta), where r - t zeta is the
+element of (p, zeta - b) that a half-gcd on the integers (p, b) finds;
+for l = 3 it is already the prime, and Euclid's algorithm takes no step.
+A stalled Euclid step at b is retried at b^2, ..., b^(l-1), whose sums are
+conjugates of the one for b.  From the residues: Stickelberger's
+congruence gives J_p(1, n) mod each split prime as a binomial coefficient
+mod p, and the inverse transform at b gives J_p.  l = 3 takes the prime;
+l = 5 takes the residues below ``_RESIDUES_BELOW`` (p = 2800), where their
+p/2 products cost less than Euclid, and the prime from there on, with the
+residues when every root stalls; every other l takes the residues.  The
+six conditions certify every sum for l = 3 and 5, on every route; for
+other l the norm identity J * conj(J) = q certifies it.  The
+Hasse-Davenport lifting theorem gives J_q = -(-J_p)^alpha, and J(i, j) is
+sigma_i(J(1, j/i)).  J(i, -i) = -chi^i(-1) = -1 for every odd l (Ireland
+and Rosen, A Classical Introduction to Modern Number Theory, ch. 11 and
+14; Berndt, Evans and Williams, Gauss and Jacobi Sums, ch. 2 and 11).
 """
 
 from __future__ import annotations
@@ -69,16 +73,18 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
     """J(i, j) for the character sending the table's generator to zeta_l.
 
     For i + j = 0 mod l it is -1.  Otherwise J(1, j/i) comes from the root
-    b of the table's generator, with no discrete log: for l in {3, 5} from
-    the prime above p by Stickelberger's theorem, certified by
-    ``verify_conditions`` at b; for other l, or when Euclid's algorithm
-    stalls at b, b^2, ..., b^(l-1) alike, from its residues at the split
-    primes (``_residue_sum``, one pass of about p/2 products mod p), certified
-    by the norm identity J * conj(J) = q, which any correct sum must
-    satisfy.  Either way the Hasse-Davenport lift gives the sum over F_q.
-    Conditions (i) and (ii) force that norm on a Euclid result, and
-    sigma_i preserves it, so J(i, j) = sigma_i(J(1, j/i)) needs no other
-    check.  A failed check raises IntegrityError naming the cell.
+    b of the table's generator, with no discrete log.  For l in {3, 5} it
+    is ``_routed_sum``'s: from the residues at the split primes for l = 5
+    below ``_RESIDUES_BELOW``, otherwise from the prime above p by
+    Stickelberger's theorem, and from the residues when Euclid's algorithm
+    stalls at b, b^2, ..., b^(l-1) alike; every route is certified by the
+    six conditions at b.  For other l it comes from the residues
+    (``_residue_sum``, one pass of about p/2 products mod p), certified by
+    the norm identity J * conj(J) = q, which any correct sum must satisfy.
+    Either way the Hasse-Davenport lift gives the sum over F_q.  Conditions
+    (i) and (ii) force that norm, and sigma_i preserves it, so
+    J(i, j) = sigma_i(J(1, j/i)) needs no other check.  A failed check
+    raises IntegrityError naming the cell.
     """
     spec = table.spec
     l, p = spec.l, spec.p
@@ -86,25 +92,53 @@ def jacobi_sum(table: LogTable, i: int = 1, j: int = 1) -> JacobiSum:
         raise InputError(f"character exponents must lie in [1, {l - 1}]")
     if (i + j) % l == 0:
         return JacobiSum(CycInt.from_int(l, -1), spec, table.generator, (i, j))
-    cell = _cell(l, p, spec.alpha, table.generator)
+    where = (l, p, spec.alpha, table.generator)
     b = character_root(table.generator)
     n = j * pow(i, -1, l) % l
-    base = _prime_sum(l, p, spec.alpha, b, n) if l in (3, 5) else None
-    if base is None:
+    if l in (3, 5):
+        base = _routed_sum(l, p, spec.alpha, b, n, where)
+    else:
         base = _residue_sum(l, p, spec.alpha, b, n)
         norm = (base * base.conjugate(-1)).as_rational_int()
         if norm != spec.q:
             raise IntegrityError(
-                f"{cell}: norm check failed: J(i,j) * conj = {norm}, expected q = {spec.q}"
-            )
-    else:
-        failed = _failed_conditions(verify_conditions(base, spec, b, n))
-        if failed:
-            raise IntegrityError(
-                f"{cell}: J(1, {n}) from the prime above p fails condition(s) "
-                f"{', '.join(failed)} at b = {b}"
+                f"{_cell(*where)}: norm check failed: J(i,j) * conj = {norm}, "
+                f"expected q = {spec.q}"
             )
     return JacobiSum(base.conjugate(i), spec, table.generator, (i, j))
+
+
+# Below this p an l = 5 sum comes from its residues: they cost about p/2
+# products mod p, Euclid's algorithm a few divisions in Z[zeta_5] whatever p
+# is.  Timed on the first ten p = 1 mod 5 from each band's start, n = 1, 2,
+# 3, at the least root, residues over Euclid read 0.96 of the time from
+# p = 2600 and 1.03 from p = 2800, and the ratio climbs steadily on both
+# sides (0.45 from 1000, 1.38 from 4000).  At l = 3 Euclid takes no step.
+_RESIDUES_BELOW = 2800
+
+
+def _routed_sum(l: int, p: int, alpha: int, b: int, n: int, where: tuple) -> CycInt:
+    """J(1, n) over F_(p^alpha) for l in {3, 5} and the character with root
+    b in F_p, by the cheaper exact route, certified by the six conditions
+    at b.
+
+    For l = 5 below ``_RESIDUES_BELOW`` it is ``_residue_sum``.  Otherwise
+    it is ``_prime_sum``, where l = 3 takes no Euclid step, and
+    ``_residue_sum`` when Euclid stalls at every root.  A failed condition
+    raises IntegrityError naming the cell ``_cell(*where)``.
+    """
+    value = None if l == 5 and p < _RESIDUES_BELOW else _prime_sum(l, p, alpha, b, n)
+    source = "the prime above p"
+    if value is None:
+        value, source = _residue_sum(l, p, alpha, b, n), "its residues"
+    at = _values_at(value.coeffs, [pow(b, e, p) for e in range(l)], p)
+    flags = _conditions(value.coeffs, p**alpha, p, at, condition_index_set(l, n))[0]
+    if not all(flags):
+        raise IntegrityError(
+            f"{_cell(*where)}: J(1, {n}) from {source} fails condition(s) "
+            f"{', '.join(_failed(flags))} at b = {b}"
+        )
+    return value
 
 
 def _unit_residues(a: tuple[int, ...], l: int) -> tuple[int, int]:
@@ -131,7 +165,9 @@ def _prime_sum(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
 def _stickelberger(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
     """J(1, n) over F_(p^alpha) for the character with root b in F_p, or
     None when Euclid's algorithm stalls on gcd(p, r - t zeta), the prime
-    above p that ``_euclid_start`` reaches from b.
+    above p that ``_euclid_start`` reaches from b.  For l = 3 a start of
+    norm r^2 + rt + t^2 = p is that prime, and ``_euclid_start`` shows the
+    norm is always p, so Euclid runs only on a start of another norm.
 
     J_p(1, n) is +-zeta^e * prod over k in S(n) of sigma_(1/k)(pi), the unit
     chosen by conditions (iii) and (iv); J_q = -(-J_p)^alpha.  A product no
@@ -139,7 +175,9 @@ def _stickelberger(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
     products run on flat lists (see ``cyclotomic._gcd``); one CycInt is built,
     for the result.
     """
-    pi = _gcd([p] + [0] * (l - 1), _euclid_start(l, p, b))
+    pi = _euclid_start(l, p, b)
+    if l > 3 or pi[1] * pi[1] - pi[1] * pi[2] + pi[2] * pi[2] != p:
+        pi = _gcd([p] + [0] * (l - 1), pi)
     if pi is None:
         return None
     perms = _conjugations(l)
@@ -256,15 +294,20 @@ class ConditionReport:
         }
 
 
-def _failed_conditions(report: ConditionReport) -> list[str]:
-    """The names of the conditions, (i) to (vi), that the report fails."""
-    return [c for c in ("i", "ii", "iii", "iv", "v", "vi") if not getattr(report, c)]
+_CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi")
+
+
+def _failed(flags) -> list[str]:
+    """The names of the conditions, (i) on, whose flags are False."""
+    return [c for c, ok in zip(_CONDITIONS, flags) if not ok]
 
 
 def _cyclic_convolutions(a: tuple[int, ...], l: int) -> list[int]:
-    # full holds (a_0, ..., a_(l-1)) with a_0 = 0; indices taken mod l
+    # full holds (a_0, ..., a_(l-1)) with a_0 = 0; twice[i + t] is
+    # full[(i + t) mod l]
     full = (0,) + a
-    return [sum(full[i] * full[(i + t) % l] for i in range(1, l)) for t in range(1, l)]
+    twice = full * 2
+    return [sum(map(mul, full, twice[t : t + l])) for t in range(1, l)]
 
 
 def _coefficients(values: list[int], powers: list[int], p: int) -> tuple[int, ...]:
@@ -325,32 +368,12 @@ def verify_conditions(
         raise InputError(f"candidate has order {len(a) + 1}, field expects {l}")
     if not 1 <= n <= l - 2:
         raise InputError(f"n must lie in [1, {l - 2}]")
-    if pow(b, l, p) != 1:
-        raise InputError(f"b = {b} is not an l-th root of unity mod {p}")
-    if b % p == 1:
-        raise InputError(f"b = {b} is 1 mod {p}, the root of no generator")
-    diagnostics: dict = {}
-
-    convs = _cyclic_convolutions(a, l)
-    cond_i = spec.q == sum(c * c for c in a) - convs[0]
-    cond_ii = all(c == convs[0] for c in convs[1:])
-    if not cond_ii:
-        diagnostics["unequal_convolutions"] = convs
-
-    residue_iii, residue_iv = _unit_residues(a, l)
-    cond_iii = residue_iii == 0
-    diagnostics["iii_residue"] = residue_iii
-
-    cond_iv = residue_iv == 0
-    diagnostics["iv_residue"] = residue_iv
-
+    _check_root(b, l, p)
     powers = [pow(b, e, p) for e in range(l)]
     at = _values_at(a, powers, p)
     index_set = condition_index_set(l, n)
-    cond_v = any(prod(at[m * k % l] for k in index_set) % p for m in range(1, l))
-
-    cond_vi = not any(at[-m % l] for m in range(1, l) if m not in index_set)
-    if cond_vi:
+    flags, diagnostics = _conditions(a, spec.q, p, at, index_set)
+    if flags[5]:
         diagnostics["vi_residues"] = (0,) * (l - 1)
     else:
         inverses = [pow(k, -1, l) for k in index_set]
@@ -359,11 +382,44 @@ def verify_conditions(
             for m in range(1, l)
         ]
         diagnostics["vi_residues"] = _coefficients(vi_values, powers, p)
+    return ConditionReport(*flags, b=b, n=n, diagnostics=diagnostics)
 
-    return ConditionReport(
-        i=cond_i, ii=cond_ii, iii=cond_iii, iv=cond_iv, v=cond_v, vi=cond_vi,
-        b=b, n=n, diagnostics=diagnostics,
+
+def _check_root(b: int, l: int, p: int) -> None:
+    """InputError unless b is an l-th root of unity mod p other than 1."""
+    if pow(b, l, p) != 1:
+        raise InputError(f"b = {b} is not an l-th root of unity mod {p}")
+    if b % p == 1:
+        raise InputError(f"b = {b} is 1 mod {p}, the root of no generator")
+
+
+def _conditions(
+    a: tuple[int, ...], q: int, p: int, at: list[int], index_set: list[int]
+) -> tuple[tuple[bool, ...], dict]:
+    """The flags of conditions (i) to (vi) on a = (a_1, ..., a_(l-1)), and
+    the diagnostics of (ii) to (iv), from at[e] = H(b^e) mod p
+    (``_values_at``) and index_set = S(n): the body of
+    ``verify_conditions``, which ``select_solution`` and ``_routed_sum``
+    share.  See ``verify_conditions`` for how (v) and (vi) are read off
+    the values."""
+    l = len(at)
+    diagnostics: dict = {}
+    convs = _cyclic_convolutions(a, l)
+    cond_ii = convs.count(convs[0]) == l - 1
+    if not cond_ii:
+        diagnostics["unequal_convolutions"] = convs
+    residue_iii, residue_iv = _unit_residues(a, l)
+    diagnostics["iii_residue"] = residue_iii
+    diagnostics["iv_residue"] = residue_iv
+    flags = (
+        q == sum(c * c for c in a) - convs[0],
+        cond_ii,
+        residue_iii == 0,
+        residue_iv == 0,
+        any(prod(at[m * k % l] for k in index_set) % p for m in range(1, l)),
+        not any(at[-m % l] for m in range(1, l) if m not in index_set),
     )
+    return flags, diagnostics
 
 
 def _values_at(a: tuple[int, ...], powers: list[int], p: int) -> list[int]:

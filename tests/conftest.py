@@ -60,7 +60,7 @@ from jacobicodes.fields import (
     is_prime,
     prime_factors,
 )
-from jacobicodes.jacobi import _cyclic_convolutions, _failed_conditions, _unit_residues
+from jacobicodes.jacobi import _cyclic_convolutions, _unit_residues
 
 
 @lru_cache(maxsize=None)
@@ -610,12 +610,13 @@ def select_oracle(solutions, spec: FieldSpec, gamma) -> SelectionResult:
     if l != expected_l:
         raise InputError(f"field has l = {l}, solutions are for l = {expected_l}")
     b = character_root(gamma)
-    cell = _cell(l, p, spec.alpha, gamma)
+    where = (l, p, spec.alpha, gamma)
+    cell = _cell(*where)
     passing = []
     for sol in solutions:
         a = gauss_to_a(sol) if l == 3 else dickson_to_a(sol)
         report = verify_conditions(CycInt(l, a), spec, b)
-        failed = [c for c in _failed_conditions(report) if c != "vi"]
+        failed = [c for c in ("i", "ii", "iii", "iv", "v") if not getattr(report, c)]
         if failed:
             raise IntegrityError(
                 f"{cell}: candidate {a} fails generator-independent condition(s) "
@@ -630,9 +631,10 @@ def select_oracle(solutions, spec: FieldSpec, gamma) -> SelectionResult:
         )
     sol, a = passing[0]
     if l == 3:
-        orientation = _orientation(sol.L - 3 * sol.M, sol.L + 3 * sol.M, b, l, p, cell)
+        num, den = sol.L - 3 * sol.M, sol.L + 3 * sol.M
     else:
-        orientation = _orientation(sol.A - 10 * sol.B, sol.A + 10 * sol.B, b, l, p, cell)
+        num, den = sol.A - 10 * sol.B, sol.A + 10 * sol.B
+    orientation = _orientation(num, den, [pow(b, e, p) for e in range(l)], p, where)
     return SelectionResult(sol, tuple(a), b, orientation)
 
 

@@ -26,6 +26,7 @@ from jacobicodes import (
     select_solution,
     solve_dickson,
     solve_gauss,
+    verify_conditions,
 )
 
 from conftest import make_pipeline, primes_1_mod, select_oracle
@@ -276,9 +277,9 @@ def test_selection_rejects_mixed_and_foreign_solutions(p61, p7):
 
 def test_worked_example_selection_checks_one_candidate(monkeypatch, p61):
     checks, transforms = [], []
-    verify, coefficients = diophantine.verify_conditions, jacobi._coefficients
-    monkeypatch.setattr(diophantine, "verify_conditions",
-                        lambda *args: checks.append(args) or verify(*args))
+    conditions, coefficients = diophantine._conditions, jacobi._coefficients
+    monkeypatch.setattr(diophantine, "_conditions",
+                        lambda *args: checks.append(args) or conditions(*args))
     monkeypatch.setattr(jacobi, "_coefficients",
                         lambda *args: transforms.append(args) or coefficients(*args))
     selection = select_solution(p61["solutions"], p61["spec"], p61["table"].generator)
@@ -288,16 +289,20 @@ def test_worked_example_selection_checks_one_candidate(monkeypatch, p61):
 
 
 def test_selection_certifies_each_orbit_once(monkeypatch, p61):
-    # one verify_conditions per distinct orbit, on its first member: the
-    # solutions, then J + (5, ..., 5) and its conjugates, which fail (i) and
-    # (ii); 5 when every candidate was checked until the first failure
+    # one certificate of (i) to (v) per distinct orbit, on its first
+    # member: the solutions, then J + (5, ..., 5) and its conjugates, which
+    # fail (i) and (ii); 5 when every candidate was checked until the first
+    # failure.  No inverse transform runs, though the first vector of the
+    # reversed list fails (vi).
     spec, gamma, sols = p61["spec"], p61["table"].generator, list(p61["solutions"])
     shifted = [a_to_dickson([x + 5 for x in a], 61, 61)
                for a in conjugate_solutions(dickson_to_a(sols[0]))]
-    checks = []
-    verify = diophantine.verify_conditions
-    monkeypatch.setattr(diophantine, "verify_conditions",
-                        lambda *args: checks.append(args[0]) or verify(*args))
+    assert not verify_conditions(dickson_to_a(sols[-1]), spec, 9).vi
+    checks, transforms = [], []
+    conditions = diophantine._conditions
+    monkeypatch.setattr(diophantine, "_conditions",
+                        lambda *args: checks.append(args[0]) or conditions(*args))
+    monkeypatch.setattr(jacobi, "_coefficients", lambda *args: transforms.append(args))
     with pytest.raises(IntegrityError, match=r"candidate \(5, -1, 8, 7\) fails "
                                              r"generator-independent condition\(s\) i, ii$"):
         select_solution(sols + shifted, spec, gamma)
@@ -305,6 +310,7 @@ def test_selection_certifies_each_orbit_once(monkeypatch, p61):
     checks.clear()
     select_solution(sols[::-1], spec, gamma)
     assert checks == [dickson_to_a(sols[-1])]
+    assert transforms == []
 
 
 def test_selection_takes_any_iterable(p61):

@@ -1,7 +1,9 @@
 """Jacobi sums against an independent complex-arithmetic oracle, plus the
-six selection conditions, the prime-above-p path (with its retry over the
-roots b^k) and the residues at the split primes against the histogram
-they replaced, and the cell named by every IntegrityError."""
+six selection conditions, every route of l = 3 and 5 against the
+histogram they replaced (the prime above p with its retry over the roots
+b^k, the l = 3 start and its Euclid fallback, the residues at the split
+primes below the crossover and after a stall), and the cell named by
+every IntegrityError."""
 
 import cmath
 import importlib
@@ -256,10 +258,20 @@ def test_a_later_root_stands_in_for_the_stalled_root_of_f_36821(monkeypatch):
     assert solve_dickson(p) == [s for s in raw if s.A % p]
 
 
+def plant_norm_4p_starts(monkeypatch):
+    """Make every start of Euclid's algorithm twice r - t zeta, of norm
+    2^(l-1) p: no longer the prime at l = 3, so Euclid runs there too."""
+    start_real = jacobi._euclid_start
+    monkeypatch.setattr(jacobi, "_euclid_start",
+                        lambda l, p, b: [2 * c for c in start_real(l, p, b)])
+
+
 def test_always_stalling_euclid_keeps_every_value(monkeypatch):
-    # Euclid forced to stall at every root: every J(i, j) comes from its
-    # residues, equal to the histogram, and the solvers read their
-    # solutions off those
+    # by the default routes (the l = 3 start, the l = 5 residues below
+    # _RESIDUES_BELOW), by Euclid at l = 5 too, and with Euclid forced to
+    # stall at every root, at l = 3 from a start that is not the prime:
+    # every J(i, j) equals the histogram, and the solvers read their
+    # solutions off it
     fields = ((7, 3, 1), (31, 3, 1), (61, 5, 1), (7, 3, 2), (11, 5, 2))
     tables = {f: build_log_table(FieldSpec(p=f[0], l=f[1], alpha=f[2])) for f in fields}
 
@@ -272,27 +284,29 @@ def test_always_stalling_euclid_keeps_every_value(monkeypatch):
 
     want = all_values()
     assert want[0] == {(f, i, j): histogram_oracle(tables[f], i, j) for f, i, j in want[0]}
-    fallbacks = {jacobi: [], diophantine: []}
-
-    def counted(module):
-        def residue_sum(l, p, alpha, b, n):
-            fallbacks[module].append(p**alpha)
-            return residue_real(l, p, alpha, b, n)
-        return residue_sum
-
     residue_real = jacobi._residue_sum
+    monkeypatch.setattr(jacobi, "_RESIDUES_BELOW", 0)
+    monkeypatch.setattr(jacobi, "_residue_sum", refuse)
+    assert all_values() == want
+    fallbacks = []
+
+    def residue_sum(l, p, alpha, b, n):
+        fallbacks.append(p**alpha)
+        return residue_real(l, p, alpha, b, n)
+
+    plant_norm_4p_starts(monkeypatch)
     monkeypatch.setattr(jacobi, "_gcd", lambda x, y: None)
-    for module in fallbacks:
-        monkeypatch.setattr(module, "_residue_sum", counted(module))
+    monkeypatch.setattr(jacobi, "_residue_sum", residue_sum)
     monkeypatch.setattr(diophantine, "_enumerate_dickson", refuse)
     assert all_values() == want
-    # one per J(i, j) with i + j != 0 mod l, (l - 1)(l - 2) a field, and
+    # one per J(i, j) with i + j != 0 mod l, (l - 1)(l - 2) a field, then
     # one per solver call
-    assert sorted(fallbacks[jacobi]) == [7] * 2 + [31] * 2 + [49] * 2 + [61] * 12 + [121] * 12
-    assert fallbacks[diophantine] == [7, 31, 61, 49, 121]
+    assert sorted(fallbacks[:-5]) == [7] * 2 + [31] * 2 + [49] * 2 + [61] * 12 + [121] * 12
+    assert fallbacks[-5:] == [7, 31, 61, 49, 121]
 
 
 def test_later_roots_stand_in_for_a_stalled_one(monkeypatch):
+    # Euclid taken at p = 61, below _RESIDUES_BELOW
     calls = []
 
     def stall_first(x, y):
@@ -301,8 +315,11 @@ def test_later_roots_stand_in_for_a_stalled_one(monkeypatch):
 
     gcd_real = jacobi._gcd
     want = solve_dickson(61)
+    table = build_log_table(FieldSpec(p=61, l=5))
+    want_j = histogram_oracle(table, 1, 1)
+    monkeypatch.setattr(jacobi, "_RESIDUES_BELOW", 0)
     monkeypatch.setattr(jacobi, "_gcd", stall_first)
-    monkeypatch.setattr(diophantine, "_residue_sum", refuse)
+    monkeypatch.setattr(jacobi, "_residue_sum", refuse)
     monkeypatch.setattr(diophantine, "_enumerate_dickson", refuse)
     assert solve_dickson(61) == want
     # b = 2^12 = 9 mod 61 stalls, so b^2 = 20 is tried next; the starts
@@ -310,6 +327,10 @@ def test_later_roots_stand_in_for_a_stalled_one(monkeypatch):
     # 1 = -3 * 20 mod 61
     zeta = CycInt.zeta(5)
     assert [CycInt.from_raw(5, y) for y in calls] == [7 + 6 * zeta, 1 + 3 * zeta]
+    # the table's generator 2 has the same root 9: b^2 stands in again
+    calls.clear()
+    assert jacobi_sum(table).value == want_j
+    assert len(calls) == 2
 
 
 def test_a_stalled_root_needs_no_residues(monkeypatch):
@@ -324,22 +345,81 @@ def test_a_stalled_root_needs_no_residues(monkeypatch):
 
 def test_a_forced_gauss_stall_falls_back_to_the_residues(monkeypatch):
     # rounding in Z[zeta_3] leaves a remainder of at most 3/4 the divisor's
-    # norm, so Euclid never stalls there; forced to, solve_gauss reads J
-    # off its residues at b = 2^2 = 4 mod 7
+    # norm, so Euclid never stalls there, and from r - t zeta it takes no
+    # step at all; forced to run from a start of norm 4p and to stall,
+    # solve_gauss reads J off its residues at b = 2^2 = 4 mod 7
     want = solve_gauss(7)
     calls = []
     residue_real = jacobi._residue_sum
+    plant_norm_4p_starts(monkeypatch)
     monkeypatch.setattr(jacobi, "_gcd", lambda x, y: None)
     monkeypatch.setattr(
-        diophantine, "_residue_sum", lambda *args: calls.append(args) or residue_real(*args)
+        jacobi, "_residue_sum", lambda *args: calls.append(args) or residue_real(*args)
     )
     assert solve_gauss(7) == want
     assert calls == [(3, 7, 1, 4, 1)]
 
 
+@pytest.mark.parametrize("p", [2791, 2801])
+def test_l5_routes_agree_on_both_sides_of_the_crossover(monkeypatch, p):
+    # the primes p = 1 mod 5 just below and just above the crossover: below
+    # it an l = 5 sum comes from its residues, from it on from the prime
+    # above p, and the two give the same sum on both sides, at every root,
+    # every n and alpha = 1 and 2
+    assert 2791 < jacobi._RESIDUES_BELOW <= 2801
+    routes = []
+    prime_real = jacobi._prime_sum
+    monkeypatch.setattr(jacobi, "_prime_sum", lambda *args: routes.append(args) or prime_real(*args))
+    roots = [b for b in range(2, p) if pow(b, 5, p) == 1]
+    assert len(roots) == 4
+    for b in roots:
+        for alpha in (1, 2):
+            for n in (1, 2, 3):
+                J = jacobi._routed_sum(5, p, alpha, b, n, (5, p, alpha))
+                assert J == jacobi._residue_sum(5, p, alpha, b, n) == prime_real(5, p, alpha, b, n)
+    assert len(routes) == (24 if p > 2800 else 0)
+
+
+def test_order_3_falls_back_to_euclid_from_a_start_that_is_not_the_prime(monkeypatch):
+    # r - t zeta is the prime, so no sum and no solver call runs Euclid;
+    # from a planted start of norm 4p each runs it once, and Euclid finds
+    # the same prime: J and the solutions are unchanged
+    fields = ((7, 3, 1), (31, 3, 1), (97, 3, 1), (7, 3, 2), (13, 3, 3), (1000003, 3, 1))
+    tables = [build_log_table(FieldSpec(p=p, l=l, alpha=alpha)) for p, l, alpha in fields]
+
+    def values():
+        return [(jacobi_sum(t).value, solve_gauss(t.spec.q, t.spec.p)) for t in tables]
+
+    starts = []
+    gcd_real = jacobi._gcd
+    monkeypatch.setattr(jacobi, "_gcd", lambda x, y: starts.append(y) or gcd_real(x, y))
+    want = values()
+    assert starts == []
+    for table, (J, _) in zip(tables[:-1], want):
+        assert J == histogram_oracle(table, 1, 1)
+    plant_norm_4p_starts(monkeypatch)
+    assert values() == want
+    assert [cyclotomic._cofactor_norm(y)[1] for y in starts] == [
+        4 * p for p, _, _ in fields for _ in range(2)
+    ]
+
+
 @pytest.mark.parametrize("p, l, alpha", ORACLE_FIELDS)
 def test_every_oracle_field_sums_without_a_walk(p, l, alpha):
     # every J(i, j), against the element-object histogram
+    sums = object_path(p, l, alpha, 1)[2]
+    table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
+    for (i, j), want in sums.items():
+        assert jacobi_sum(table, i, j).value == want, (i, j)
+
+
+@pytest.mark.parametrize("p, l, alpha", [f for f in ORACLE_FIELDS if f[1] == 5])
+def test_l5_oracle_fields_sum_alike_by_euclid(monkeypatch, p, l, alpha):
+    # the l = 5 oracle fields lie below _RESIDUES_BELOW, so the test above
+    # holds their residues to the object path; with the bound at 0 Euclid
+    # gives every J(i, j) there too
+    monkeypatch.setattr(jacobi, "_RESIDUES_BELOW", 0)
+    monkeypatch.setattr(jacobi, "_residue_sum", refuse)
     sums = object_path(p, l, alpha, 1)[2]
     table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
     for (i, j), want in sums.items():
@@ -428,13 +508,16 @@ def test_prime_above_p_takes_no_cycint_product(monkeypatch, p, l, alpha):
     # Euclid, Stickelberger's product, the unit and the lift run on flat
     # lists, the stalled root of F_36821 and its retry included; conditions
     # (i) and (ii) already force the norm J * conj(J) = q, so no CycInt
-    # product is left
+    # product is left.  So do the residues that F_121 takes below
+    # _RESIDUES_BELOW; with the bound at 0 it takes Euclid.
     table = build_log_table(FieldSpec(p=p, l=l, alpha=alpha))
     products = []
     mul_real = CycInt.__mul__
     monkeypatch.setattr(CycInt, "__mul__", lambda x, y: products.append(y) or mul_real(x, y))
-    for i, j in ((1, 1), (2, 1), (l - 1, 1)):
-        jacobi_sum(table, i, j)
+    for bound in (jacobi._RESIDUES_BELOW, 0):
+        monkeypatch.setattr(jacobi, "_RESIDUES_BELOW", bound)
+        for i, j in ((1, 1), (2, 1), (l - 1, 1)):
+            jacobi_sum(table, i, j)
     assert products == []
 
 
@@ -473,9 +556,10 @@ def test_a_table_holds_its_generator_alone():
         assert jacobi_sum(table, i, j).value == histogram_oracle(table, i, j)
 
 
-def _fail_vi(verify):
-    def planted(candidate, spec, b, n=1):
-        return replace(verify(candidate, spec, b, n), vi=False)
+def _fail_vi(conditions):
+    def planted(*args):
+        flags, diagnostics = conditions(*args)
+        return flags[:5] + (False,), diagnostics
     return planted
 
 
@@ -484,36 +568,56 @@ def test_integrity_errors_name_their_cell(monkeypatch):
     table = make_pipeline(61, 5)["table"]
     gamma = table.generator
     spec = table.spec
+    solutions = solve_dickson(61)
 
-    monkeypatch.setattr(jacobi, "verify_conditions", _fail_vi(verify_conditions))
-    with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: J\(1, 1\) .* fails condition\(s\) vi at b = 9"):
+    # each route of l = 5, certified by the six conditions
+    conditions_real = jacobi._conditions
+    monkeypatch.setattr(jacobi, "_conditions", _fail_vi(conditions_real))
+    with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: J\(1, 1\) from its residues "
+                                             r"fails condition\(s\) vi at b = 9$"):
         jacobi_sum(table)
+    with pytest.raises(IntegrityError, match=rf"^{cell}: J\(1, 1\) from its residues "
+                                             r"fails condition\(s\) vi at b = 9$"):
+        solve_dickson(61)
+    with monkeypatch.context() as m:
+        m.setattr(jacobi, "_RESIDUES_BELOW", 0)
+        with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: J\(1, 1\) from the prime "
+                                                 r"above p fails condition\(s\) vi at b = 9$"):
+            jacobi_sum(table)
+    monkeypatch.setattr(jacobi, "_conditions", conditions_real)
 
+    # the residues after a stall, at l = 5, and the norm check at l = 7
+    monkeypatch.setattr(jacobi, "_RESIDUES_BELOW", 0)
     monkeypatch.setattr(jacobi, "_gcd", lambda x, y: None)
-    monkeypatch.setattr(jacobi, "_residue_sum", lambda *args: CycInt.zero(5))
-    with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: norm check failed"):
+    monkeypatch.setattr(jacobi, "_residue_sum", lambda l, *args: CycInt.zero(l))
+    with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: J\(1, 1\) from its residues "
+                                             r"fails condition\(s\) i, iii, v at b = 9$"):
         jacobi_sum(table)
+    with pytest.raises(IntegrityError, match=r"^l = 7, p = 29, alpha = 1, generator 2: norm check "
+                                             r"failed: J\(i,j\) \* conj = 0, expected q = 29$"):
+        jacobi_sum(build_log_table(FieldSpec(p=29, l=7)))
 
     # no value of H at the b^e vanishes, so no conjugate passes (vi)
     monkeypatch.setattr(diophantine, "_values_at", lambda a, powers, p: [1] * len(powers))
     with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: expected exactly one solution .* got 0 of 4$"):
-        select_solution(solve_dickson(61), spec, gamma)
+        select_solution(solutions, spec, gamma)
 
-    monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: CycInt(5, (1, 0, 0, 0)))
+    # the checks of the solutions behind the certified J
+    monkeypatch.setattr(diophantine, "_routed_sum", lambda *args: CycInt(5, (1, 0, 0, 0)))
     with pytest.raises(IntegrityError, match=rf"^{cell}: vector does not map to an integer solution"):
         solve_dickson(61)
 
     # -J maps to integer solutions of the two equations, with X = -1 mod 5
     J = make_pipeline(61, 5)["J"].value
-    monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: -J)
+    monkeypatch.setattr(diophantine, "_routed_sum", lambda *args: -J)
     with pytest.raises(IntegrityError, match=rf"^{cell}: invalid Dickson solution: X != 1 mod 5$"):
         solve_dickson(61)
 
-    monkeypatch.setattr(diophantine, "_prime_sum", lambda *args: J)
+    monkeypatch.setattr(diophantine, "_routed_sum", lambda *args: J)
     monkeypatch.setattr(diophantine, "a_to_dickson", lambda a, q, p: DicksonSolution(1, -4, 1, 1, q, p))
     with pytest.raises(IntegrityError, match=rf"^{cell}: expected exactly 4 distinct solutions .* found 1"):
         solve_dickson(61)
 
-
+    powers = [pow(9, e, 61) for e in range(5)]
     with pytest.raises(IntegrityError, match=rf"^{cell}, generator 2: ratio denominator"):
-        diophantine._orientation(1, 61, 9, 5, 61, f"{cell}, generator 2")
+        diophantine._orientation(1, 61, powers, 61, (5, 61, 1, gamma))

@@ -304,7 +304,8 @@ def test_conditions_in_f_p_match_the_cycint_products(field, data):
 
 
 # Prime fields and alpha = 2, 3, 4 extensions, (p, l, alpha) with l | p - 1:
-# l = 3 and 5 from the prime above p, l = 7 to 23 from the residues.
+# l = 3 from the prime above p, l = 5 (every p here below the crossover)
+# and l = 7 to 23 from the residues.
 ORACLE_FIELDS = (
     (7, 3, 1), (31, 5, 1), (61, 5, 1), (97, 3, 1), (1021, 5, 1),
     (29, 7, 1), (23, 11, 1), (53, 13, 1), (103, 17, 1), (191, 19, 1), (47, 23, 1),
