@@ -53,12 +53,13 @@ is checked by the definition, one k x k ``_rank`` per k-subset, as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from operator import mul, sub
 
 import random
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _kernels
 from .diophantine import a_to_dickson
 from .errors import InputError, IntegrityError, _cell
 from .fields import FieldSpec
@@ -160,6 +161,23 @@ class CongruenceSystem:
         return (self.l - 1) // 2
 
 
+@lru_cache(maxsize=None)
+def _root_coefficients(l: int) -> tuple[tuple[int, ...], ...]:
+    """E_0, ..., E_h, h = (l-1)/2, as flat elements of Z[x]/(x^l - 1) (see
+    ``cyclotomic._kernels``): E_j is the coefficient of t^j in
+    prod_(k=1..h) (t - x^(1/k)).  Times t is a shift of the list of
+    coefficients, and times x^s a cyclic rotation of each by s places."""
+    poly = [[1] + [0] * (l - 1)]
+    for k in range(1, (l - 1) // 2 + 1):
+        s = pow(k, -1, l)
+        zero = [0] * l
+        poly = [
+            list(map(sub, high, low[-s:] + low[:-s]))
+            for high, low in zip([zero, *poly], [*poly, zero])
+        ]
+    return tuple(map(tuple, poly))
+
+
 def _expand(J: CycInt, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Expand conj(J) * prod_(k=1..(l-1)/2) (t - zeta^(1/k)) into a
     polynomial in t with coefficients in Z[zeta], and read off one congruence
@@ -169,23 +187,19 @@ def _expand(J: CycInt, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
     t^j, is sum_j C_j[i] * t^j = -C_0[i]: D holds C_1..C_((l-1)/2) and rhs
     holds -C_0.
 
-    The product is one flat list over Z[x]/(x^l - 1), the coefficient of
-    t^j x^e at e (h + 1) + j, h = (l-1)/2.  Times t is a shift by one place,
-    since t^h is still free, and times x^a a cyclic rotation by a (h + 1)
-    places, so each factor costs one rotation and one ``map(sub)``.  The
-    normal form subtracts each C_j's x^0 coefficient once, at the end.
+    C_j is conj(J) * E_j, one product kernel call for each of the h + 1
+    constants E_j of ``_root_coefficients``, taken to normal form by
+    subtracting its x^0 coefficient.
     """
     l = J.l
-    width = (l - 1) // 2 + 1  # t^0..t^h of one power of x
-    poly = [0] * (l * width)
-    poly[width::width] = J.conjugate(-1).coeffs
-    for k in range(1, width):
-        s = pow(k, -1, l) * width
-        poly = list(map(sub, [0, *poly[:-1]], poly[-s:] + poly[:-s]))
-    flat = [c % p for c in map(sub, poly, poly[:width] * l)]
-    D = tuple(tuple(flat[e + 1:e + width]) for e in range(width, l * width, width))
-    rhs = tuple(-c % p for c in flat[width::width])
-    return D, rhs
+    times = _kernels(l).product
+    conj = (0, *J.coeffs[::-1])
+    rows = []
+    for E in _root_coefficients(l):
+        C = times(conj, E)
+        c0 = C[0]
+        rows.append([(c - c0) % p for c in C[1:]])
+    return tuple(zip(*rows[1:])), tuple(-c % p for c in rows[0])
 
 
 def build_congruence_system(J: CycInt, p: int, b: int) -> CongruenceSystem:

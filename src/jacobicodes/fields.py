@@ -16,6 +16,7 @@ one power in F_p (``character_root``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from operator import mul
 from typing import ClassVar
 
@@ -56,21 +57,75 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Trial division stops at this bound: a cofactor with no prime factor below
+# it is split by Pollard's rho, which finds a factor d in about sqrt(d)
+# steps.
+_TRIAL_BELOW = 1000
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors in increasing order, by trial division."""
+    """Distinct prime factors in increasing order.
+
+    Trial division takes the factors below ``_TRIAL_BELOW``.  A cofactor
+    below the square of the last divisor tried is 1 or prime; a larger one
+    is split by Brent's variant of Pollard's rho (``_rho``) until
+    ``is_prime`` accepts every part.  Every step is deterministic, so the
+    output is too.  Above psi_13 (about 3.3e24) a factor's primality is the
+    verdict of the 13-base Miller-Rabin test, which no known composite
+    passes but which is not proved exact there.
+    """
     if n < 1:
         raise ValueError("prime_factors expects a positive integer")
     out = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BELOW:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    if d * d > n:
+        return out + [n] if n > 1 else out
+    large, parts = set(), [n]
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            large.add(m)
+        else:
+            f = _rho(m)
+            parts += [f, m // f]
+    return out + sorted(large)
+
+
+def _rho(n: int) -> int:
+    """A factor 1 < d < n of an odd composite n, by Brent's cycle search
+    on x -> x^2 + c mod n from x = 2, for c = 1, 2, ... in turn until one
+    splits n (Brent, BIT 20, 1980).  The differences are multiplied
+    together 128 at a time, one gcd per batch; a batch whose gcd is n is
+    replayed one step at a time."""
+    for c in range(1, n):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+    raise AssertionError(f"unreachable: {n} is composite")
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +618,15 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
       r | gcd(alpha, p - 1) c^(alpha (p-1)/r) = 1, so it does not depend on
       c either.
 
-    y comes before c y in lexicographic order, so each line is tested once,
-    at its first element, and remembered for the rest of the call.  The
-    elements whose first nonzero coefficient sits at index i come in one
-    block, ordered by c and then by the rest; a block none of whose lines
-    passes is left after its c = 1 pass.  So over F_(1000003^2), modulo
-    t^2 + 1, the p - 1 multiples of t, whose norm is 1, cost one test.
+    y comes before c y in lexicographic order, so each line's norm is taken
+    once, at its first element, and remembered for the rest of the call.
+    The powers y^(N/r), which cost products in F_q, run only for a line one
+    of whose elements has passed the norm test, as then they alone decide;
+    a line that fails them is dropped.  The elements whose first nonzero
+    coefficient sits at index i come in one block, ordered by c and then by
+    the rest; a block is left once none of its lines can hold a generator.
+    So over F_(1000003^2), modulo t^2 + 1, the p - 1 multiples of t, whose
+    norm is 1, cost one norm.
     """
     p, alpha = spec.p, spec.alpha
     factors = prime_factors(spec.q - 1)
@@ -582,23 +640,32 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
     fq_primes = [r for r in factors if (p - 1) % r]
     for i in reversed(range(alpha)):
         # the norm of each line y = (0, ..., 0, 1, rest), by rest; None
-        # when the line holds no generator
+        # once the line is known to hold no generator; live counts the rest
         lines: dict[tuple[int, ...], int | None] = {}
+        live = 0
         for c in range(1, p):
             c_inv, c_alpha = pow(c, -1, p), pow(c, alpha, p)
             for rest in _lex_tuples(p, alpha - 1 - i):
                 if c == 1:
-                    y = FieldElement(spec, (0,) * i + (1,) + rest)
-                    norm = _norm(y)
-                    if not (_generates_fp(norm, p, line_primes)
-                            and all(_outside_fp(y, r) for r in fq_primes)):
+                    line = rest
+                    norm = _norm(FieldElement(spec, (0,) * i + (1,) + rest))
+                    if not _generates_fp(norm, p, line_primes):
                         norm = None
-                    lines[rest] = norm
+                    lines[line] = norm
+                    live += norm is not None
                 else:
-                    norm = lines[tuple(t * c_inv % p for t in rest)]
-                if norm is not None and _generates_fp(c_alpha * norm % p, p, norm_primes):
+                    line = tuple(t * c_inv % p for t in rest)
+                    norm = lines[line]
+                if norm is None or not _generates_fp(c_alpha * norm % p, p, norm_primes):
+                    continue
+                y = FieldElement(spec, (0,) * i + (1,) + line)
+                if all(_outside_fp(y, r) for r in fq_primes):
                     return _proved(FieldElement(spec, (0,) * i + (c,) + rest))
-            if c == 1 and not any(v is not None for v in lines.values()):
+                lines[line] = None
+                live -= 1
+                if not live and c > 1:
+                    break
+            if not live:
                 break
     raise AssertionError("unreachable: the multiplicative group is cyclic")
 

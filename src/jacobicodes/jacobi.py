@@ -38,9 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
-from operator import mul
 
-from .cyclotomic import CycInt, _conjugations, _euclid_start, _flat_mul, _gcd
+from .cyclotomic import CycInt, _conjugations, _euclid_start, _gcd, _kernels
 from .errors import InputError, IntegrityError, _cell
 from .fields import FieldElement, FieldSpec, LogTable, character_root, is_prime
 
@@ -182,7 +181,7 @@ def _stickelberger(l: int, p: int, alpha: int, b: int, n: int) -> CycInt | None:
         return None
     perms = _conjugations(l)
     conjugates = ([pi[i] for i in perms[pow(k, -1, l)]] for k in condition_index_set(l, n))
-    return _lift(_fix_unit(reduce(_flat_mul, conjugates)), alpha)
+    return _lift(_fix_unit(reduce(_kernels(l).product, conjugates)), alpha)
 
 
 def _residue_sum(l: int, p: int, alpha: int, b: int, n: int) -> CycInt:
@@ -232,9 +231,10 @@ def _factorials(l: int, p: int) -> list[int]:
 def _lift(jp: list[int], alpha: int) -> CycInt:
     """J_q = -(-J_p)^alpha = (-1)^(alpha+1) J_p^alpha over F_(p^alpha), by
     the Hasse-Davenport lifting theorem, from J_p as a flat list."""
+    product = _kernels(len(jp)).product
     value = jp
     for _ in range(alpha - 1):
-        value = _flat_mul(value, jp)
+        value = product(value, jp)
     if alpha % 2 == 0:
         value = [-c for c in value]
     return CycInt._new(len(jp), tuple(c - value[0] for c in value[1:]))
@@ -303,11 +303,10 @@ def _failed(flags) -> list[str]:
 
 
 def _cyclic_convolutions(a: tuple[int, ...], l: int) -> list[int]:
-    # full holds (a_0, ..., a_(l-1)) with a_0 = 0; twice[i + t] is
-    # full[(i + t) mod l]
-    full = (0,) + a
-    twice = full * 2
-    return [sum(map(mul, full, twice[t : t + l])) for t in range(1, l)]
+    """sum(a_i * a_(i+t)) over i mod l, a_0 = 0, for t = 1..l-1: the
+    coefficients of zeta^t in the flat product of a and conj(a), whose
+    entry j is a_(-j)."""
+    return _kernels(l).product((0, *a), (0, *a[::-1]))[1:]
 
 
 def _coefficients(values: list[int], powers: list[int], p: int) -> tuple[int, ...]:
@@ -315,18 +314,13 @@ def _coefficients(values: list[int], powers: list[int], p: int) -> tuple[int, ..
     of Z[zeta_l] whose images under zeta -> b^m are values[m - 1], m = 1..l-1,
     with powers[e] = b^e: the inverse of the length-l transform at b.  As
     c_0 = 0, the value at zeta -> 1 is v_0 = -sum(v_m), and
-    c_j = l^-1 sum over m of v_m b^(-mj), the exponents -mj being the index
-    permutation of sigma_(-1/j)."""
+    c_j = l^-1 (v_0 + sum over m >= 1 of v_m b^(-mj)), the sum being the
+    element with coefficients v_m evaluated at b^(-j)."""
     l = len(powers)
-    if not any(values):
-        return (0,) * (l - 1)
-    full = [-sum(values) % p, *values]
+    v0 = -sum(values)
     inv_l = pow(l, -1, p)
-    perms = _conjugations(l)
-    return tuple(
-        inv_l * sum(map(mul, full, [powers[e] for e in perms[pow(-j, -1, l)]])) % p
-        for j in range(1, l)
-    )
+    at = _kernels(l).evaluate(values, powers[:1] + powers[:0:-1], p)
+    return tuple(inv_l * (v0 + v) % p for v in at[1:])
 
 
 def verify_conditions(
@@ -424,15 +418,9 @@ def _conditions(
 
 def _values_at(a: tuple[int, ...], powers: list[int], p: int) -> list[int]:
     """H(b^e) mod p for e = 0..l-1, H = a_1 zeta + ... + a_(l-1) zeta^(l-1),
-    powers[e] = b^e and b an l-th root of unity mod p: Horner's rule at
-    each power."""
-    values = []
-    for x in powers:
-        acc = 0
-        for c in reversed(a):
-            acc = (acc + c) * x
-        values.append(acc % p)
-    return values
+    powers[e] = b^e and b an l-th root of unity mod p: the evaluation
+    kernel, H(b^e) = sum of a_j b^(e j mod l)."""
+    return _kernels(len(powers)).evaluate(a, powers, p)
 
 
 def conjugate_solutions(a) -> list[tuple[int, ...]]:

@@ -11,8 +11,12 @@ generator search, the scan with one row-subset check per Galois class,
 the congruence system expanded by CycInt products, the factorials of
 the residue sum by one plain pass, the selection that checks every
 candidate in full, the norm to F_p as a determinant, the irreducibility
-test by powers x^(p^k) taken by repeated squaring, and Miller-Rabin on
-all 13 bases for every n, kept as oracles; the Z[zeta] divisibility tests and the character exponent
+test by powers x^(p^k) taken by repeated squaring, Miller-Rabin on
+all 13 bases for every n, the loops that the Z[zeta_l] kernels replaced
+(the product by the double loop, the convolutions by slices, the
+evaluation by Horner's rule, the inverse transform by index permutations
+and the congruence system by rotations), and prime factors by trial
+division, kept as oracles; the Z[zeta] divisibility tests and the character exponent
 that only the tests use; and a record of which properties ran in this
 pytest run for the acceptance gate."""
 
@@ -60,7 +64,7 @@ from jacobicodes.fields import (
     is_prime,
     prime_factors,
 )
-from jacobicodes.jacobi import _cyclic_convolutions, _unit_residues
+from jacobicodes.jacobi import _unit_residues
 
 
 @lru_cache(maxsize=None)
@@ -162,6 +166,78 @@ def expand_oracle(J: CycInt, p: int):
     D = tuple(zip(*(tuple(c % p for c in C.coeffs) for C in poly[1:])))
     rhs = tuple(-c % p for c in poly[0].coeffs)
     return D, rhs
+
+
+def expand_by_rotations_oracle(J: CycInt, p: int):
+    """``codes._expand`` by rotations of one flat list over Z[x]/(x^l - 1),
+    the coefficient of t^j x^e at e (h + 1) + j, h = (l-1)/2: times t is a
+    shift by one place and times x^a a rotation by a (h + 1) places, and the
+    normal form subtracts each C_j's x^0 coefficient at the end."""
+    l = J.l
+    width = (l - 1) // 2 + 1
+    poly = [0] * (l * width)
+    poly[width::width] = J.conjugate(-1).coeffs
+    for k in range(1, width):
+        s = pow(k, -1, l) * width
+        poly = [a - b for a, b in zip([0, *poly[:-1]], poly[-s:] + poly[:-s])]
+    flat = [(a - b) % p for a, b in zip(poly, poly[:width] * l)]
+    D = tuple(tuple(flat[e + 1:e + width]) for e in range(width, l * width, width))
+    rhs = tuple(-c % p for c in flat[width::width])
+    return D, rhs
+
+
+def flat_mul_oracle(x, y) -> list[int]:
+    """The product of two flat elements of Z[x]/(x^l - 1) by the double
+    loop: x[i] * y[j] goes to entry (i + j) mod l."""
+    l = len(x)
+    raw = [0] * l
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            raw[(i + j) % l] += a * b
+    return raw
+
+
+def cycint_mul_oracle(x: CycInt, y: CycInt) -> CycInt:
+    """x * y by the double loop over the normal-form coefficients, the
+    product taken to normal form by subtracting its zeta^0 coefficient."""
+    l = x.l
+    raw = [0] * l
+    for i, a in enumerate(x.coeffs, start=1):
+        for j, b in enumerate(y.coeffs, start=1):
+            raw[(i + j) % l] += a * b
+    return CycInt(l, (c - raw[0] for c in raw[1:]))
+
+
+def cyclic_convolutions_oracle(a, l: int) -> list[int]:
+    """sum(a_i * a_(i+t)) over i mod l, a_0 = 0, for t = 1..l-1, by slices
+    of the doubled vector."""
+    full = (0, *a)
+    twice = full * 2
+    return [sum(x * y for x, y in zip(full, twice[t:t + l])) for t in range(1, l)]
+
+
+def values_at_oracle(a, powers, p: int) -> list[int]:
+    """H(b^e) mod p for e = 0..l-1, H = a_1 zeta + ... + a_(l-1) zeta^(l-1)
+    and powers[e] = b^e, by Horner's rule in the integers at each power."""
+    values = []
+    for x in powers:
+        acc = 0
+        for c in reversed(a):
+            acc = (acc + c) * x
+        values.append(acc % p)
+    return values
+
+
+def coefficients_oracle(values, powers, p: int) -> tuple[int, ...]:
+    """The inverse of the length-l transform at b, powers[e] = b^e:
+    c_j = l^-1 sum over m = 0..l-1 of v_m b^(-mj), v_0 = -sum(values)."""
+    l = len(powers)
+    full = [-sum(values) % p, *values]
+    inv_l = pow(l, -1, p)
+    return tuple(
+        inv_l * sum(v * powers[-m * j % l] for m, v in enumerate(full)) % p
+        for j in range(1, l)
+    )
 
 
 def factorials_oracle(l: int, p: int) -> list[int]:
@@ -495,7 +571,7 @@ def conditions_oracle(candidate, spec: FieldSpec, b: int, n: int = 1) -> Conditi
     H = CycInt(l, tuple(candidate))
     a = H.coeffs
     diagnostics: dict = {}
-    convs = _cyclic_convolutions(a, l)
+    convs = cyclic_convolutions_oracle(a, l)
     cond_i = spec.q == sum(c * c for c in a) - convs[0]
     cond_ii = all(c == convs[0] for c in convs[1:])
     if not cond_ii:
@@ -590,6 +666,22 @@ def modulus_search_oracle(p: int, degree: int) -> tuple[int, ...]:
             degree <= 3 or poly_is_irreducible(cand, p)
         ):
             return cand
+
+
+def prime_factors_oracle(n: int) -> list[int]:
+    """Distinct prime factors in increasing order, by trial division up to
+    the square root of the cofactor."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def primitive_search_oracle(spec: FieldSpec):

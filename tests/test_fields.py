@@ -3,6 +3,7 @@ generator tables and the characters read off their roots."""
 
 import itertools
 import random
+import time
 import tracemalloc
 from math import gcd
 
@@ -33,6 +34,7 @@ from conftest import (
     modulus_search_oracle,
     multiplicative_order,
     pow_loop_oracle,
+    prime_factors_oracle,
     primitive_search_oracle,
     strong_probable_prime,
 )
@@ -93,6 +95,47 @@ def test_prime_factors():
     assert prime_factors(60) == [2, 3, 5]
     assert prime_factors(78) == [2, 3, 13]
     assert prime_factors(97) == [97]
+    assert prime_factors(1) == []
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
+@pytest.mark.parametrize("bound", [3, fields._TRIAL_BELOW])
+def test_prime_factors_match_trial_division(monkeypatch, bound):
+    # with the bound at 3 every odd cofactor from 9 on goes to the rho
+    monkeypatch.setattr(fields, "_TRIAL_BELOW", bound)
+    assert [n for n in range(1, 2 * 10**5) if prime_factors(n) != prime_factors_oracle(n)] == []
+
+
+def test_prime_factors_split_large_cofactors():
+    p, q = 999999937, 1000000007  # primes near 10^9
+    carmichael = []  # (6k+1)(12k+1)(18k+1) with all three factors prime
+    for k in range(10**5, 2 * 10**5):
+        if all(is_prime(m * k + 1) for m in (6, 12, 18)):
+            carmichael.append((6 * k + 1, 12 * k + 1, 18 * k + 1))
+            if len(carmichael) == 3:
+                break
+    cases = [
+        (p * q, [p, q]), (p * p, [p]), (2**5 * 3 * p * q, [2, 3, p, q]),
+        (q**3, [q]), (1009**4, [1009]), (3**40, [3]), (2**64 + 1, [274177, 67280421310721]),
+        (561, [3, 11, 17]), (41041, [7, 11, 13, 41]), (62745, [3, 5, 47, 89]),
+        *((a * b * c, [a, b, c]) for a, b, c in carmichael),
+        *((n, sorted({factor, *prime_factors_oracle(n // factor)}))
+          for n, factor in STRONG_PSEUDOPRIMES[:4]),
+    ]
+    for n, want in cases:
+        assert prime_factors(n) == want, n
+
+
+def test_primitive_search_over_a_large_cubic_field():
+    # q - 1 = 2 * 3 * 43 * 83 * 467 * 33335596705087 over F_(10000339^3):
+    # trial division to the square root of the last cofactor took 337 ms
+    spec = FieldSpec(p=10000339, l=3, alpha=3)
+    start = time.perf_counter()
+    gamma = find_primitive_element(spec)
+    assert time.perf_counter() - start < 0.1
+    assert prime_factors(spec.q - 1)[-1] == 33335596705087
+    assert fields._generates(gamma)
 
 
 def test_poly_is_irreducible():
@@ -254,12 +297,32 @@ def test_powers_start_at_the_leading_bit(monkeypatch, p, l, alpha):
 
 
 def test_primitive_search_products(monkeypatch):
-    # powers y^(N/r) rather than y^((q-1)/r): 58 products before, and 42
-    # with a power started from 1 and squared past its last bit
+    # powers y^(N/r) rather than y^((q-1)/r): 58 products before, 42 with a
+    # power started from 1 and squared past its last bit, and 34 with the
+    # powers of the line of (0, 0, 1, 4), whose c = 1 element fails the
+    # norm test (Norm = 10, and 10^2 = 1 mod 11), run all the same
     spec = FieldSpec(11, 5, 4)
     counted = _counting(monkeypatch, "_poly_mulmod")
-    find_primitive_element(spec)
-    assert len(counted) <= 34
+    assert find_primitive_element(spec) == spec.element([0, 0, 1, 6])
+    assert len(counted) <= 17
+    assert fields._norm(spec.element([0, 0, 1, 4])) == 10
+
+
+@pytest.mark.parametrize("p, l, alpha", LINE_FIELDS)
+def test_primitive_search_matches_the_oracle_on_the_line_fields(p, l, alpha):
+    spec = FieldSpec(p=p, l=l, alpha=alpha)
+    assert find_primitive_element(spec) == primitive_search_oracle(spec)
+
+
+def test_primitive_search_matches_the_oracle_over_a_large_quadratic_field():
+    # modulo t^2 + 1 the elements before 1 + 2t are the multiples c t, of
+    # norm c^2 (Norm(t) = 1), which fail the test at r = 2 | p - 1, and 1
+    # and 1 + t; so the oracle's walk would stop at 1 + 2t
+    spec = FieldSpec(p=1000003, l=3, alpha=2)
+    assert spec.modulus == (1, 0, 1) and fields._norm(spec.element([0, 1])) == 1
+    assert not any(fields._generates(spec.element(x)) for x in ([0, 1], [0, 5], [1, 0], [1, 1]))
+    assert fields._generates(spec.element([1, 2]))
+    assert find_primitive_element(spec) == spec.element([1, 2])
 
 
 def test_primitive_search_tests_a_line_once(monkeypatch):
@@ -267,8 +330,10 @@ def test_primitive_search_tests_a_line_once(monkeypatch):
     spec = FieldSpec(p=1000003, l=3, alpha=2)
     assert spec.modulus == (1, 0, 1)
     norms = _counting(monkeypatch, "_norm")
+    passes = _counting(monkeypatch, "_lex_tuples")
     assert find_primitive_element(spec) == spec.element([1, 2])
     assert len(norms) == 4  # the lines of t, 1, 1 + t and 1 + 2t
+    assert len(passes) == 2  # c = 1 in each block: the t block ends there
 
 
 @pytest.mark.parametrize("p, l, alpha", [(61, 5, 1), (7, 3, 2), (11, 5, 3), (7, 3, 4)])
