@@ -36,9 +36,11 @@ of h consecutive exponents.
   rank collapse: its rank is that of [E_j(b^m)] over j = 1..h and m in
   S(1), the nonzero conj(H)(b^m) only scaling its columns, so it collapses
   exactly when the determinant delta_l of [sigma_m(E_j)] vanishes at its
-  root (``scanner._class_rank``).  Whether delta_l is nonzero for every
-  l, so that collapse needs p | N(delta_l) and holds for finitely many p,
-  is still open.
+  root.  delta_l is one element of Z[zeta_l] for every p (``_delta``, built
+  once per l), so ``scanner.scan`` decides a prime's later classes by one
+  evaluation of delta_l at the powers of b.  Whether delta_l is nonzero for
+  every l, so that collapse needs p | N(delta_l) and holds for finitely
+  many p, is still open.
 
 The proof uses only that G vanishes at the b^m, m in Z, and that b has
 order l, not that H is a Jacobi sum.  So ``check_row_subsets`` takes the
@@ -59,7 +61,7 @@ from operator import mul, sub
 
 import random
 
-from .cyclotomic import CycInt, _kernels
+from .cyclotomic import CycInt, _cofactor_norm, _conjugations, _kernels
 from .diophantine import a_to_dickson
 from .errors import InputError, IntegrityError, _cell
 from .fields import FieldSpec
@@ -176,6 +178,57 @@ def _root_coefficients(l: int) -> tuple[tuple[int, ...], ...]:
             for high, low in zip([zero, *poly], [*poly, zero])
         ]
     return tuple(map(tuple, poly))
+
+
+@lru_cache(maxsize=None)
+def _delta(l: int) -> tuple[int, ...]:
+    """delta_l = det[sigma_m(E_j)] in normal form (c_1, ..., c_(l-1)), rows
+    m = 1..h (that is S(1)) and columns j = 1..h, E_j from
+    ``_root_coefficients``.  Class c collapses at p exactly when delta_l
+    vanishes at its root b^c (see the module docstring), so one evaluation
+    of delta_l at the powers of b decides every class of a prime.
+
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) over
+    Z[zeta_l], on flat elements with the product kernel: each step's
+    entries are divided exactly by the previous pivot y, as a product with
+    its cofactor prod_(k>=2) sigma_k(y) followed by a division of every
+    coefficient by its norm N(y) (``_cofactor_norm``).  A remainder raises
+    IntegrityError; a column with no nonzero pivot makes delta_l 0.  The
+    cost grows as about l^5 (README, **scanner**), paid once per l."""
+    h = (l - 1) // 2
+    product = _kernels(l).product
+    perms = _conjugations(l)
+    E = _root_coefficients(l)
+    rows = [[[E[j][i] for i in perms[m]] for j in range(1, h + 1)] for m in range(1, h + 1)]
+    sign, previous = 1, None  # the cofactor and norm of the last pivot
+    for k in range(h):
+        nonzero = (r for r in range(k, h) if any(c != rows[r][k][0] for c in rows[r][k]))
+        pivot = next(nonzero, None)
+        if pivot is None:
+            return (0,) * (l - 1)
+        if pivot != k:
+            rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
+        top = rows[k]
+        lead = top[k]
+        for row in rows[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, h):
+                entry = list(map(sub, product(lead, row[j]), product(factor, top[j])))
+                if previous is not None:  # divide exactly by the last pivot
+                    cof, n = previous
+                    raw = product(entry, cof)
+                    entry = [c - raw[0] for c in raw]
+                    if any(c % n for c in entry):
+                        raise IntegrityError(
+                            f"l = {l}: delta_l, Bareiss step {k + 1}: an entry times the "
+                            f"previous pivot's cofactor is not divisible by its norm {n}"
+                        )
+                    entry = [c // n for c in entry]
+                row[j] = entry
+        if k + 1 < h:
+            previous = _cofactor_norm(lead)
+    det = rows[h - 1][h - 1]
+    return tuple(sign * (c - det[0]) for c in det[1:])
 
 
 def _expand(J: CycInt, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -6,9 +6,10 @@ generators whose row matrix loses rank on some subset.  The scanner walks
 a prime range, builds the congruence system for one generator or for all
 of them, and records which row subsets (if any) vanish: one prime's
 generators gamma^t fall into the Galois classes t mod l, one class is
-checked, and every other class is decided by its rank in F_p.  Records
-are deterministic for a fixed input range; only the elapsed-time field
-varies between runs.
+checked, and every other class is decided by one value of the fixed
+element delta_l of Z[zeta_l] (``codes._delta``).  Records are
+deterministic for a fixed input range; only the elapsed-time field varies
+between runs.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .codes import _rank, build_congruence_system, check_row_subsets
-from .errors import InputError
+from .codes import _delta, build_congruence_system, check_row_subsets
+from .cyclotomic import _kernels
+from .errors import InputError, IntegrityError, _cell
 from .fields import (
     FieldSpec, _matvec, _mul_matrix, build_log_table, character_root, is_prime,
 )
-from .jacobi import condition_index_set, jacobi_sum
+from .jacobi import jacobi_sum
 
 __all__ = [
     "ScanRecord",
@@ -55,11 +57,15 @@ class ScanRecord:
     placeholder and the planned power t).
 
     A prime runs one row-subset check, on its first class t mod l, and
-    every other class takes its verdict from its rank in F_p: none at full
-    rank, every subset below.  So elapsed_ms is paid by the cell that runs
-    the check, which also pays for the prime's generator and Jacobi sum.
-    Every other cell pays at most for one rank in F_p and its own
-    bookkeeping, and usually reads 0.
+    every other class takes its verdict from delta_l at its root: none
+    dependent where it is nonzero, every subset where it vanishes.  So
+    elapsed_ms is paid by the cell that runs the check, which also pays for
+    the prime's generator and Jacobi sum.  The first cell of the prime's
+    second mirror pair pays for one evaluation of delta_l at the powers of
+    b, and the first such cell of a process at each l also for building
+    delta_l (``codes._delta``: about 2 ms at l = 13, 0.2 s at l = 31 and
+    20 s at l = 61 on a 2-vCPU host; see the README).  Every other cell
+    pays only for its own bookkeeping, and usually reads 0.
     """
 
     l: int
@@ -104,8 +110,11 @@ class ScanSummary:
         }
 
 
-def _primes_in(lo: int, hi: int):
-    for n in range(max(lo, 2), hi + 1):
+def _primes_in(l: int, lo: int, hi: int):
+    """The primes p = 1 mod l in [lo, hi], for an odd l: only the n = 1 mod
+    2l are tried, as these are exactly the odd n = 1 mod l."""
+    start = max(lo, 2)
+    for n in range(start + (1 - start) % (2 * l), hi + 1, 2 * l):
         if is_prime(n):
             yield n
 
@@ -114,33 +123,6 @@ def _generator_powers(q: int, policy: str) -> list[int]:
     if policy == "first":
         return [1]
     return [t for t in range(1, q - 1) if gcd(t, q - 1) == 1]
-
-
-def _root_products(l: int, p: int, b: int) -> list[list[int]]:
-    """Row e holds E_1(b^e), ..., E_h(b^e) mod p for e = 0..l-1, where
-    E_j(b^e) is the t^j coefficient of prod_(k=1..h) (t - b^(e/k)): the
-    coefficients of E(t) (see ``codes``) at the prime (p, zeta - b^e),
-    computed in F_p."""
-    h = (l - 1) // 2
-    powers = [pow(b, e, p) for e in range(l)]
-    inverses = [pow(k, -1, l) for k in range(1, h + 1)]
-    rows = []
-    for e in range(l):
-        poly = [1]  # t^0 first
-        for inverse in inverses:
-            root = powers[e * inverse % l]
-            poly = [(s - root * x) % p for s, x in zip([0, *poly], [*poly, 0])]
-        rows.append(poly[1:])
-    return rows
-
-
-def _class_rank(products: list[list[int]], l: int, p: int, c: int) -> int:
-    """The rank mod p of class c's generator matrix, read in F_p with no
-    Jacobi sum: the rank of the h x h matrix [E_j(b^(c m))], j = 1..h and
-    m outside Z = -S(1), that is m in S(1) (see the ``codes`` module
-    docstring), its rows taken from ``_root_products``.  Rank h makes the
-    class MDS, and a lower rank makes every row subset dependent."""
-    return _rank([products[c * m % l] for m in condition_index_set(l, 1)], p)
 
 
 def scan(
@@ -163,10 +145,15 @@ def scan(
     its root is b^t, so the congruence system and its verdict depend only
     on the class c = t mod l.  The first class computed is checked
     (``check_row_subsets``), so a prime costs exactly one check.  Every
-    later class c gets its rank in F_p with no Jacobi sum (``_class_rank``,
-    once per mirror pair c, l - c): full rank makes it MDS, a generalized
-    Reed-Solomon code (see the ``codes`` module docstring), and below
-    (l-1)/2 every row subset is dependent.
+    later class c, once per mirror pair c, l - c, takes its verdict from
+    delta_l(b^c), with no Jacobi sum: delta_l (``codes._delta``) is built
+    once per l and process, and evaluated at b^0, ..., b^(l-1) once per
+    prime, both in the first cell of a later mirror pair that passes the
+    deadline check, so a scan with policy "first" never builds it.  A
+    nonzero value makes class c MDS, a generalized Reed-Solomon code (see
+    the ``codes`` module docstring), and a zero makes every row subset
+    dependent.  Where the values are read, the first class's check must
+    agree with delta_l at its root, or IntegrityError names the cell.
 
     Cells that start after ``deadline_s`` seconds of wall-clock time are
     emitted with status "skipped" rather than dropped.  Records come back
@@ -189,14 +176,12 @@ def scan(
         return deadline_s is not None and time.monotonic() - started > deadline_s
 
     h = (l - 1) // 2
-    for p in _primes_in(p_min, p_max):
-        if p % l != 1:
-            continue
+    for p in _primes_in(l, p_min, p_max):
         spec = FieldSpec(p=p, l=l, alpha=alpha)
         table = None
         full: dict[int, bool] = {}  # by mirror pair, min(c, l - c)
         every = ()  # the verdict of a rank-deficient class, once built
-        products: list[list[int]] = []
+        values: list[int] = []  # delta_l at b^0, ..., b^(l-1), once read
         gaps: dict[int, list[list[int]]] = {}  # the matrix of gamma^gap, by gap
         for t in _generator_powers(spec.q, generators):
             cell_start = time.monotonic()
@@ -219,9 +204,23 @@ def scan(
                     )
                     every = tuple(check_row_subsets(system))
                     full[pair] = not every
-                else:  # a later mirror pair: its rank in F_p
-                    products = products or _root_products(l, p, b)
-                    full[pair] = _class_rank(products, l, p, c) == h
+                    first = t
+                else:  # a later mirror pair: delta_l at its root b^c
+                    if not values:
+                        values = _kernels(l).evaluate(
+                            _delta(l), [pow(b, e, p) for e in range(l)], p
+                        )
+                        c0 = first % l
+                        checked = full[min(c0, l - c0)]
+                        if bool(values[c0]) != checked:
+                            raise IntegrityError(
+                                f"{_cell(l, p, alpha, table.generator ** first)}: class "
+                                f"verdicts: delta_l(b^{c0}) = {values[c0]} mod {p}, but "
+                                f"check_row_subsets finds class {c0} "
+                                f"{'of full rank' if checked else 'rank-deficient'}; "
+                                "delta_l(b^c) != 0 must hold exactly when class c has full rank"
+                            )
+                    full[pair] = bool(values[c])
             if full[pair]:
                 dependent = ()
             else:

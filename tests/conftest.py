@@ -8,6 +8,8 @@ generalized Reed-Solomon code replaced, the Z[zeta] products that
 conditions (v) and (vi) read in F_p, Euclid's algorithm and the unit search
 on CycInts, the exhaustive modulus search and the element-by-element
 generator search, the scan with one row-subset check per Galois class,
+each class's rank in F_p that one evaluation of delta_l replaced,
+delta_l itself by Laplace expansion over CycInts,
 the congruence system expanded by CycInt products, the factorials of
 the residue sum by one plain pass, the selection that checks every
 candidate in full, the norm to F_p as a determinant, the irreducibility
@@ -52,7 +54,7 @@ from jacobicodes import (
     subfield_residue,
     verify_conditions,
 )
-from jacobicodes.codes import _rref
+from jacobicodes.codes import _rank, _rref
 from jacobicodes.diophantine import _orientation
 from jacobicodes.errors import _cell
 from jacobicodes.fields import (
@@ -145,6 +147,33 @@ def class_scan_oracle(l: int, p_min: int, p_max: int, alpha: int = 1,
     return records
 
 
+def root_products_oracle(l: int, p: int, b: int) -> list[list[int]]:
+    """Row e holds E_1(b^e), ..., E_h(b^e) mod p for e = 0..l-1, where
+    E_j(b^e) is the t^j coefficient of prod_(k=1..h) (t - b^(e/k)): the
+    coefficients of E(t) (see ``codes``) at the prime (p, zeta - b^e),
+    computed in F_p."""
+    h = (l - 1) // 2
+    powers = [pow(b, e, p) for e in range(l)]
+    inverses = [pow(k, -1, l) for k in range(1, h + 1)]
+    rows = []
+    for e in range(l):
+        poly = [1]  # t^0 first
+        for inverse in inverses:
+            root = powers[e * inverse % l]
+            poly = [(s - root * x) % p for s, x in zip([0, *poly], [*poly, 0])]
+        rows.append(poly[1:])
+    return rows
+
+
+def class_rank_oracle(products: list[list[int]], l: int, p: int, c: int) -> int:
+    """The rank mod p of class c's generator matrix, read in F_p with no
+    Jacobi sum: the rank of the h x h matrix [E_j(b^(c m))], j = 1..h and
+    m outside Z = -S(1), that is m in S(1) (see the ``codes`` module
+    docstring), its rows taken from ``root_products_oracle``.  Rank h makes
+    the class MDS, and a lower rank makes every row subset dependent."""
+    return _rank([products[c * m % l] for m in condition_index_set(l, 1)], p)
+
+
 @lru_cache(maxsize=None)
 def _root_product(l: int) -> tuple[CycInt, ...]:
     """The coefficients of prod_(k=1..(l-1)/2) (t - zeta^(1/k)) in Z[zeta],
@@ -156,6 +185,34 @@ def _root_product(l: int) -> tuple[CycInt, ...]:
         scaled = [c * root for c in poly] + [CycInt.zero(l)]
         poly = [s - t for s, t in zip(shifted, scaled)]
     return tuple(poly)
+
+
+def laplace_det_oracle(matrix: list[list[CycInt]]) -> CycInt:
+    """The determinant of a square matrix of CycInts by Laplace expansion
+    along the first row, each minor on the last rows computed once per
+    column subset."""
+    n, l = len(matrix), matrix[0][0].l
+    minors = {(): CycInt.from_int(l, 1)}
+    for size in range(1, n + 1):
+        row = matrix[n - size]
+        for cols in combinations(range(n), size):
+            total = CycInt.zero(l)
+            for i, j in enumerate(cols):
+                term = row[j] * minors[cols[:i] + cols[i + 1:]]
+                total = total - term if i % 2 else total + term
+            minors[cols] = total
+    return minors[tuple(range(n))]
+
+
+def delta_oracle(l: int) -> CycInt:
+    """delta_l = det[sigma_m(E_j)], m, j = 1..(l-1)/2, by CycInt products
+    and Laplace expansion, the route ``codes._delta``'s elimination
+    replaced."""
+    h = (l - 1) // 2
+    E = _root_product(l)
+    return laplace_det_oracle(
+        [[E[j].conjugate(m) for j in range(1, h + 1)] for m in range(1, h + 1)]
+    )
 
 
 def expand_oracle(J: CycInt, p: int):

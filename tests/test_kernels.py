@@ -126,15 +126,18 @@ def test_expansion_matches_the_rotations_and_the_products(l):
 
 
 def test_import_builds_no_kernel():
-    # each kernel is built at the first call at its l, and never at import,
-    # so a run pays only for the l it uses
+    # each kernel, and delta_l, is built at the first call that needs it at
+    # its l, and never at import, so a run pays only for the l it uses; a
+    # scan builds delta_l only in a cell of a second mirror pair that is not
+    # skipped, so never with policy "first" or a passed deadline
     script = """
 from jacobicodes import FieldSpec, build_congruence_system, build_log_table, character_root
-from jacobicodes import codes, cyclotomic, jacobi_sum
+from jacobicodes import codes, cyclotomic, jacobi_sum, scan
 
 def builds():
     return (cyclotomic._kernels.cache_info().misses,
-            codes._root_coefficients.cache_info().misses)
+            codes._root_coefficients.cache_info().misses,
+            codes._delta.cache_info().misses)
 
 print(*builds())
 for p, l in ((61, 5), (61, 5), (7, 3), (1021, 5)):
@@ -142,10 +145,16 @@ for p, l in ((61, 5), (61, 5), (7, 3), (1021, 5)):
     J = jacobi_sum(table).value
     build_congruence_system(J, p, character_root(table.generator))
     print(*builds())
+for options in ({}, {"generators": "all", "deadline_s": 0}, {"generators": "all"},
+                {"generators": "all"}):
+    scan(13, 53, 200, **options)
+    print(*builds())
 """
     src = str(Path(cyclotomic.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n") == ["0 0", "1 1", "1 1", "2 2", "2 2", ""]
+    assert run.stdout.split("\n") == [
+        "0 0 0", "1 1 0", "1 1 0", "2 2 0", "2 2 0", "3 3 0", "3 3 0", "3 3 1", "3 3 1", "",
+    ]

@@ -11,15 +11,19 @@ from itertools import combinations
 
 import pytest
 
+import jacobicodes.codes as codes
 import jacobicodes.scanner as scanner
 from jacobicodes import (
+    CycInt,
     FieldElement,
     FieldSpec,
     InputError,
+    IntegrityError,
     ScanRecord,
     build_congruence_system,
     build_generator_matrix,
     build_log_table,
+    character_root,
     check_row_subsets,
     condition_index_set,
     find_primitive_element,
@@ -30,10 +34,21 @@ from jacobicodes import (
     summarize,
     write_report,
 )
-from jacobicodes.codes import _rref
-from jacobicodes.scanner import CSV_COLUMNS, _class_rank, _root_products
+from jacobicodes.codes import _delta, _rref
+from jacobicodes.cyclotomic import _cofactor_norm, _kernels
+from jacobicodes.fields import is_prime
+from jacobicodes.scanner import CSV_COLUMNS
 
-from conftest import class_scan_oracle, class_system, det_mod, primes_1_mod
+from conftest import (
+    class_rank_oracle,
+    class_scan_oracle,
+    class_system,
+    delta_oracle,
+    det_mod,
+    laplace_det_oracle,
+    primes_1_mod,
+    root_products_oracle,
+)
 
 
 def per_generator_records(l, p, alpha=1):
@@ -122,7 +137,7 @@ def test_mirror_class_is_the_mapped_class(c, rank):
 
 @pytest.mark.parametrize("l", [7, 11, 13])
 def test_mirror_classes_share_their_column_space(l):
-    # the identity behind the mirror pairs of _class_rank, checked directly:
+    # the identity behind the mirror pairs of the class verdicts, checked directly:
     # at full rank, class l - c's columns with rows r -> l - r span the same
     # space as class c's (equal reduced row echelon forms of G = D^T); at
     # lower rank, both classes have the same rank
@@ -140,7 +155,7 @@ def test_mirror_classes_share_their_column_space(l):
 
 
 # Every class of the primes p = 1 mod l below 300 (alpha 1) and below 120
-# (alpha 2): the cases of the identities behind _class_rank and the
+# (alpha 2): the cases of the identities behind the class verdicts and the
 # generalized Reed-Solomon code of each class.
 CLASS_FIELDS = [
     (l, p, alpha)
@@ -174,11 +189,139 @@ COLLAPSED = {(13, 79, 1): [3, 10], (13, 79, 2): [6, 7], (23, 277, 1): [11, 12]}
 @pytest.mark.parametrize("l, p, alpha", [*CLASS_FIELDS, (23, 277, 1)])
 def test_class_rank_in_f_p_matches_the_elimination(l, p, alpha):
     b, matrices = class_matrices(l, p, alpha)
-    products = _root_products(l, p, b)
-    ranks = {c: _class_rank(products, l, p, c) for c in matrices}
+    products = root_products_oracle(l, p, b)
+    ranks = {c: class_rank_oracle(products, l, p, c) for c in matrices}
     assert ranks == {c: len(_rref(G, p)[1]) for c, G in matrices.items()}
     collapsed = [c for c, rank in ranks.items() if rank < (l - 1) // 2]
     assert collapsed == COLLAPSED.get((l, p, alpha), [])
+
+
+def delta_values(l, p, b):
+    """delta_l at b^0, ..., b^(l-1) mod p, as the scan reads it."""
+    return _kernels(l).evaluate(_delta(l), [pow(b, e, p) for e in range(l)], p)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("l", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_delta_vanishes_exactly_at_the_collapsed_classes(l, alpha):
+    # every class of every p = 1 mod l below the bound, at the root b of the
+    # canonical generator of F_(p^alpha): delta_l(b^c) != 0 iff the class
+    # has full rank; only 79 (l = 13) and 277 (l = 23) collapse here
+    h = (l - 1) // 2
+    collapsing = set()
+    for p in primes_1_mod(l, 3, (3000 if l < 17 else 1500) if alpha == 1 else 400):
+        b = character_root(build_log_table(FieldSpec(p=p, l=l, alpha=alpha)).generator)
+        values = delta_values(l, p, b)
+        products = root_products_oracle(l, p, b)
+        ranks = {c: class_rank_oracle(products, l, p, c) for c in range(1, l)}
+        assert {c: bool(values[c]) for c in ranks} == {c: r == h for c, r in ranks.items()}, p
+        collapsed = [c for c in ranks if not values[c]]
+        if collapsed:
+            collapsing.add(p)
+            if (l, p, alpha) in COLLAPSED:
+                assert collapsed == COLLAPSED[l, p, alpha]
+    assert collapsing == {13: {79}, 23: {277}}.get(l, set())
+
+
+@pytest.mark.parametrize("l, norm", [
+    (3, 1), (5, 5), (7, 7**3), (11, 11**10), (13, 13**15 * 79**2),
+    (17, 17**28 * (4793 * 69257) ** 2), (19, 19**42 * (37 * 227 * 284052623) ** 2),
+])
+def test_delta_has_the_exact_norm(l, norm):
+    assert _cofactor_norm([0, *_delta(l)])[1] == norm
+
+
+@pytest.mark.parametrize("l", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_delta_matches_the_laplace_expansion(l):
+    assert CycInt(l, _delta(l)) == delta_oracle(l)
+
+
+def test_delta_pivots_past_a_vanishing_leading_minor(monkeypatch):
+    # no leading minor of [sigma_m(E_j)] vanishes for l < 38, so plant one
+    # at l = 17: with E_2 replaced by E_1 y, y the sum of zeta^k over the
+    # powers k of 2 mod 17, fixed by sigma_2 but not by sigma_3, the 2 x 2
+    # leading minor is 0, and a later row must become the second pivot
+    l = 17
+    real = codes._root_coefficients(l)
+    orbit = {pow(2, i, l) for i in range(8)}  # 2 has order 8 mod 17
+    y = [int(k in orbit) for k in range(l)]
+    planted = (*real[:2], tuple(_kernels(l).product(real[1], y)), *real[3:])
+    monkeypatch.setattr(codes, "_root_coefficients", lambda l: planted)
+    h = (l - 1) // 2
+    matrix = [[CycInt.from_raw(l, E).conjugate(m) for E in planted[1:]] for m in range(1, h + 1)]
+    assert laplace_det_oracle([row[:2] for row in matrix[:2]]) == 0
+    want = laplace_det_oracle(matrix)
+    assert want != 0
+    assert CycInt(l, codes._delta.__wrapped__(l)) == want
+    # and a column with no nonzero entry makes delta_l 0
+    zero = (0,) * l
+    monkeypatch.setattr(codes, "_root_coefficients", lambda l: (real[0], zero, *real[2:]))
+    assert codes._delta.__wrapped__(l) == (0,) * (l - 1)
+
+
+def test_delta_13_is_pinned():
+    assert _delta(13) == tuple(13 * c for c in (1, 3, -1, 5, -4, 6, -3, 3, -1, 1, 2, 1))
+
+
+def test_delta_19_collapses_two_classes_of_its_one_exceptional_prime():
+    # 284052623 is the one prime factor of N(delta_19) that is 1 mod 19
+    # (37 and 227 are -1 mod 19); at the root of its least primitive root 5,
+    # classes 8 and 11 have rank 8 < 9
+    l, p = 19, 284052623
+    b = character_root(find_primitive_element(FieldSpec(p=p, l=l)))
+    values = delta_values(l, p, b)
+    products = root_products_oracle(l, p, b)
+    assert [c for c in range(1, l) if not values[c]] == [8, 11]
+    assert [c for c in range(1, l) if class_rank_oracle(products, l, p, c) < 9] == [8, 11]
+
+
+def test_a_wrong_delta_fails_the_first_class_check(monkeypatch):
+    # delta_l patched to 0: class 1 of p = 53 checks as MDS, and the cell of
+    # its generator 2 is named
+    monkeypatch.setattr(scanner, "_delta", lambda l: (0,) * (l - 1))
+    with pytest.raises(IntegrityError, match=(
+        r"^l = 13, p = 53, alpha = 1, generator 2: class verdicts: delta_l\(b\^1\) = 0 "
+        r"mod 53, but check_row_subsets finds class 1 of full rank; delta_l\(b\^c\) != 0 "
+        r"must hold exactly when class c has full rank$"
+    )):
+        scan(13, 53, 53, generators="all")
+    # a "first" scan reads no value of delta_l
+    assert [r.status for r in scan(13, 2, 200)] == ["mds"] * 4
+    # patched to 1 where the first class checked, 3 = 29 mod 13 at p = 79,
+    # collapses
+    monkeypatch.setattr(scanner, "_delta", lambda l: (-1,) * (l - 1))
+    powers = [29, *(t for t in scanner._generator_powers(79, "all") if t != 29)]
+    monkeypatch.setattr(scanner, "_generator_powers", lambda q, policy: powers)
+    with pytest.raises(IntegrityError, match=(
+        r"^l = 13, p = 79, alpha = 1, generator 68: class verdicts: delta_l\(b\^3\) = 1 "
+        r"mod 79, but check_row_subsets finds class 3 rank-deficient;"
+    )):
+        scan(13, 79, 79, generators="all")
+
+
+def test_an_inexact_bareiss_division_fails_the_scan(monkeypatch):
+    # every pivot's norm off by one: the first division, at step 2, leaves a
+    # remainder
+    real = codes._cofactor_norm
+    monkeypatch.setattr(codes, "_cofactor_norm", lambda y: (real(y)[0], real(y)[1] + 1))
+    monkeypatch.setattr(scanner, "_delta", codes._delta.__wrapped__)
+    with pytest.raises(IntegrityError, match=(
+        r"^l = 13: delta_l, Bareiss step 2: an entry times the previous pivot's cofactor "
+        r"is not divisible by its norm \d+$"
+    )):
+        scan(13, 53, 53, generators="all")
+
+
+@pytest.mark.parametrize("l", [3, 5, 13, 23])
+def test_scan_steps_only_through_candidate_primes(l):
+    # the n = 1 mod 2l from p_min on are the primes the walk over every
+    # integer finds: from p_min < 2, from p_min = 1 mod l (odd and even), and
+    # over ranges that hold no such prime
+    ranges = [(-5, 2), (0, 3000), (2 * l + 1, 2 * l + 1), (2 * l + 1, 9 * l),
+              (l + 1, l + 1), (l + 1, 7 * l), (24, 28), (1000, 1000 + l), (10**6, 10**6 + 500)]
+    for lo, hi in ranges:
+        walk = [n for n in range(max(lo, 2), hi + 1) if n % l == 1 and is_prime(n)]
+        assert list(scanner._primes_in(l, lo, hi)) == walk, (lo, hi)
 
 
 @pytest.mark.parametrize("l, p, alpha", CLASS_FIELDS)
