@@ -43,13 +43,15 @@ of h consecutive exponents.
   many p, is still open.
 
 The proof uses only that G vanishes at the b^m, m in Z, and that b has
-order l, not that H is a Jacobi sum.  So ``check_row_subsets`` takes the
-rank of G by forward elimination alone (``_rank``), ``build_code`` by the
-Gauss-Jordan reduction that also gives its systematic form, and both
-certify those two facts at ``system.b`` in h^2 (l-1) products
-(``_grs_certificate``).  A hand-built system that fails the certificate
-is checked by the definition, one k x k ``_rank`` per k-subset, as
-``is_mds`` checks any G.
+order l, not that H is a Jacobi sum.  Both callers certify those two facts
+at ``system.b`` in h^2 (l-1) products (``_grs_certificate``).  Then the
+rows of G lie in the MDS code W, so rank G = h exactly when G's leading h
+columns are independent, and ``check_row_subsets`` takes that h x h rank
+by forward elimination alone (``_rank``); ``build_code`` takes the rank of
+G by the Gauss-Jordan reduction that also gives its systematic form.  A
+hand-built system that fails the certificate has the rank of its whole G
+taken and is checked by the definition, one k x k ``_rank`` per k-subset,
+as ``is_mds`` checks any G.
 """
 
 from __future__ import annotations
@@ -311,20 +313,22 @@ def check_row_subsets(system: CongruenceSystem) -> list[tuple[int, ...]]:
     as 1-based index tuples in lexicographic order.  Empty means every
     subset is independent, the MDS case.
 
-    The rows of D are the columns of G = D^T.  A rank of G below k makes
-    every subset dependent.  At rank k, a system whose root has order l and
-    whose G vanishes at the nodes b^m, m in Z, as every system built at the
-    root of a generator does, generates a generalized Reed-Solomon code, so
-    no subset is dependent (``_grs_certificate`` and the module docstring).
-    A system that fails that certificate is checked by the definition, one
-    k x k rank per subset (see ``is_mds``)."""
+    The rows of D are the columns of G = D^T.  A system whose root has
+    order l and whose G vanishes at the nodes b^m, m in Z, as every system
+    built at the root of a generator does, has its rows in a generalized
+    Reed-Solomon code of dimension k (``_grs_certificate`` and the module
+    docstring), which is MDS.  So rank G = k exactly when G's leading k
+    columns, the first k rows of D, are independent: one k x k rank
+    decides, and no subset is dependent at rank k and every one below it.
+    A system that fails that certificate takes the rank of the k x n G,
+    every subset being dependent below k, and at rank k is checked by the
+    definition, one k x k rank per subset (see ``is_mds``)."""
     p, k = system.p, system.k
     g = build_generator_matrix(system)
-    if _rank(g, p) < k:
+    certified = _grs_certificate(system, g)
+    if _rank(system.D[:k] if certified else g, p) < k:
         return list(combinations(range(1, system.n + 1), k))
-    if _grs_certificate(system, g):
-        return []
-    return list(_dependent_subsets(g, p))
+    return [] if certified else list(_dependent_subsets(g, p))
 
 
 @dataclass(frozen=True)

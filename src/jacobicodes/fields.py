@@ -607,8 +607,10 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
     element returned carries that proof, so ``LogTable`` does not test it
     again.
 
-    For alpha > 1 the search goes by F_p*-lines.  Write x = c y with c in
-    F_p* and the first nonzero coefficient of y equal to 1.
+    For alpha = 1 the search runs over the integers 1, ..., p - 1, and
+    only the one that passes becomes an element.  For alpha > 1 it goes by
+    F_p*-lines.  Write x = c y with c in F_p* and the first nonzero
+    coefficient of y equal to 1.
 
     - A prime r | q - 1 that does not divide p - 1 divides
       N = (q-1)/(p-1), so c^((q-1)/r) = 1 and x^((q-1)/r) = y^((q-1)/r):
@@ -632,9 +634,9 @@ def find_primitive_element(spec: FieldSpec) -> FieldElement:
     factors = prime_factors(spec.q - 1)
     norm_primes = [r for r in factors if (p - 1) % r == 0]
     if alpha == 1:
-        for x in spec.elements():
-            if x.coeffs[0] and _generates_fp(x.coeffs[0], p, norm_primes):
-                return _proved(x)
+        for g in range(1, p):
+            if _generates_fp(g, p, norm_primes):
+                return _proved(FieldElement(spec, (g,)))
         raise AssertionError("unreachable: the multiplicative group is cyclic")
     line_primes = [r for r in norm_primes if alpha % r == 0]
     fq_primes = [r for r in factors if (p - 1) % r]

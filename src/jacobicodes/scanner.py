@@ -21,14 +21,15 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
+from itertools import combinations, compress
+from operator import attrgetter
 
 from .codes import _delta, build_congruence_system, check_row_subsets
 from .cyclotomic import _kernels
 from .errors import InputError, IntegrityError, _cell
 from .fields import (
     FieldSpec, _matvec, _mul_matrix, build_log_table, character_root, is_prime,
+    prime_factors,
 )
 from .jacobi import jacobi_sum
 
@@ -65,7 +66,10 @@ class ScanRecord:
     b, and the first such cell of a process at each l also for building
     delta_l (``codes._delta``: about 2 ms at l = 13, 0.2 s at l = 31 and
     20 s at l = 61 on a 2-vCPU host; see the README).  Every other cell
-    pays only for its own bookkeeping, and usually reads 0.
+    pays for one product, its generator, and its record, and reads 0.
+    A cell's time runs from the scan's last reading of the clock, at the
+    end of the prime's previous computed cell or at the prime's start, to
+    the end of its own verdict and generator.
     """
 
     l: int
@@ -120,9 +124,15 @@ def _primes_in(l: int, lo: int, hi: int):
 
 
 def _generator_powers(q: int, policy: str) -> list[int]:
+    """The powers t of the canonical generator to scan: 1 alone (policy
+    "first"), or every unit t mod q - 1 in 1..q-2 (policy "all"), by
+    sieving out the multiples of each prime factor of q - 1."""
     if policy == "first":
         return [1]
-    return [t for t in range(1, q - 1) if gcd(t, q - 1) == 1]
+    unit = bytearray(1) + b"\x01" * (q - 2)  # by t = 0, ..., q - 2
+    for r in prime_factors(q - 1):
+        unit[::r] = bytes(len(range(0, q - 1, r)))
+    return list(compress(range(q - 1), unit))
 
 
 def scan(
@@ -136,30 +146,35 @@ def scan(
     """Scan primes p in [p_min, p_max] with p = 1 mod l.
 
     For each prime, the canonical generator gamma, the Jacobi sum J (from
-    the root of gamma; see ``jacobi_sum``) and the root
-    b = gamma^((q-1)/l) are computed once.  Other generators are powers
-    gamma^t with gcd(t, q-1) = 1 (policy "all") or just gamma itself
-    (policy "first"), each reached from the last one built, gamma^t', by
-    one product with gamma^(t - t'), whose matrix is built once per gap.
-    The sum for gamma^t is the Galois conjugate sigma_(t^-1 mod l)(J) and
-    its root is b^t, so the congruence system and its verdict depend only
-    on the class c = t mod l.  The first class computed is checked
-    (``check_row_subsets``), so a prime costs exactly one check.  Every
-    later class c, once per mirror pair c, l - c, takes its verdict from
-    delta_l(b^c), with no Jacobi sum: delta_l (``codes._delta``) is built
-    once per l and process, and evaluated at b^0, ..., b^(l-1) once per
-    prime, both in the first cell of a later mirror pair that passes the
-    deadline check, so a scan with policy "first" never builds it.  A
-    nonzero value makes class c MDS, a generalized Reed-Solomon code (see
-    the ``codes`` module docstring), and a zero makes every row subset
-    dependent.  Where the values are read, the first class's check must
-    agree with delta_l at its root, or IntegrityError names the cell.
+    the root of gamma; see ``jacobi_sum``) and the root b = gamma^((q-1)/l)
+    are computed once.  Other generators are powers gamma^t with
+    gcd(t, q-1) = 1 (policy "all", the units sieved from the prime factors
+    of q - 1) or just gamma itself (policy "first"), each reached from the
+    last one built, gamma^t', by one product with gamma^(t - t'), kept once
+    per gap: an integer mod p for alpha = 1, and its matrix on coefficient
+    vectors for alpha > 1.  The sum for gamma^t is the Galois conjugate
+    sigma_(t^-1 mod l)(J) and its root is b^t, so the congruence system and
+    its verdict depend only on the class c = t mod l.  The first class
+    computed is checked (``check_row_subsets``), so a prime costs exactly
+    one check.  Every later class c, once per mirror pair c, l - c, takes its
+    verdict from delta_l(b^c), with no Jacobi sum: delta_l
+    (``codes._delta``) is built once per l and process, and evaluated at
+    b^0, ..., b^(l-1) once per prime, both in the first cell of a later
+    mirror pair that passes the deadline check, so a scan with policy
+    "first" never builds it.  A nonzero value makes class c MDS, a
+    generalized Reed-Solomon code (see the ``codes`` module docstring), and
+    a zero makes every row subset dependent.  Where the values are read, the
+    first class's check must agree with delta_l at its root, or
+    IntegrityError names the cell.
 
     Cells that start after ``deadline_s`` seconds of wall-clock time are
-    emitted with status "skipped" rather than dropped.  Records come back
-    sorted by (l, p, alpha, generator).  An empty range (p_min > p_max), an
-    unknown policy and alpha < 1 are rejected, whether or not the range holds
-    a prime.
+    emitted with status "skipped" rather than dropped.  The clock is read at
+    each prime's start and then once per computed cell, at its end, which is
+    also the next cell's start.  Records come back sorted by
+    (l, p, alpha, generator): each prime's cells are sorted by generator,
+    placeholders first, and primes come in increasing order.  An empty range
+    (p_min > p_max), an unknown policy and alpha < 1 are rejected, whether
+    or not the range holds a prime.
     """
     if not is_prime(l) or l == 2:
         raise InputError(f"l = {l} must be an odd prime")
@@ -169,41 +184,39 @@ def scan(
         raise InputError("alpha must be >= 1")
     if generators not in ("first", "all"):
         raise InputError(f"unknown generator policy {generators!r}")
-    started = time.monotonic()
+    clock = time.monotonic
+    started = clock()
     records: list[ScanRecord] = []
-
-    def out_of_time() -> bool:
-        return deadline_s is not None and time.monotonic() - started > deadline_s
-
     h = (l - 1) // 2
     for p in _primes_in(l, p_min, p_max):
         spec = FieldSpec(p=p, l=l, alpha=alpha)
         table = None
-        full: dict[int, bool] = {}  # by mirror pair, min(c, l - c)
-        every = ()  # the verdict of a rank-deficient class, once built
+        verdicts: dict[int, tuple] = {}  # (status, subsets) by class, set per mirror pair
+        every = ()  # the subsets of a rank-deficient class, once built
         values: list[int] = []  # delta_l at b^0, ..., b^(l-1), once read
-        gaps: dict[int, list[list[int]]] = {}  # the matrix of gamma^gap, by gap
-        for t in _generator_powers(spec.q, generators):
-            cell_start = time.monotonic()
-            if out_of_time():
-                records.append(
-                    ScanRecord(l, p, alpha, (0,) * alpha, t, "skipped", (), 0)
-                )
+        steps: dict = {}  # gamma^gap, by gap: an integer, or its matrix for alpha > 1
+        cells: list[ScanRecord] = []
+        powers = _generator_powers(spec.q, generators)
+        now = clock()  # then read once per computed cell, at its end
+        for t in powers:
+            if deadline_s is not None and now - started > deadline_s:
+                cells.append(ScanRecord(l, p, alpha, (0,) * alpha, t, "skipped", (), 0))
                 continue
             if table is None:
                 table = build_log_table(spec)
-                b = character_root(table.generator)
+                gamma = table.generator
+                b = character_root(gamma)
                 J = jacobi_sum(table).value
-                last, power = 0, [1] + [0] * (alpha - 1)  # gamma^last
+                last, power = 0, 1 if alpha == 1 else [1] + [0] * (alpha - 1)  # gamma^last
             c = t % l
-            pair = min(c, l - c)
-            if pair not in full:
-                if not full:  # the first class: check it
+            verdict = verdicts.get(c)
+            if verdict is None:
+                if not verdicts:  # the first class: check it
                     system = build_congruence_system(
                         J.conjugate(pow(t, -1, l)), p, pow(b, t, p)
                     )
                     every = tuple(check_row_subsets(system))
-                    full[pair] = not every
+                    full = checked = not every
                     first = t
                 else:  # a later mirror pair: delta_l at its root b^c
                     if not values:
@@ -211,35 +224,41 @@ def scan(
                             _delta(l), [pow(b, e, p) for e in range(l)], p
                         )
                         c0 = first % l
-                        checked = full[min(c0, l - c0)]
                         if bool(values[c0]) != checked:
                             raise IntegrityError(
-                                f"{_cell(l, p, alpha, table.generator ** first)}: class "
+                                f"{_cell(l, p, alpha, gamma ** first)}: class "
                                 f"verdicts: delta_l(b^{c0}) = {values[c0]} mod {p}, but "
                                 f"check_row_subsets finds class {c0} "
                                 f"{'of full rank' if checked else 'rank-deficient'}; "
                                 "delta_l(b^c) != 0 must hold exactly when class c has full rank"
                             )
-                    full[pair] = bool(values[c])
-            if full[pair]:
-                dependent = ()
-            else:
-                dependent = every = every or tuple(combinations(range(1, l), h))
-            elapsed_ms = int((time.monotonic() - cell_start) * 1000)
+                    full = bool(values[c])
+                if full:
+                    verdict = ("mds", ())
+                else:
+                    every = every or tuple(combinations(range(1, l), h))
+                    verdict = ("exception", every)
+                verdicts[c] = verdicts[l - c] = verdict
             gap = t - last
-            if gap not in gaps:
-                gaps[gap] = _mul_matrix(  # F_p is F_p[x]/(x) for alpha = 1
-                    (table.generator ** gap).coeffs, spec.modulus or (0, 1), p
-                )
-            last, power = t, _matvec(gaps[gap], power, p)
-            records.append(
-                ScanRecord(
-                    l, p, alpha, tuple(power), t,
-                    "exception" if dependent else "mds",
-                    dependent, elapsed_ms,
-                )
+            step = steps.get(gap)
+            if alpha == 1:  # as in FieldElement.__mul__, F_p by integers
+                if step is None:
+                    step = steps[gap] = pow(gamma.coeffs[0], gap, p)
+                power = power * step % p
+                generator = (power,)
+            else:
+                if step is None:
+                    step = steps[gap] = _mul_matrix((gamma ** gap).coeffs, spec.modulus, p)
+                power = _matvec(step, power, p)
+                generator = tuple(power)
+            last = t
+            end = clock()
+            cells.append(
+                ScanRecord(l, p, alpha, generator, t, *verdict, int((end - now) * 1000))
             )
-    records.sort(key=ScanRecord.sort_key)
+            now = end
+        cells.sort(key=attrgetter("generator"))
+        records += cells
     return records
 
 

@@ -171,19 +171,32 @@ def test_check_row_subsets_matches_shared_minors_in_every_class(l, p):
 
 
 @pytest.mark.parametrize("l, p", [*ORACLE_PRIMES, (23, 277)])
-def test_every_class_passes_the_grs_certificate(l, p):
+def test_every_class_passes_the_grs_certificate(l, p, monkeypatch):
     # every class's G vanishes at the nodes b^m, m in Z, of a root b of
     # order l, so at full rank its code is the generalized Reed-Solomon code
-    # they define: MDS, as the systematic minors confirm
+    # they define: MDS, as the systematic minors confirm.  So rank G = k
+    # exactly when its leading k columns are independent, and
+    # check_row_subsets takes that one k x k rank, on the first k rows of
+    # D, in every class, collapsed ones included
+    ranks = []
+    real = codes_module._rank
+    monkeypatch.setattr(codes_module, "_rank",
+                        lambda rows, q: ranks.append((len(rows), len(rows[0]))) or real(rows, q))
     full = 0
     for c in range(1, l):
         system = class_system(l, p, c)
         G = build_generator_matrix(system)
         assert codes_module._grs_certificate(system, G), c
+        ranks.clear()
+        dependent = check_row_subsets(system)
+        assert ranks == [(system.k, system.k)], c
+        assert dependent == systematic_minors_oracle(G, p), c
         if len(codes_module._rref(G, p)[1]) == system.k:
             full += 1
-            assert check_row_subsets(system) == [] == systematic_minors_oracle(G, p), c
+            assert dependent == [], c
     assert full >= l - 3  # at most one mirror pair collapses here
+    if (l, p) in ((13, 79), (23, 277)):
+        assert full == l - 3
 
 
 def test_a_root_of_order_one_certifies_nothing():
@@ -197,6 +210,28 @@ def test_a_root_of_order_one_certifies_nothing():
     assert check_row_subsets(system) == [(1, 3)] == systematic_minors_oracle(G, 7)
     with pytest.raises(IntegrityError, match=r"dependent column subset \(1, 3\)"):
         build_code(system)
+
+
+def test_an_uncertified_system_takes_the_whole_rank_and_the_definition(monkeypatch):
+    # b = 1 has order 1, so no system at it is certified: the rank is that
+    # of the k x n G, and at full rank the definition lists the dependent
+    # subsets, here only (1, 2), although G's leading columns are dependent
+    ranks, subsets = [], []
+    rank, definition = codes_module._rank, codes_module._dependent_subsets
+    monkeypatch.setattr(codes_module, "_rank",
+                        lambda rows, q: ranks.append((len(rows), len(rows[0]))) or rank(rows, q))
+    monkeypatch.setattr(codes_module, "_dependent_subsets",
+                        lambda G, q: subsets.append(G) or definition(G, q))
+    system = CongruenceSystem(l=5, p=7, b=1, D=((1, 2), (2, 4), (0, 1), (1, 0)), rhs=(0,) * 4)
+    G = build_generator_matrix(system)
+    assert not codes_module._grs_certificate(system, G)
+    assert check_row_subsets(system) == [(1, 2)] == systematic_minors_oracle(G, 7)
+    assert ranks[0] == (2, 4) and subsets == [G]
+    ranks.clear()
+    subsets.clear()
+    low = CongruenceSystem(l=5, p=7, b=1, D=((1, 2), (2, 4), (3, 6), (4, 1)), rhs=(0,) * 4)
+    assert check_row_subsets(low) == list(combinations(range(1, 5), 2))
+    assert ranks == [(2, 4)] and subsets == []
 
 
 def test_square_minors_keep_two_sizes():

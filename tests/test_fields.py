@@ -393,19 +393,18 @@ def test_extension_field_structure():
 
 
 def test_primitive_element_search_walks_only_the_elements_it_tries(monkeypatch):
-    walk = FieldSpec.elements
-    yielded = []
+    test = fields._generates_fp
+    tried = []
 
-    def spy(self):
-        for x in walk(self):
-            yielded.append(x)
-            assert len(yielded) <= 23, "walked past the first generator, 22"
-            yield x
+    def spy(c, p, primes):
+        tried.append(c)
+        assert len(tried) <= 22, "walked past the first generator, 22"
+        return test(c, p, primes)
 
-    monkeypatch.setattr(FieldSpec, "elements", spy)
+    monkeypatch.setattr(fields, "_generates_fp", spy)
     spec = FieldSpec(p=9999991, l=3)
     assert find_primitive_element(spec) == spec.element(22)
-    assert [x.coeffs for x in yielded] == [(c,) for c in range(23)]
+    assert tried == list(range(1, 23))
 
 
 def test_canonical_generators():

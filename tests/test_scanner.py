@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
-from itertools import combinations
+import random
+import types
+from itertools import combinations, count
 
 import pytest
 
@@ -352,7 +354,7 @@ def zeroed(records):
     [
         (13, 2, 3000, 1, "all"), (7, 2, 1500, 1, "all"), (11, 2, 1500, 1, "all"),
         (17, 2, 700, 1, "all"), (3, 2, 999, 1, "first"), (5, 2, 999, 1, "first"),
-        (7, 2, 120, 2, "all"),
+        (7, 2, 120, 2, "all"), (13, 2, 200, 2, "all"),
     ],
 )
 def test_scan_matches_the_class_oracle(l, p_min, p_max, alpha, generators):
@@ -425,6 +427,49 @@ def test_a_collapsed_first_class_is_the_only_check(monkeypatch):
     assert got == class_scan_oracle(13, 79, 79, 1, "all")
 
 
+def test_a_deadline_inside_a_prime_keeps_the_record_order(monkeypatch):
+    # a clock that ticks one second per read, and powers in a shuffled
+    # order: the deadline passes inside p = 53, after some of its cells
+    # were computed, and every cell of 79 is skipped; each prime's cells
+    # still come back sorted by generator, placeholders first
+    ticks = count()
+    monkeypatch.setattr(scanner, "time", types.SimpleNamespace(monotonic=ticks.__next__))
+    real = scanner._generator_powers
+
+    def shuffled(q, policy):
+        powers = real(q, policy)
+        random.Random(q).shuffle(powers)
+        return powers
+
+    monkeypatch.setattr(scanner, "_generator_powers", shuffled)
+    records = scan(13, 53, 79, generators="all", deadline_s=10.5)
+    assert records == sorted(records, key=ScanRecord.sort_key)
+    oracle = {(r.p, r.power): r for r in class_scan_oracle(13, 53, 79, 1, "all")}
+    assert sorted((r.p, r.power) for r in records) == sorted(oracle)
+    computed = [r for r in records if r.status != "skipped"]
+    skipped = [r for r in records if r.status == "skipped"]
+    assert {r.p for r in computed} == {53} and {r.p for r in skipped} == {53, 79}
+    assert zeroed(computed) == [oracle[r.p, r.power] for r in computed]
+    assert all((r.generator, r.dependent_subsets, r.elapsed_ms) == ((0,), (), 0)
+               for r in skipped)
+
+
+def test_a_prime_field_scan_walks_its_generators_by_integers(monkeypatch):
+    # at alpha = 1 each generator is one integer product from the last:
+    # no matrix of a product is built and none is applied
+    calls = collections.Counter()
+    for name in ("_matvec", "_mul_matrix"):
+        real = getattr(scanner, name)
+        monkeypatch.setattr(
+            scanner, name, lambda *args, _n=name, _f=real: calls.update([_n]) or _f(*args)
+        )
+    records = scan(13, 2, 400, generators="all")
+    assert not calls
+    assert zeroed(records) == class_scan_oracle(13, 2, 400, 1, "all")
+    scan(13, 2, 100, alpha=2, generators="all")
+    assert calls["_matvec"] > 0 and calls["_mul_matrix"] > 0
+
+
 def test_scan_mds_records_agree_with_code_builder():
     # every mds record's system also builds a code whose generator matrix
     # passes the column-independence check
@@ -442,6 +487,17 @@ def test_scan_skips_wrong_residue_classes():
     # only p = 1 mod 5 appear; 13, 17, ... are silently passed over
     records = scan(5, 12, 40)
     assert [r.p for r in records] == [31]
+
+
+def test_generator_powers_are_the_units_mod_q_minus_one():
+    # the sieve over the prime factors of q - 1 against the gcd definition,
+    # prime fields and extensions alike
+    fields = [p**a for a in (1, 2, 3) for p in range(2, 4000) if is_prime(p) and p**a < 4000]
+    assert {2, 4, 27, 3481, 2197} <= set(fields)
+    for q in fields:
+        want = [t for t in range(1, q - 1) if math.gcd(t, q - 1) == 1]
+        assert scanner._generator_powers(q, "all") == want, q
+        assert scanner._generator_powers(q, "first") == [1], q
 
 
 def test_scan_deadline_skips():
